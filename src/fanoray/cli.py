@@ -29,20 +29,12 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_record_file(path: Path):
+def _load_file(path: Path, parse, **options):
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise RecordError(str(path), f"unreadable: {exc}") from None
-    return parse_record(raw, strict=False)
-
-
-def _load_flop_file(path: Path):
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise RecordError(str(path), f"unreadable: {exc}") from None
-    return parse_flop_config(raw)
+    return parse(raw, **options)
 
 
 def _findings_json(findings):
@@ -71,8 +63,7 @@ def cmd_verify(args) -> int:
             if isinstance(head, dict) and "tracked_divisors" in head:
                 configs.append((path, parse_flop_config(head)))
             else:
-                record, findings = _load_record_file(path)
-                records[path] = (record, findings)
+                records[path] = parse_record(head, strict=False)
         except RecordError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return UNUSABLE
@@ -111,25 +102,27 @@ def cmd_verify(args) -> int:
             add("antik-audit", [], status="fail",
                 detail={"status": derived.status if derived else "too few rays"})
 
+        targets, skip = None, "no contraction descriptors"
         if any(r.contraction for r in record.rays):
             try:
                 targets = build_targets(record)
+            except (ExhaustionError, ConeError) as exc:
+                skip = str(exc)
+        if targets is None:
+            add("exhaustion", [], status="skipped", detail=skip)
+            add("facet-patch", [], status="skipped", detail=skip)
+        else:
+            try:
                 report = check_exhaustion(record, record.ray_labels(), targets)
                 add("exhaustion", [], status=report.verdict,
                     detail=report.to_json())
             except (ExhaustionError, ConeError) as exc:
                 add("exhaustion", [], status="skipped", detail=str(exc))
             try:
-                targets = build_targets(record)
                 patch = facet_patch_check(record, targets)
                 add("facet-patch", patch)
             except (ChamberError, ConeError, ExhaustionError) as exc:
                 add("facet-patch", [], status="skipped", detail=str(exc))
-        else:
-            add("exhaustion", [], status="skipped",
-                detail="no contraction descriptors")
-            add("facet-patch", [], status="skipped",
-                detail="no contraction descriptors")
 
         flop_findings = []
         flop_ran = False
@@ -220,7 +213,7 @@ def _read_proposal(path: Path) -> QVec:
 
 
 def cmd_check_exhaustion(args) -> int:
-    record, _ = _load_record_file(Path(args.record))
+    record, _ = _load_file(Path(args.record), parse_record, strict=False)
     labels = record.ray_labels()
     for drop in args.drop_ray:
         if drop not in labels:
@@ -248,7 +241,7 @@ def cmd_check_exhaustion(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_flop(args) -> int:
-    cfg = _load_flop_file(Path(args.config))
+    cfg = _load_file(Path(args.config), parse_flop_config)
     result = compute_flop(cfg)
     payload = {
         "record": cfg.record.render(),
@@ -262,7 +255,7 @@ def cmd_flop(args) -> int:
     }
     findings = []
     if args.record:
-        record, _ = _load_record_file(Path(args.record))
+        record, _ = _load_file(Path(args.record), parse_record, strict=False)
         findings = verify_against_table(record, cfg, result)
         payload["table_findings"] = _findings_json(findings)
     _emit(payload)
@@ -270,7 +263,7 @@ def cmd_flop(args) -> int:
 
 
 def cmd_nef(args) -> int:
-    record, _ = _load_record_file(Path(args.record))
+    record, _ = _load_file(Path(args.record), parse_record, strict=False)
     cone = nef_cone(record)
     payload = {
         "record": record.record_id.render(),
@@ -287,7 +280,7 @@ def cmd_nef(args) -> int:
 
 
 def cmd_derive_antik(args) -> int:
-    record, _ = _load_record_file(Path(args.record))
+    record, _ = _load_file(Path(args.record), parse_record, strict=False)
     derived = derive_antiK_combo(
         [(r.vec, r.antiK) for r in record.rays], record.rho)
     payload = {"record": record.record_id.render(), "status": derived.status}

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .rational import QMat, QVec, rat
+from .rational import QMat, QVec, rank, rat
 
 IVec = tuple[int, ...]
 
@@ -212,11 +212,17 @@ def dual_description(generators: Sequence[IVec], dim: int):
 class Cone:
     """Polyhedral cone given by generators (canonical primitive rays).
 
-    Immutable except for the write-once memoized facet list; queries are
-    pure, so instances are safe to share across threads.
+    The generators never change.  Three facts are memoised per instance,
+    each computed on first use: the pointedness certificate, the double
+    description of the dual (which ``facets``, ``extreme_rays`` and
+    ``dual`` all read) and the extreme rays.  Concurrent first calls are
+    benign: each thread computes the same deterministic value and the
+    last slot write wins, so instances are safe to share across threads
+    (only the identity of a memoised tuple may then differ between the
+    racing callers).
     """
 
-    __slots__ = ("ambient_dim", "generators", "_facets", "_extreme")
+    __slots__ = ("ambient_dim", "generators", "_pointed", "_dd", "_extreme")
 
     def __init__(self, ambient_dim: int, generators: Iterable = ()):
         if ambient_dim <= 0:
@@ -230,7 +236,8 @@ class Cone:
             seen.setdefault(ray, None)
         self.ambient_dim = ambient_dim
         self.generators: tuple[IVec, ...] = tuple(seen)
-        self._facets: Optional[tuple[IVec, ...]] = None
+        self._pointed: Optional[Pointedness] = None
+        self._dd: Optional[tuple[tuple[IVec, ...], tuple[IVec, ...]]] = None
         self._extreme: Optional[tuple[IVec, ...]] = None
 
     def __repr__(self) -> str:
@@ -247,20 +254,23 @@ class Cone:
     # -- queries ----------------------------------------------------------
 
     def rank(self) -> int:
-        if not self.generators:
-            return 0
-        return _int_rank([list(g) for g in self.generators])
+        return rank(self.generators)
 
     def is_full_dimensional(self) -> bool:
         return self.rank() == self.ambient_dim
 
     def is_pointed(self) -> Pointedness:
-        """Strict convexity with certificate.
+        """Strict convexity with certificate, memoised.
 
         Pointed: a functional strictly positive on every generator.
         Not pointed: nonnegative coefficients mu, not all zero, with
         sum mu_j g_j = 0, exhibiting a line inside the cone.
         """
+        if self._pointed is None:
+            self._pointed = self._pointedness()
+        return self._pointed
+
+    def _pointedness(self) -> Pointedness:
         if not self.generators:
             return Pointedness(True, tuple(Fraction(0) for _ in
                                            range(self.ambient_dim)),
@@ -315,17 +325,24 @@ class Cone:
             result = tuple(self.generators)
             self._extreme = result
             return result
-        normals, lineality = dual_description(self.generators,
-                                              self.ambient_dim)
+        normals, lineality = self._double_description()
         survivors = []
         for g in self.generators:
-            tight = [list(u) for u in lineality]
-            tight += [list(n) for n in normals if _ivec_dot(n, g) == 0]
-            if tight and _int_rank(tight) == self.ambient_dim - 1:
+            tight = list(lineality)
+            tight += [n for n in normals if _ivec_dot(n, g) == 0]
+            if tight and rank(tight) == self.ambient_dim - 1:
                 survivors.append(g)
         result = tuple(sorted(survivors))
         self._extreme = result
         return result
+
+    def _double_description(self):
+        """The memoised (rays, lineality) of the dual, as tuples."""
+        if self._dd is None:
+            rays, lineality = dual_description(self.generators,
+                                               self.ambient_dim)
+            self._dd = (tuple(rays), tuple(lineality))
+        return self._dd
 
     def dual(self) -> "Cone":
         """Dual cone {w : <w, g> >= 0 for all generators g}.
@@ -334,7 +351,7 @@ class Cone:
         exactly its extreme rays.  Otherwise the dual contains lines and
         both directions of a lineality basis are included as generators.
         """
-        rays, lineality = dual_description(self.generators, self.ambient_dim)
+        rays, lineality = self._double_description()
         gens = list(rays)
         for u in lineality:
             gens.append(u)
@@ -358,22 +375,20 @@ class Cone:
         return Cone(m.rows, cone.extreme_rays())
 
     def facets(self) -> tuple[IVec, ...]:
-        """Supporting halfspace normals (<n, g> >= 0), memoized write-once."""
-        if self._facets is not None:
-            return self._facets
+        """Supporting halfspace normals (<n, g> >= 0), memoised.
+
+        The dual has no lineality exactly when the cone is
+        full-dimensional.
+        """
         pt = self.is_pointed()
         if not pt.pointed:
             raise ConeError("facet enumeration requires a pointed cone")
-        if not self.is_full_dimensional():
+        rays, lineality = self._double_description()
+        if lineality:
             raise ConeError(
                 f"facet enumeration requires a full-dimensional cone "
                 f"(rank {self.rank()} < ambient {self.ambient_dim})")
-        rays, lineality = dual_description(self.generators, self.ambient_dim)
-        assert not lineality
-        computed = tuple(rays)
-        if self._facets is None:  # compute-then-publish
-            self._facets = computed
-        return self._facets
+        return rays
 
     def codim2_faces(self):
         """Codimension-two faces with the two facets containing each.
@@ -393,8 +408,7 @@ class Cone:
                 tight = tuple(g for g in ext
                               if _ivec_dot(normals[i], g) == 0
                               and _ivec_dot(normals[j], g) == 0)
-                r = _int_rank([list(g) for g in tight]) if tight else 0
-                if r != d - 2:
+                if rank(tight) != d - 2:
                     continue
                 containing = [k for k in range(len(normals))
                               if all(_ivec_dot(normals[k], g) == 0
@@ -407,27 +421,3 @@ class Cone:
                 seen[tight] = (i, j)
                 result.append(((i, j), tight))
         return result
-
-
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank by fraction-free elimination over the integers."""
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < cols:
-        piv = next((i for i, r in enumerate(rows) if r[col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        pivot = rows.pop(piv)
-        rank += 1
-        new_rows = []
-        for r in rows:
-            if r[col] != 0:
-                r = [pivot[col] * a - r[col] * b for a, b in zip(r, pivot)]
-            if any(r):
-                new_rows.append(r)
-        rows = new_rows
-        col += 1
-    return rank

@@ -12,15 +12,3 @@ def data_root() -> Path:
 
 def records_dir() -> Path:
     return data_root() / "records"
-
-
-def mistakes_dir() -> Path:
-    return data_root() / "mistakes"
-
-
-def flops_dir() -> Path:
-    return data_root() / "flops"
-
-
-def extra_dir() -> Path:
-    return data_root() / "extra"

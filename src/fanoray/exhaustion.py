@@ -88,10 +88,11 @@ def pushforward_map(record: FanoRecord, label: str) -> QMat:
         raise ExhaustionError(
             f"{record.record_id.render()}: descriptor of {label} does not "
             f"annihilate its own ray")
-    if rank(phi) != record.rho - 1:
+    phi_rank = rank(phi.entries)
+    if phi_rank != record.rho - 1:
         raise ExhaustionError(
             f"{record.record_id.render()}: pushforward of {label} has rank "
-            f"{rank(phi)}, expected {record.rho - 1}; its kernel is larger "
+            f"{phi_rank}, expected {record.rho - 1}; its kernel is larger "
             f"than the contracted ray")
     return phi
 
@@ -105,7 +106,8 @@ def derive_target_edges(record: FanoRecord, full_labels: Sequence[str],
         raise ExhaustionError(
             f"{record.record_id.render()}: ray set is not pointed")
     image = cone.image(pushforward_map(record, label))
-    return TargetEntry(tuple(image.extreme_rays()), "derived-oracle")
+    # image() already reduced its generators to the sorted extreme rays
+    return TargetEntry(image.generators, "derived-oracle")
 
 
 def build_targets(record: FanoRecord,
@@ -151,7 +153,8 @@ def check_exhaustion(record: FanoRecord,
         else:
             vectors[lab] = record.ray(lab).vec
 
-    cone = Cone(record.rho, list(vectors.values()))
+    cone = (Cone(record.rho, list(vectors.values())) if extra_rays
+            else record.ray_cone(candidate_labels))
     if not cone.is_pointed().pointed:
         raise ExhaustionError(
             f"{record.record_id.render()}: candidate set is not pointed")
@@ -175,16 +178,15 @@ def check_exhaustion(record: FanoRecord,
             raise ExhaustionError(
                 f"{record.record_id.render()}: no target edges for "
                 f"candidate {lab}")
+        images = []
+        for other in candidate_labels:
+            if other == lab:
+                continue
+            image = phi.apply(vectors[other])
+            if not image.is_zero():
+                images.append((other, canonicalize_ray(image)))
         for edge in targets[lab].edges:
-            matched = []
-            for other in candidate_labels:
-                if other == lab:
-                    continue
-                image = phi.apply(vectors[other])
-                if image.is_zero():
-                    continue
-                if canonicalize_ray(image) == edge:
-                    matched.append(other)
+            matched = [other for other, canon in images if canon == edge]
             if not matched:
                 misses.append(Miss(index_of.get(lab, 0), lab, edge,
                                    "no candidate maps onto this edge"))

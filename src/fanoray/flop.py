@@ -10,12 +10,11 @@ side are then plain evaluations.  Coefficients are honest rationals
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from .model import FanoRecord, Finding, RecordError, RecordId, _expect_keys, \
-    _id_at, _qvec_at
-from .rational import QMat, QVec, rat_str, solve_linear
+    _id_at, _json_at, _list_at, _qvec_at
+from .rational import QMat, QVec, inconsistent_rows, rat_str, solve_linear
 
 
 class FlopError(ValueError):
@@ -74,10 +73,13 @@ def flop_config_from_json(data: dict, source: str = "flop") -> FlopConfig:
             raise RecordError(f"{source}.{key}", "expected array of strings")
     curves = []
     labels = set()
-    for i, raw in enumerate(data["test_curves"]):
+    for i, raw in enumerate(_list_at(data["test_curves"],
+                                     f"{source}.test_curves")):
         path = f"{source}.test_curves[{i}]"
         _expect_keys(raw, path,
                      {"label", "pullback_row", "exc_row", "contracted_by_flop"})
+        if not isinstance(raw["label"], str):
+            raise RecordError(f"{path}.label", "expected string")
         if raw["label"] in labels:
             raise RecordError(path, f"duplicate curve label {raw['label']!r}")
         labels.add(raw["label"])
@@ -89,7 +91,8 @@ def flop_config_from_json(data: dict, source: str = "flop") -> FlopConfig:
             _qvec_at(raw["exc_row"], f"{path}.exc_row", len(exceptional)),
             raw["contracted_by_flop"]))
     results = data["result_curves"]
-    if not isinstance(results, list) or not all(r in labels for r in results):
+    if not isinstance(results, list) or not all(
+            isinstance(r, str) and r in labels for r in results):
         raise RecordError(f"{source}.result_curves",
                           "every result curve must be a test curve label")
     combo = _qvec_at(data["antiK_combo_tracked"],
@@ -106,14 +109,7 @@ def flop_config_from_json(data: dict, source: str = "flop") -> FlopConfig:
 
 
 def parse_flop_config(raw) -> FlopConfig:
-    if isinstance(raw, (bytes, bytearray)):
-        raw = raw.decode("utf-8")
-    if isinstance(raw, str):
-        try:
-            raw = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise RecordError("flop", f"bad JSON: {exc}") from None
-    return flop_config_from_json(raw)
+    return flop_config_from_json(_json_at(raw, "flop"))
 
 
 def solve_pullback_coeffs(cfg: FlopConfig) -> QMat:
@@ -130,7 +126,8 @@ def solve_pullback_coeffs(cfg: FlopConfig) -> QMat:
         b = QVec([-c.pullback_row[t] for c in contracted])
         solved = solve_linear(a, b)
         if solved is None:
-            witnesses = _witness_curves(contracted, t)
+            witnesses = [contracted[i].label for i in inconsistent_rows(
+                a.entries, b.entries)]
             raise FlopError(
                 f"inconsistent vanishing conditions for "
                 f"{cfg.tracked_divisors[t]!r}: curves {witnesses}")
@@ -141,17 +138,6 @@ def solve_pullback_coeffs(cfg: FlopConfig) -> QMat:
                 f"kernel dimension {len(ker)}")
         coeff_rows.append(alpha.entries)
     return QMat(coeff_rows)
-
-
-def _witness_curves(contracted: list[TestCurve], t: int) -> list[str]:
-    from itertools import combinations
-    for r in range(2, len(contracted) + 1):
-        for subset in combinations(range(len(contracted)), r):
-            a = QMat([contracted[i].exc_row.entries for i in subset])
-            b = QVec([-contracted[i].pullback_row[t] for i in subset])
-            if solve_linear(a, b) is None:
-                return [contracted[i].label for i in subset]
-    return [c.label for c in contracted]
 
 
 def flopped_rows(cfg: FlopConfig, coeffs: QMat) -> FlopResult:

@@ -12,20 +12,19 @@ the audit path loads in collecting mode so that deliberately wrong
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .cone import Cone, ConeError, canonicalize_ray
-from .rational import ExactArithError, QMat, QVec, rat, rat_str, rank, solve_linear
+from .rational import (ExactArithError, QMat, QVec, inconsistent_rows, rat,
+                       rat_str, rank, solve_linear)
 
 RAY_TYPES = ("E1", "E2", "E3", "E4", "E5", "C", "D", "F_fiber", "Flopping")
 DIVISORIAL_TYPES = ("E1", "E2", "E3", "E4", "E5")
 FLOP_TYPES = ("E1", "E2", "E3", "E4", "E5",
               "E1_inv", "E2_inv", "E3_inv", "E4_inv", "E5_inv",
               "F", "G", "Others")
-SELF_INVERSE_FLOP_TYPES = ("F", "G", "Others")
 
 
 class RecordError(ValueError):
@@ -120,6 +119,9 @@ class FanoRecord:
     weyl_group: str
     flop_types: tuple[str, ...]
     chambers: Optional[ChamberSpec] = None
+    # one Cone per ray-label tuple, so its memoised facts are shared
+    _cones: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def ray_labels(self) -> list[str]:
         return [r.label for r in self.rays]
@@ -131,8 +133,11 @@ class FanoRecord:
         raise KeyError(f"{self.record_id.render()}: no ray {label!r}")
 
     def ray_cone(self, labels: Optional[Sequence[str]] = None) -> Cone:
-        labels = list(labels) if labels is not None else self.ray_labels()
-        return Cone(self.rho, [self.ray(lab).vec for lab in labels])
+        key = tuple(labels) if labels is not None else tuple(self.ray_labels())
+        if key not in self._cones:
+            self._cones[key] = Cone(self.rho,
+                                    [self.ray(lab).vec for lab in key])
+        return self._cones[key]
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +153,12 @@ def _expect_keys(obj: dict, path: str, required: set, optional: set = frozenset(
     missing = required - set(obj)
     if missing:
         raise RecordError(path, f"missing fields: {sorted(missing)}")
+
+
+def _list_at(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise RecordError(path, f"expected array, got {type(value).__name__}")
+    return value
 
 
 def _rat_at(value, path: str) -> Fraction:
@@ -205,14 +216,17 @@ def _contraction_at(value, path: str, rho: int) -> ContractionDescriptor:
 def _chambers_at(value, path: str) -> ChamberSpec:
     _expect_keys(value, path, {"nodes", "edges"})
     nodes = []
-    for i, n in enumerate(value["nodes"]):
+    for i, n in enumerate(_list_at(value["nodes"], f"{path}.nodes")):
         _expect_keys(n, f"{path}.nodes[{i}]", {"id", "label"})
         if not isinstance(n["id"], str) or not isinstance(n["label"], str):
             raise RecordError(f"{path}.nodes[{i}]", "id and label must be strings")
         nodes.append(ChamberNode(n["id"], n["label"]))
     edges = []
-    for i, e in enumerate(value["edges"]):
+    for i, e in enumerate(_list_at(value["edges"], f"{path}.edges")):
         _expect_keys(e, f"{path}.edges[{i}]", {"from", "to", "type"})
+        if not all(isinstance(e[k], str) for k in ("from", "to", "type")):
+            raise RecordError(f"{path}.edges[{i}]",
+                              "from, to and type must be strings")
         edges.append(ChamberEdge(e["from"], e["to"], e["type"]))
     return ChamberSpec(tuple(nodes), tuple(edges))
 
@@ -272,9 +286,11 @@ def record_from_json(data: dict, source: str = "record") -> FanoRecord:
             raise RecordError(path, f"key {key!r} is not a ray label")
         rows = []
         row_labels = set()
-        for i, raw in enumerate(raw_rows):
+        for i, raw in enumerate(_list_at(raw_rows, path)):
             rpath = f"{path}[{i}]"
             _expect_keys(raw, rpath, {"label", "vec", "antiK"})
+            if not isinstance(raw["label"], str):
+                raise RecordError(f"{rpath}.label", "expected string")
             if raw["label"] in row_labels:
                 raise RecordError(rpath, f"duplicate row label {raw['label']!r}")
             row_labels.add(raw["label"])
@@ -298,6 +314,18 @@ def record_from_json(data: dict, source: str = "record") -> FanoRecord:
                       tables, data["weyl_group"], tuple(ftypes), chambers)
 
 
+def _json_at(raw, path: str):
+    """Parsed JSON from bytes or text; already parsed data passes through."""
+    if isinstance(raw, (bytes, bytearray)):
+        raw = raw.decode("utf-8")
+    if not isinstance(raw, str):
+        return raw
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise RecordError(path, f"bad JSON: {exc}") from None
+
+
 def parse_record(raw, strict: bool = True):
     """Parse JSON bytes/text into a validated FanoRecord.
 
@@ -305,16 +333,7 @@ def parse_record(raw, strict: bool = True):
     behaviour); strict=False returns (record, findings) so the audit can
     report every violation of a mistake fixture.
     """
-    if isinstance(raw, (bytes, bytearray)):
-        raw = raw.decode("utf-8")
-    if isinstance(raw, str):
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise RecordError("record", f"bad JSON: {exc}") from None
-    else:
-        data = raw
-    record = record_from_json(data)
+    record = record_from_json(_json_at(raw, "record"))
     findings = validate_record(record)
     if strict:
         if findings:
@@ -363,10 +382,11 @@ def validate_record(record: FanoRecord) -> list[Finding]:
                 "pullback", key,
                 f"projection formula violated: pullback^T . vec(l) = "
                 f"({', '.join(image.to_strings())}) != 0"))
-        if rank(desc.pullback) != record.rho - 1:
+        pullback_rank = rank(desc.pullback.entries)
+        if pullback_rank != record.rho - 1:
             findings.append(Finding(
                 "pullback", key,
-                f"pullback rank {rank(desc.pullback)} != {record.rho - 1}"))
+                f"pullback rank {pullback_rank} != {record.rho - 1}"))
         if desc.target_edges is not None:
             edges = []
             for i, e in enumerate(desc.target_edges):
@@ -441,31 +461,12 @@ def derive_antiK_combo(rows: Sequence[tuple[QVec, Fraction]],
     b = QVec([r[1] for r in rows])
     solved = solve_linear(a, b)
     if solved is None:
-        return AntiKDerivation("inconsistent",
-                               witnesses=_inconsistent_witness(rows, rho))
+        return AntiKDerivation("inconsistent", witnesses=inconsistent_rows(
+            a.entries, b.entries))
     combo, ker = solved
     if ker:
         return AntiKDerivation("underdetermined", kernel_dim=len(ker))
     return AntiKDerivation("ok", combo=combo)
-
-
-def _inconsistent_witness(rows, rho) -> tuple[int, ...]:
-    def feasible(idx):
-        a = QMat([rows[i][0].entries for i in idx])
-        b = QVec([rows[i][1] for i in idx])
-        return solve_linear(a, b) is not None
-
-    # pairs first: the common case is one row contradicting a duplicate
-    for i, j in combinations(range(len(rows)), 2):
-        if not feasible([i, j]):
-            return (i, j)
-    # otherwise greedy deletion down to an irreducible infeasible core
-    core = list(range(len(rows)))
-    for i in list(core):
-        trial = [j for j in core if j != i]
-        if len(trial) >= 2 and not feasible(trial):
-            core = trial
-    return tuple(core)
 
 
 # ---------------------------------------------------------------------------

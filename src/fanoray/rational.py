@@ -10,6 +10,7 @@ bit-exact.  No floats are accepted anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
@@ -113,10 +114,6 @@ class QVec:
         return [rat_str(e) for e in self.entries]
 
 
-def qvec(entries: Iterable[RatLike]) -> QVec:
-    return QVec(entries)
-
-
 class QMat:
     """Immutable exact rational matrix, row-major."""
 
@@ -133,12 +130,6 @@ class QMat:
         self.entries = tuple(data)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[RatLike]]) -> "QMat":
-        cols = [list(c) for c in columns]
-        return cls([[cols[j][i] for j in range(len(cols))]
-                    for i in range(len(cols[0]))])
-
-    @classmethod
     def identity(cls, n: int) -> "QMat":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -153,9 +144,6 @@ class QMat:
 
     def row(self, i: int) -> QVec:
         return QVec(self.entries[i])
-
-    def column(self, j: int) -> QVec:
-        return QVec(r[j] for r in self.entries)
 
     def transpose(self) -> "QMat":
         return QMat([[self.entries[i][j] for i in range(self.rows)]
@@ -197,9 +185,23 @@ def _eliminate(rows: list[list[Fraction]], width: int):
     return pivots
 
 
-def rank(m: QMat) -> int:
-    rows = [list(r) for r in m.entries]
-    return len(_eliminate(rows, m.cols))
+def rank(rows: Iterable[Sequence]) -> int:
+    """Rank of int or Fraction rows by fraction-free elimination.
+
+    Each step takes a nonzero row as pivot and clears its leading column
+    from the other rows by cross-multiplication; no division happens, so
+    int rows (the cone engine's) stay ints.
+    """
+    rows = [list(r) for r in rows if any(r)]
+    count = 0
+    while rows:
+        pivot = rows.pop()
+        col = next(j for j, x in enumerate(pivot) if x != 0)
+        rows = [[pivot[col] * a - r[col] * b for a, b in zip(r, pivot)]
+                if r[col] != 0 else r for r in rows]
+        rows = [r for r in rows if any(r)]
+        count += 1
+    return count
 
 
 def solve_linear(a: QMat, b: QVec):
@@ -221,23 +223,38 @@ def solve_linear(a: QMat, b: QVec):
     solution = [Fraction(0)] * a.cols
     for col, row in pivot_cols.items():
         solution[col] = aug[row][a.cols]
-    return QVec(solution), _kernel_from_elim(aug, a.cols, pivot_cols)
-
-
-def _kernel_from_elim(rows, width, pivot_cols) -> list[QVec]:
-    free_cols = [c for c in range(width) if c not in pivot_cols]
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * width
+    for fc in (c for c in range(a.cols) if c not in pivot_cols):
+        v = [Fraction(0)] * a.cols
         v[fc] = Fraction(1)
         for col, row in pivot_cols.items():
-            v[col] = -rows[row][fc]
+            v[col] = -aug[row][fc]
         basis.append(QVec(v))
-    return basis
+    return QVec(solution), basis
+
+
+def inconsistent_rows(rows: Sequence[Sequence[RatLike]],
+                      rhs: Sequence[RatLike]) -> tuple[int, ...]:
+    """Indices of an infeasible subsystem of  rows . x = rhs.
+
+    Pairs first (the common case is one row contradicting a duplicate),
+    otherwise greedy deletion down to an irreducible infeasible core.
+    """
+    def feasible(idx):
+        return solve_linear(QMat([rows[i] for i in idx]),
+                            QVec([rhs[i] for i in idx])) is not None
+
+    for pair in combinations(range(len(rows)), 2):
+        if not feasible(pair):
+            return pair
+    core = list(range(len(rows)))
+    for i in list(core):
+        trial = [j for j in core if j != i]
+        if len(trial) >= 2 and not feasible(trial):
+            core = trial
+    return tuple(core)
 
 
 def kernel(a: QMat) -> list[QVec]:
     """Basis of the exact null space of A (empty list when injective)."""
-    rows = [list(r) for r in a.entries]
-    pivots = _eliminate(rows, a.cols)
-    return _kernel_from_elim(rows, a.cols, {c: r for r, c in pivots})
+    return solve_linear(a, QVec([0] * a.rows))[1]

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from fanoray.cli import main
+from fanoray.flop import parse_flop_config
+from fanoray.model import RecordError, parse_record
 
 
 def run_cli(capsys, *argv):
@@ -208,3 +210,46 @@ def test_console_script_entry_point(record_paths):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["facets"] == 4
+
+
+def _first_table(data):
+    return data["flop_tables"][sorted(data["flop_tables"])[0]]
+
+
+MALFORMED = {
+    "flop-table-not-array":
+        ("records/b2_5_n1.json",
+         lambda d: d["flop_tables"].update({"l5": 5})),
+    "flop-row-label-list":
+        ("records/b2_5_n1.json",
+         lambda d: _first_table(d)[0].update({"label": ["x"]})),
+    "chamber-nodes-int":
+        ("records/b2_5_n1.json", lambda d: d["chambers"].update({"nodes": 5})),
+    "chamber-edges-int":
+        ("records/b2_5_n1.json", lambda d: d["chambers"].update({"edges": 5})),
+    "test-curves-int":
+        ("flops/e1_b2_2_n1.json", lambda d: d.update({"test_curves": 3})),
+    "test-curve-label-list":
+        ("flops/e1_b2_2_n1.json",
+         lambda d: d["test_curves"][0].update({"label": ["x"]})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_container_is_a_record_error(name, capsys, data_root,
+                                               tmp_path):
+    source, mutate = MALFORMED[name]
+    data = json.loads((data_root / source).read_text())
+    mutate(data)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    is_record = source.startswith("records/")
+    with pytest.raises(RecordError):
+        if is_record:
+            parse_record(path.read_text(), strict=False)
+        else:
+            parse_flop_config(path.read_text())
+    command = "check-exhaustion" if is_record else "flop"
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("error: ")

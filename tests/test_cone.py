@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from fanoray import cone as cone_module
 from fanoray.cone import Cone, ConeError, canonicalize_ray
 from fanoray.rational import QMat, rat
 
@@ -157,6 +159,22 @@ def test_facets_require_full_dimension():
 def test_facet_memoization_returns_same_object():
     cone = Cone(2, [(1, 0), (0, 1)])
     assert cone.facets() is cone.facets()
+
+
+def test_cone_kernels_run_once_per_instance(monkeypatch):
+    calls = Counter()
+    for name in ("dual_description", "_phase1"):
+        def counted(*args, _name=name, _kernel=getattr(cone_module, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(cone_module, name, counted)
+    cone = Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+    for _ in range(2):
+        assert len(cone.facets()) == 4
+        assert len(cone.extreme_rays()) == 4
+        assert len(cone.dual().generators) == 4
+        assert cone.is_pointed().pointed
+    assert calls == {"dual_description": 1, "_phase1": 1}
 
 
 def test_codim2_faces_of_a_4d_cone():

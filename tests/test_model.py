@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -44,6 +45,17 @@ def test_pullbacks_kill_their_rays(records):
             if ray.contraction is not None:
                 image = ray.contraction.pullback.transpose().apply(ray.vec)
                 assert image.is_zero(), (rec.record_id.render(), ray.label)
+
+
+def test_ray_cone_is_shared_per_label_tuple(records):
+    rec = records["b2_5_n1"]
+    assert rec.ray_cone() is rec.ray_cone()
+    assert rec.ray_cone(["l1", "l2"]) is rec.ray_cone(("l1", "l2"))
+    assert rec.ray_cone(["l1", "l2"]) is not rec.ray_cone()
+    assert "_cones" not in repr(rec)
+    copy = dataclasses.replace(rec)
+    assert copy == rec
+    assert copy.ray_cone() is not rec.ray_cone()
 
 
 def test_strict_parse_rejects_antiK_mistake(data_root):
