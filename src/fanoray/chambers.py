@@ -75,7 +75,8 @@ def facet_patch_check(record: FanoRecord,
         dual_target = Cone(record.rho - 1,
                            list(targets[lab].edges)).dual()
         for w in chart_wall:
-            if not dual_target.contains(w):
+            # the definition of the dual: w pairs >= 0 with every edge
+            if any(_ivec_dot(w, e) < 0 for e in targets[lab].edges):
                 findings.append(Finding(
                     "facet-patch", f"rays.{lab}",
                     f"facet of the nef cone on {lab}'s wall is strictly "

@@ -17,9 +17,9 @@ from . import datafiles
 from .chambers import ChamberError, chamber_graph, emit_dot, facet_patch_check, nef_cone
 from .cone import ConeError
 from .exhaustion import ExhaustionError, build_targets, check_exhaustion, extend_candidates
-from .flop import FlopError, compute_flop, parse_flop_config, verify_against_table
-from .model import (Finding, RecordError, derive_antiK_combo, diff_records,
-                    parse_record)
+from .flop import FlopError, compute_flop, flop_config_from_json, parse_flop_config, verify_against_table
+from .model import (Finding, RecordError, _json_at, diff_records,
+                    parse_record, record_from_json)
 from .rational import ExactArithError, QVec, rat, rat_str
 
 OK, FOUND, UNUSABLE = 0, 1, 2
@@ -29,12 +29,12 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_file(path: Path, parse, **options):
+def _read_json(path: Path, source: str):
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise RecordError(str(path), f"unreadable: {exc}") from None
-    return parse(raw, **options)
+    return _json_at(raw, source)
 
 
 def _findings_json(findings):
@@ -56,15 +56,11 @@ def cmd_verify(args) -> int:
     for path in sorted(data_dir.glob("*.json")):
         try:
             head = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return UNUSABLE
-        try:
             if isinstance(head, dict) and "tracked_divisors" in head:
                 configs.append((path, parse_flop_config(head)))
             else:
                 records[path] = parse_record(head, strict=False)
-        except RecordError as exc:
+        except (OSError, json.JSONDecodeError, RecordError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return UNUSABLE
 
@@ -90,11 +86,8 @@ def cmd_verify(args) -> int:
 
         add("validate", load_findings)
 
-        if len(record.rays) >= record.rho:
-            derived = derive_antiK_combo(
-                [(r.vec, r.antiK) for r in record.rays], record.rho)
-        else:
-            derived = None
+        derived = (record.derived_antiK if len(record.rays) >= record.rho
+                   else None)
         if derived is not None and derived.status == "ok":
             add("antik-audit", [], detail={
                 "combo": derived.combo.to_strings()})
@@ -213,7 +206,7 @@ def _read_proposal(path: Path) -> QVec:
 
 
 def cmd_check_exhaustion(args) -> int:
-    record, _ = _load_file(Path(args.record), parse_record, strict=False)
+    record = record_from_json(_read_json(Path(args.record), "record"))
     labels = record.ray_labels()
     for drop in args.drop_ray:
         if drop not in labels:
@@ -241,7 +234,7 @@ def cmd_check_exhaustion(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_flop(args) -> int:
-    cfg = _load_file(Path(args.config), parse_flop_config)
+    cfg = flop_config_from_json(_read_json(Path(args.config), "flop"))
     result = compute_flop(cfg)
     payload = {
         "record": cfg.record.render(),
@@ -255,7 +248,7 @@ def cmd_flop(args) -> int:
     }
     findings = []
     if args.record:
-        record, _ = _load_file(Path(args.record), parse_record, strict=False)
+        record = record_from_json(_read_json(Path(args.record), "record"))
         findings = verify_against_table(record, cfg, result)
         payload["table_findings"] = _findings_json(findings)
     _emit(payload)
@@ -263,7 +256,7 @@ def cmd_flop(args) -> int:
 
 
 def cmd_nef(args) -> int:
-    record, _ = _load_file(Path(args.record), parse_record, strict=False)
+    record = record_from_json(_read_json(Path(args.record), "record"))
     cone = nef_cone(record)
     payload = {
         "record": record.record_id.render(),
@@ -280,9 +273,8 @@ def cmd_nef(args) -> int:
 
 
 def cmd_derive_antik(args) -> int:
-    record, _ = _load_file(Path(args.record), parse_record, strict=False)
-    derived = derive_antiK_combo(
-        [(r.vec, r.antiK) for r in record.rays], record.rho)
+    record = record_from_json(_read_json(Path(args.record), "record"))
+    derived = record.derived_antiK
     payload = {"record": record.record_id.render(), "status": derived.status}
     bad = []
     if derived.status == "ok":

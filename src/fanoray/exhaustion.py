@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 from .cone import Cone, IVec, canonicalize_ray
 from .model import FanoRecord
-from .rational import QMat, QVec, rank
+from .rational import QMat, QVec
 
 
 class ExhaustionError(ValueError):
@@ -77,18 +77,17 @@ class ExhaustionReport:
 
 def pushforward_map(record: FanoRecord, label: str) -> QMat:
     """Pushforward on curve classes: the transpose of the contraction's
-    pullback matrix (projection formula)."""
+    pullback matrix (projection formula), read from the ray's chart."""
     ray = record.ray(label)
     if ray.contraction is None:
         raise ExhaustionError(
             f"{record.record_id.render()}: ray {label} has no contraction "
             f"descriptor")
-    phi = ray.contraction.pullback.transpose()
-    if not phi.apply(ray.vec).is_zero():
+    phi, image, phi_rank = ray.chart
+    if not image.is_zero():
         raise ExhaustionError(
             f"{record.record_id.render()}: descriptor of {label} does not "
             f"annihilate its own ray")
-    phi_rank = rank(phi.entries)
     if phi_rank != record.rho - 1:
         raise ExhaustionError(
             f"{record.record_id.render()}: pushforward of {label} has rank "
@@ -161,14 +160,11 @@ def check_exhaustion(record: FanoRecord,
 
     misses: list[Miss] = []
     reciprocal: list[ReciprocalFailure] = []
-    phis: dict[str, QMat] = {}
 
     def phi_of(lab: str) -> Optional[QMat]:
         if lab in extra_rays or record.ray(lab).contraction is None:
             return None
-        if lab not in phis:
-            phis[lab] = pushforward_map(record, lab)
-        return phis[lab]
+        return pushforward_map(record, lab)
 
     for lab in candidate_labels:
         phi = phi_of(lab)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -81,6 +82,12 @@ class RayRecord:
     ray_type: str
     contraction: Optional[ContractionDescriptor] = None
 
+    @cached_property
+    def chart(self) -> tuple[QMat, QVec, int]:
+        """(pushforward = pullback^T, its image of vec, its rank), once."""
+        phi = self.contraction.pullback.transpose()
+        return phi, phi.apply(self.vec), rank(phi.entries)
+
 
 @dataclass(frozen=True)
 class FlopRow:
@@ -138,6 +145,13 @@ class FanoRecord:
             self._cones[key] = Cone(self.rho,
                                     [self.ray(lab).vec for lab in key])
         return self._cones[key]
+
+    @cached_property
+    def derived_antiK(self) -> "AntiKDerivation":
+        """derive_antiK_combo on the ray rows, computed once (it raises,
+        uncached, when there are fewer rays than rho)."""
+        return derive_antiK_combo([(r.vec, r.antiK) for r in self.rays],
+                                  self.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +390,12 @@ def validate_record(record: FanoRecord) -> list[Finding]:
         if desc is None:
             continue
         key = f"rays.{ray.label}.contraction"
-        image = desc.pullback.transpose().apply(ray.vec)
+        _, image, pullback_rank = ray.chart
         if not image.is_zero():
             findings.append(Finding(
                 "pullback", key,
                 f"projection formula violated: pullback^T . vec(l) = "
                 f"({', '.join(image.to_strings())}) != 0"))
-        pullback_rank = rank(desc.pullback.entries)
         if pullback_rank != record.rho - 1:
             findings.append(Finding(
                 "pullback", key,
@@ -418,8 +431,7 @@ def validate_record(record: FanoRecord) -> list[Finding]:
             f"{len(record.rays)} ray row(s) cannot determine a "
             f"rank-{record.rho} anticanonical combination"))
         return findings
-    derived = derive_antiK_combo(
-        [(r.vec, r.antiK) for r in record.rays], record.rho)
+    derived = record.derived_antiK
     if derived.status == "ok" and derived.combo != combo:
         findings.append(Finding(
             "antiK-combo", "antiK_combo",

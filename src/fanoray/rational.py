@@ -157,12 +157,13 @@ class QMat:
                         Fraction(0)) for i in range(self.rows))
 
 
-def _eliminate(rows: list[list[Fraction]], width: int):
-    """In-place forward elimination, first nonzero pivot by row order.
+def _eliminate(rows: list[list], width: int):
+    """In-place fraction-free elimination, first nonzero pivot by row order.
 
     Returns the list of (row index, pivot column) in elimination order.
     Deterministic by construction: columns scanned left to right, the first
-    not-yet-used row with a nonzero entry wins.
+    not-yet-used row with a nonzero entry wins.  Other rows are cleared by
+    cross-multiplication, never divided, so int rows stay ints.
     """
     pivots: list[tuple[int, int]] = []
     used: set[int] = set()
@@ -176,32 +177,19 @@ def _eliminate(rows: list[list[Fraction]], width: int):
             continue
         used.add(pivot_row)
         pivots.append((pivot_row, col))
-        inv = 1 / rows[pivot_row][col]
-        rows[pivot_row] = [e * inv for e in rows[pivot_row]]
+        pivot = rows[pivot_row]
+        p = pivot[col]
         for i in range(len(rows)):
             if i != pivot_row and rows[i][col] != 0:
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pivot_row])]
+                rows[i] = [p * a - f * b for a, b in zip(rows[i], pivot)]
     return pivots
 
 
 def rank(rows: Iterable[Sequence]) -> int:
-    """Rank of int or Fraction rows by fraction-free elimination.
-
-    Each step takes a nonzero row as pivot and clears its leading column
-    from the other rows by cross-multiplication; no division happens, so
-    int rows (the cone engine's) stay ints.
-    """
-    rows = [list(r) for r in rows if any(r)]
-    count = 0
-    while rows:
-        pivot = rows.pop()
-        col = next(j for j, x in enumerate(pivot) if x != 0)
-        rows = [[pivot[col] * a - r[col] * b for a, b in zip(r, pivot)]
-                if r[col] != 0 else r for r in rows]
-        rows = [r for r in rows if any(r)]
-        count += 1
-    return count
+    """Rank of int or Fraction rows: the number of pivots found."""
+    rows = [list(r) for r in rows]
+    return len(_eliminate(rows, len(rows[0]) if rows else 0))
 
 
 def solve_linear(a: QMat, b: QVec):
@@ -222,13 +210,13 @@ def solve_linear(a: QMat, b: QVec):
             return None
     solution = [Fraction(0)] * a.cols
     for col, row in pivot_cols.items():
-        solution[col] = aug[row][a.cols]
+        solution[col] = aug[row][a.cols] / aug[row][col]
     basis = []
     for fc in (c for c in range(a.cols) if c not in pivot_cols):
         v = [Fraction(0)] * a.cols
         v[fc] = Fraction(1)
         for col, row in pivot_cols.items():
-            v[col] = -aug[row][fc]
+            v[col] = -aug[row][fc] / aug[row][col]
         basis.append(QVec(v))
     return QVec(solution), basis
 

@@ -4,7 +4,8 @@ These deliberately avoid the engine's simplex / double-description /
 fraction-Gaussian paths: membership is decided by Caratheodory
 enumeration, solving each generator subset with integer Cramer
 determinants (Bareiss elimination for the minors), so a bug in the
-engine's LP cannot hide itself.
+engine's LP cannot hide itself.  Rank is the size of the largest nonzero
+minor, independent of the engine's elimination.
 """
 
 from __future__ import annotations
@@ -34,6 +35,21 @@ def _int_det(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def rank_bruteforce(rows) -> int:
+    """Rank of an integer matrix: the size of its largest nonzero minor,
+    each minor a Bareiss determinant."""
+    rows = [list(r) for r in rows]
+    width = len(rows[0]) if rows else 0
+    for k in range(min(len(rows), width), 0, -1):
+        for picked_rows in combinations(range(len(rows)), k):
+            for picked_cols in combinations(range(width), k):
+                minor = [[rows[i][j] for j in picked_cols]
+                         for i in picked_rows]
+                if _int_det(minor) != 0:
+                    return k
+    return 0
 
 
 def _pivot_rows(cols, v, d, r):

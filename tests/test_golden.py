@@ -1,7 +1,9 @@
-"""Golden CLI output: stdout byte for byte, plus the exit code.
+"""Golden CLI output: stdout and stderr byte for byte, plus the exit code.
 
 The expected files under ``tests/golden/`` hold the CLI's output on the
 packaged fixtures; a refactor of the engine must leave them unchanged.
+``<case>.out`` holds stdout; ``<case>.err`` holds stderr and exists only
+for the cases that write to it (the others must write nothing there).
 To recapture after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -34,7 +36,8 @@ def _all_fixtures_dir(tmp: Path) -> Path:
 
 
 def _cases():
-    records = datafiles.records_dir()
+    root = datafiles.data_root()
+    records = root / "records"
     cases = {"verify_json": ("verify", "{dir}"),
              "verify_human": ("verify", "{dir}", "--human")}
     for stem in CORRECTED:
@@ -45,18 +48,45 @@ def _cases():
     cases["exhaustion_drop_l8_derived"] = ("check-exhaustion", b2_5_n1,
                                            "--drop-ray", "l8",
                                            "--targets", "derived")
+    cases["exhaustion_drop_l8_propose"] = ("check-exhaustion", b2_5_n1,
+                                           "--drop-ray", "l8",
+                                           "--propose", "{l8}")
+    cases["exhaustion_b2_2_n8_mistake"] = (
+        "check-exhaustion", str(root / "mistakes" / "b2_2_n8_mistake.json"))
+    for sub, stem in (("records", "b2_5_n1"), ("mistakes", "b2_5_n1_mistake"),
+                      ("extra", "b2_4_n2")):
+        cases[f"derive_antik_{stem}"] = ("derive-antik",
+                                         str(root / sub / f"{stem}.json"))
+    for config, sub, stem in (("e3_b2_2_n8", "mistakes", "b2_2_n8_mistake"),
+                              ("e5_b2_2_n28", "records", "b2_2_n28")):
+        cases[f"flop_{config}_{stem}"] = (
+            "flop", str(root / "flops" / f"{config}.json"),
+            "--record", str(root / sub / f"{stem}.json"))
     return cases
 
 
 CASES = _cases()
 
 
+def _l8_proposal(tmp: Path) -> Path:
+    """A proposal file holding the vector of b2_5_n1's ray l8."""
+    record = json.loads(
+        (datafiles.records_dir() / "b2_5_n1.json").read_text())
+    vec = next(r["vec"] for r in record["rays"] if r["label"] == "l8")
+    path = tmp / "l8.proposal.json"
+    path.write_text(json.dumps(vec))
+    return path
+
+
 def _run(argv, tmp: Path):
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main([str(_all_fixtures_dir(tmp)) if a == "{dir}" else a
-                     for a in argv])
-    return code, stdout.getvalue()
+    """(exit code, stdout, stderr) of one CLI call; the placeholders
+    ``{dir}`` and ``{l8}`` become a fixture directory and a proposal file."""
+    fill = {"{dir}": _all_fixtures_dir, "{l8}": _l8_proposal}
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main([str(fill[a](tmp)) if a in fill else a for a in argv])
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def _expected_codes() -> dict:
@@ -65,9 +95,12 @@ def _expected_codes() -> dict:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
-    code, out = _run(CASES[name], tmp_path)
+    code, out, err = _run(CASES[name], tmp_path)
     assert code == _expected_codes()[name]
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    err_file = GOLDEN / f"{name}.err"
+    assert err == (err_file.read_text(encoding="utf-8")
+                   if err_file.exists() else "")
 
 
 def _recapture() -> None:
@@ -75,8 +108,13 @@ def _recapture() -> None:
     codes = {}
     for name, argv in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
-            codes[name], out = _run(argv, Path(tmp))
+            codes[name], out, err = _run(argv, Path(tmp))
         (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+        err_file = GOLDEN / f"{name}.err"
+        if err:
+            err_file.write_text(err, encoding="utf-8")
+        elif err_file.exists():
+            err_file.unlink()
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -191,3 +191,16 @@ def test_extra_record_flags_are_data_level(data_root):
         "flop_tables.l4.l54", "flop_tables.l4.l64",
         "flop_tables.l6.l56", "flop_tables.l6.l66"]
     assert all(f.check == "antiK" for f in findings)
+
+
+def test_memos_stay_out_of_eq_hash_repr_and_replace(records):
+    rec = records["b2_5_n1"]
+    ray = rec.ray("l1")
+    assert rec.derived_antiK is rec.derived_antiK
+    assert ray.chart is ray.chart
+    for obj, memo in ((rec, "derived_antiK"), (ray, "chart")):
+        assert memo not in repr(obj)
+        copy = dataclasses.replace(obj)
+        assert copy == obj
+        assert memo not in vars(copy)
+    assert hash(dataclasses.replace(ray)) == hash(ray)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from fanoray.rational import (ExactArithError, QMat, QVec, kernel, rank, rat,
                               rat_str, solve_linear)
 
+from oracles import rank_bruteforce
+
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12)
 
@@ -101,6 +103,7 @@ matrices = st.integers(min_value=1, max_value=6).flatmap(
 @settings(max_examples=100)
 def test_rank_nullity(rows):
     a = QMat(rows)
+    assert rank(a.entries) == rank_bruteforce(rows)
     assert rank(a.entries) + len(kernel(a)) == a.cols
 
 
