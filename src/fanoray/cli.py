@@ -18,9 +18,9 @@ from .chambers import ChamberError, chamber_graph, emit_dot, facet_patch_check, 
 from .cone import ConeError
 from .exhaustion import ExhaustionError, build_targets, check_exhaustion, extend_candidates
 from .flop import FlopError, compute_flop, flop_config_from_json, parse_flop_config, verify_against_table
-from .model import (Finding, RecordError, _json_at, diff_records,
+from .model import (Finding, RecordError, _json_at, _qvec_at, diff_records,
                     parse_record, record_from_json)
-from .rational import ExactArithError, QVec, rat, rat_str
+from .rational import ExactArithError, QVec, rat_str
 
 OK, FOUND, UNUSABLE = 0, 1, 2
 
@@ -197,12 +197,12 @@ def _render_table(reports, summary) -> str:
 # ---------------------------------------------------------------------------
 
 def _read_proposal(path: Path) -> QVec:
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = _read_json(path, str(path))
     if isinstance(data, dict):
         data = data.get("vec", data)
     if not isinstance(data, list):
         raise RecordError(str(path), "expected a vector or {'vec': [...]}")
-    return QVec([rat(x) for x in data])
+    return _qvec_at(data, str(path))
 
 
 def cmd_check_exhaustion(args) -> int:
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (RecordError, FlopError, ChamberError, ExhaustionError, ConeError,
-            ExactArithError, OSError, json.JSONDecodeError) as exc:
+            ExactArithError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return UNUSABLE
 

@@ -6,7 +6,10 @@ simplex (Bland's rule, no tolerances) and always return a certificate:
 nonnegative combination coefficients on the inside, a separating
 functional on the outside.  Duals and facets come from an incremental
 double description pass with generators inserted in input order, which
-keeps facet lists reproducible across platforms.
+keeps facet lists reproducible across platforms.  The pass carries each
+ray's incidence (the generators it is tight on, as an int bitmask), and
+``extreme_rays`` and ``codim2_faces`` read that incidence instead of
+pairing normals with generators again.
 """
 
 from __future__ import annotations
@@ -35,10 +38,7 @@ def canonicalize_ray(v) -> IVec:
     Clears denominators, divides by the content.  The direction is kept:
     no sign flip, a ray and its negative stay distinct.
     """
-    if isinstance(v, QVec):
-        entries = list(v.entries)
-    else:
-        entries = [rat(e) for e in v]
+    entries = [rat(e) for e in v]
     if not entries:
         raise ConeError("empty vector")
     if all(e == 0 for e in entries):
@@ -142,67 +142,62 @@ class Pointedness:
 # Double description
 # ---------------------------------------------------------------------------
 
-def _dd_tight(ray: IVec, constraints: list[IVec]) -> frozenset[int]:
-    return frozenset(i for i, c in enumerate(constraints)
-                     if _ivec_dot(c, ray) == 0)
-
-
 def dual_description(generators: Sequence[IVec], dim: int):
-    """Minimal description (rays, lineality) of {w : w.g >= 0 for all g}.
+    """Minimal description (rays, lineality, incidence) of
+    {w : w.g >= 0 for all g}.
 
     Generators are inserted in the given order; rays come back sorted.
     The lineality basis is empty exactly when the generators span R^dim.
+    ``incidence[k]`` is the int bitmask of the generators that ``rays[k]``
+    is tight on (bit i for ``generators[i]``).  It is carried through the
+    construction, never recomputed: each insertion pairs the new generator
+    with each ray once, and a ray made from an adjacent pair is tight
+    exactly where both parents are.
     """
     lineality: list[IVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays: list[IVec] = []
-    processed: list[IVec] = []
-    for a in generators:
+    masks: list[int] = []
+    for i, a in enumerate(generators):
+        bit = 1 << i
         vals = [_ivec_dot(a, u) for u in lineality]
-        hit = next((i for i, s in enumerate(vals) if s != 0), None)
+        hit = next((k for k, s in enumerate(vals) if s != 0), None)
         if hit is not None:
-            u0 = lineality[hit]
-            s = vals[hit]
-            if s < 0:
-                u0 = tuple(-x for x in u0)
-                s = -s
-            new_lin = []
-            for i, u in enumerate(lineality):
-                if i == hit:
-                    continue
-                t = _ivec_dot(a, u)
-                new_lin.append(canonicalize_ray(
-                    tuple(s * x - t * y for x, y in zip(u, u0))))
-            new_rays = []
-            for r in rays:
-                t = _ivec_dot(a, r)
-                new_rays.append(canonicalize_ray(
-                    tuple(s * x - t * y for x, y in zip(r, u0))))
-            new_rays.append(canonicalize_ray(u0))
-            lineality = new_lin
-            rays = list(dict.fromkeys(new_rays))
+            # a cuts the lineality space: every other vector moves along u0
+            # onto a.w = 0; u0 becomes a ray, tight on every earlier generator
+            sign = 1 if vals[hit] > 0 else -1
+            u0 = tuple(sign * x for x in lineality[hit])
+            s = abs(vals[hit])
+            new: dict[IVec, int] = {}
+
+            def onto_a(v, t):
+                return canonicalize_ray(
+                    tuple(s * x - t * y for x, y in zip(v, u0)))
+            lineality = [onto_a(u, t) for k, (u, t)
+                         in enumerate(zip(lineality, vals)) if k != hit]
+            for r, mask in zip(rays, masks):
+                new.setdefault(onto_a(r, _ivec_dot(a, r)), mask | bit)
+            new.setdefault(canonicalize_ray(u0), bit - 1)
         else:
-            pos = [r for r in rays if _ivec_dot(a, r) > 0]
-            zero = [r for r in rays if _ivec_dot(a, r) == 0]
-            neg = [r for r in rays if _ivec_dot(a, r) < 0]
-            if neg:
-                tight = {r: _dd_tight(r, processed) for r in rays}
-                fresh = []
-                for p in pos:
-                    for m in neg:
-                        common = tight[p] & tight[m]
-                        adjacent = not any(
-                            r not in (p, m) and common <= tight[r]
-                            for r in rays)
-                        if adjacent:
-                            ap = _ivec_dot(a, p)
-                            am = _ivec_dot(a, m)
-                            fresh.append(canonicalize_ray(tuple(
-                                ap * x - am * y for x, y in zip(m, p))))
-                rays = pos + zero + [
-                    r for r in dict.fromkeys(fresh) if r not in pos + zero]
-        processed.append(a)
-    return sorted(rays), sorted(lineality)
+            vals = [_ivec_dot(a, r) for r in rays]
+            new = {r: mask | bit if v == 0 else mask
+                   for r, mask, v in zip(rays, masks, vals) if v >= 0}
+            neg = [k for k, v in enumerate(vals) if v < 0]
+            for p, ap in enumerate(vals):
+                if ap <= 0:
+                    continue
+                for m in neg:
+                    common = masks[p] & masks[m]
+                    if any(common & mask == common
+                           for k, mask in enumerate(masks)
+                           if k != p and k != m):
+                        continue
+                    new.setdefault(canonicalize_ray(tuple(
+                        ap * x - vals[m] * y
+                        for x, y in zip(rays[m], rays[p]))), common | bit)
+        rays, masks = list(new), list(new.values())
+    ordered = sorted(zip(rays, masks))
+    return [r for r, _ in ordered], sorted(lineality), [m for _, m in ordered]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,7 @@ class Cone:
         self.ambient_dim = ambient_dim
         self.generators: tuple[IVec, ...] = tuple(seen)
         self._pointed: Optional[Pointedness] = None
-        self._dd: Optional[tuple[tuple[IVec, ...], tuple[IVec, ...]]] = None
+        self._dd: Optional[tuple[tuple, tuple, tuple]] = None
         self._extreme: Optional[tuple[IVec, ...]] = None
 
     def __repr__(self) -> str:
@@ -287,7 +282,7 @@ class Cone:
 
     def membership(self, v) -> Membership:
         """Farkas-certified membership of a vector."""
-        vv = [rat(e) for e in (v.entries if isinstance(v, QVec) else v)]
+        vv = [rat(e) for e in v]
         if len(vv) != self.ambient_dim:
             raise ConeError("dimension mismatch")
         if all(e == 0 for e in vv):
@@ -310,9 +305,9 @@ class Cone:
 
         A generator is kept iff it is not in the cone of the others.  For a
         pointed cone that is equivalent to spanning a one-dimensional face,
-        so each generator is tested by the rank of its tight constraints in
-        the dual description (equalities from the dual's lineality count as
-        always-tight).
+        so each generator is tested by the rank of its tight constraints,
+        read from the incidence of the dual description (equalities from
+        the dual's lineality count as always-tight).
         """
         if self._extreme is not None:
             return self._extreme
@@ -325,11 +320,12 @@ class Cone:
             result = tuple(self.generators)
             self._extreme = result
             return result
-        normals, lineality = self._double_description()
+        normals, lineality, incidence = self._double_description()
         survivors = []
-        for g in self.generators:
+        for j, g in enumerate(self.generators):
             tight = list(lineality)
-            tight += [n for n in normals if _ivec_dot(n, g) == 0]
+            tight += [n for n, mask in zip(normals, incidence)
+                      if mask >> j & 1]
             if tight and rank(tight) == self.ambient_dim - 1:
                 survivors.append(g)
         result = tuple(sorted(survivors))
@@ -337,11 +333,11 @@ class Cone:
         return result
 
     def _double_description(self):
-        """The memoised (rays, lineality) of the dual, as tuples."""
+        """The memoised (rays, lineality, incidence) of the dual, as
+        tuples; see ``dual_description``."""
         if self._dd is None:
-            rays, lineality = dual_description(self.generators,
-                                               self.ambient_dim)
-            self._dd = (tuple(rays), tuple(lineality))
+            self._dd = tuple(map(tuple, dual_description(
+                self.generators, self.ambient_dim)))
         return self._dd
 
     def dual(self) -> "Cone":
@@ -351,7 +347,7 @@ class Cone:
         exactly its extreme rays.  Otherwise the dual contains lines and
         both directions of a lineality basis are included as generators.
         """
-        rays, lineality = self._double_description()
+        rays, lineality, _ = self._double_description()
         gens = list(rays)
         for u in lineality:
             gens.append(u)
@@ -383,7 +379,7 @@ class Cone:
         pt = self.is_pointed()
         if not pt.pointed:
             raise ConeError("facet enumeration requires a pointed cone")
-        rays, lineality = self._double_description()
+        rays, lineality, _ = self._double_description()
         if lineality:
             raise ConeError(
                 f"facet enumeration requires a full-dimensional cone "
@@ -396,23 +392,25 @@ class Cone:
         Returns a list of ((facet_index_a, facet_index_b), face_rays).
         Every codimension-two face of a pointed full-dimensional cone lies
         in exactly two facets; violations raise, since they can only come
-        from corrupt data.
+        from corrupt data.  Tight sets are read from the incidence of the
+        dual description.  A face lists its extreme rays only; a generator
+        that is not extreme but lies in the face is in every facet through
+        them, so it changes no containment test.
         """
         normals = self.facets()
-        ext = self.extreme_rays()
+        incidence = self._double_description()[2]
+        ext = [(g, 1 << self.generators.index(g)) for g in self.extreme_rays()]
         d = self.ambient_dim
         result = []
         seen: dict[tuple[IVec, ...], tuple[int, int]] = {}
         for i in range(len(normals)):
             for j in range(i + 1, len(normals)):
-                tight = tuple(g for g in ext
-                              if _ivec_dot(normals[i], g) == 0
-                              and _ivec_dot(normals[j], g) == 0)
+                common = incidence[i] & incidence[j]
+                tight = tuple(g for g, bit in ext if common & bit)
                 if rank(tight) != d - 2:
                     continue
-                containing = [k for k in range(len(normals))
-                              if all(_ivec_dot(normals[k], g) == 0
-                                     for g in tight)]
+                containing = [k for k, mask in enumerate(incidence)
+                              if common & mask == common]
                 if tight and len(containing) != 2:
                     raise ConeError(
                         f"codim-2 face in {len(containing)} facets: {tight}")

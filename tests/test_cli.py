@@ -253,3 +253,17 @@ def test_malformed_container_is_a_record_error(name, capsys, data_root,
     code, _, err = run_cli(capsys, command, str(path))
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ["nope", "[]", '["x"]', "[1.5]"])
+def test_malformed_proposal_names_its_file(text, capsys, record_paths,
+                                           tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text("[1, 0, 0, 0, 0]")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, _, err = run_cli(capsys, "check-exhaustion",
+                           str(record_paths["b2_5_n1"]), "--drop-ray", "l8",
+                           "--propose", str(good), "--propose", str(bad))
+    assert code == 2
+    assert err.startswith(f"error: {bad}")

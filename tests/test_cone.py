@@ -177,6 +177,21 @@ def test_cone_kernels_run_once_per_instance(monkeypatch):
     assert calls == {"dual_description": 1, "_phase1": 1}
 
 
+def test_extreme_rays_and_codim2_faces_read_the_incidence(monkeypatch):
+    calls = Counter()
+
+    def counted(a, b, _dot=cone_module._ivec_dot):
+        calls["dot"] += 1
+        return _dot(a, b)
+    monkeypatch.setattr(cone_module, "_ivec_dot", counted)
+    cone = Cone(5, B2_5_N1_RAYS)
+    cone.facets()
+    calls.clear()
+    assert len(cone.extreme_rays()) == len(B2_5_N1_RAYS)
+    assert cone.codim2_faces()
+    assert calls["dot"] == 0
+
+
 def test_codim2_faces_of_a_4d_cone():
     # nef-like simplicial cone in R^4: every codim-2 face in exactly 2 facets
     cone = Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, -1)])

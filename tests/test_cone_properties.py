@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanoray.cone import Cone, canonicalize_ray
+from fanoray.cone import Cone, canonicalize_ray, dual_description
 from fanoray.rational import rat
 
-from oracles import extreme_rays_bruteforce, in_cone_bruteforce, random_pointed_cones
+from oracles import (extreme_rays_bruteforce, in_cone_bruteforce,
+                     random_pointed_cones, rank_bruteforce)
 
 CONES = random_pointed_cones(40, seed=11)
 
@@ -51,6 +52,43 @@ def test_facet_list_is_irredundant(cone):
         others = normals[:i] + normals[i + 1:]
         if others:
             assert not in_cone_bruteforce(n, others, cone.ambient_dim)
+
+
+@pytest.mark.parametrize("cone", CONES, ids=lambda c: f"d{c.ambient_dim}n{len(c.generators)}")
+def test_incidence_matches_dot_products(cone):
+    gens = cone.generators
+    rays, _, incidence = dual_description(gens, cone.ambient_dim)
+    assert len(incidence) == len(rays)
+    for ray, mask in zip(rays, incidence):
+        assert mask == sum(1 << i for i, g in enumerate(gens)
+                           if sum(x * y for x, y in zip(ray, g)) == 0)
+
+
+# the last cone has a generator inside a codim-2 face that is not extreme
+FULL_DIMENSIONAL = [c for c in CONES if c.is_full_dimensional()] + [
+    Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+             (1, 1, 0, 0), (1, 1, 1, -1)])]
+
+
+@pytest.mark.parametrize("cone", FULL_DIMENSIONAL, ids=lambda c: f"d{c.ambient_dim}n{len(c.generators)}")
+def test_codim2_faces_match_bruteforce(cone):
+    d = cone.ambient_dim
+    normals = cone.facets()
+    ext = extreme_rays_bruteforce(list(cone.generators), d)
+    expected = []
+    seen = set()
+    for i in range(len(normals)):
+        for j in range(i + 1, len(normals)):
+            face = tuple(g for g in ext if dot(normals[i], g) == 0
+                         and dot(normals[j], g) == 0)
+            if rank_bruteforce(face) != d - 2 or face in seen:
+                continue
+            if face:
+                assert sum(all(dot(n, g) == 0 for g in face)
+                           for n in normals) == 2
+            seen.add(face)
+            expected.append(((i, j), face))
+    assert cone.codim2_faces() == expected
 
 
 def test_degenerate_cones():
