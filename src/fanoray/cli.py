@@ -29,12 +29,12 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _read_json(path: Path, source: str):
+def _read_json(path: Path):
     try:
-        raw = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError as exc:
         raise RecordError(str(path), f"unreadable: {exc}") from None
-    return _json_at(raw, source)
+    return _json_at(raw, str(path))
 
 
 def _findings_json(findings):
@@ -54,13 +54,13 @@ def cmd_verify(args) -> int:
     records = {}
     configs = []
     for path in sorted(data_dir.glob("*.json")):
+        head = _read_json(path)
         try:
-            head = json.loads(path.read_text(encoding="utf-8"))
             if isinstance(head, dict) and "tracked_divisors" in head:
                 configs.append((path, parse_flop_config(head)))
             else:
                 records[path] = parse_record(head, strict=False)
-        except (OSError, json.JSONDecodeError, RecordError) as exc:
+        except RecordError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return UNUSABLE
 
@@ -197,7 +197,7 @@ def _render_table(reports, summary) -> str:
 # ---------------------------------------------------------------------------
 
 def _read_proposal(path: Path) -> QVec:
-    data = _read_json(path, str(path))
+    data = _read_json(path)
     if isinstance(data, dict):
         data = data.get("vec", data)
     if not isinstance(data, list):
@@ -206,7 +206,7 @@ def _read_proposal(path: Path) -> QVec:
 
 
 def cmd_check_exhaustion(args) -> int:
-    record = record_from_json(_read_json(Path(args.record), "record"))
+    record = record_from_json(_read_json(Path(args.record)))
     labels = record.ray_labels()
     for drop in args.drop_ray:
         if drop not in labels:
@@ -234,7 +234,7 @@ def cmd_check_exhaustion(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_flop(args) -> int:
-    cfg = flop_config_from_json(_read_json(Path(args.config), "flop"))
+    cfg = flop_config_from_json(_read_json(Path(args.config)))
     result = compute_flop(cfg)
     payload = {
         "record": cfg.record.render(),
@@ -248,7 +248,7 @@ def cmd_flop(args) -> int:
     }
     findings = []
     if args.record:
-        record = record_from_json(_read_json(Path(args.record), "record"))
+        record = record_from_json(_read_json(Path(args.record)))
         findings = verify_against_table(record, cfg, result)
         payload["table_findings"] = _findings_json(findings)
     _emit(payload)
@@ -256,7 +256,7 @@ def cmd_flop(args) -> int:
 
 
 def cmd_nef(args) -> int:
-    record = record_from_json(_read_json(Path(args.record), "record"))
+    record = record_from_json(_read_json(Path(args.record)))
     cone = nef_cone(record)
     payload = {
         "record": record.record_id.render(),
@@ -273,7 +273,7 @@ def cmd_nef(args) -> int:
 
 
 def cmd_derive_antik(args) -> int:
-    record = record_from_json(_read_json(Path(args.record), "record"))
+    record = record_from_json(_read_json(Path(args.record)))
     derived = record.derived_antiK
     payload = {"record": record.record_id.render(), "status": derived.status}
     bad = []

@@ -2,24 +2,25 @@
 
 Rays are primitive integer vectors, so "equal up to positive scaling" is
 structural equality.  Membership and pointedness run an exact phase-1
-simplex (Bland's rule, no tolerances) and always return a certificate:
-nonnegative combination coefficients on the inside, a separating
-functional on the outside.  Duals and facets come from an incremental
-double description pass with generators inserted in input order, which
-keeps facet lists reproducible across platforms.  The pass carries each
-ray's incidence (the generators it is tight on, as an int bitmask), and
-``extreme_rays`` and ``codim2_faces`` read that incidence instead of
-pairing normals with generators again.
+simplex (Bland's rule) on an int tableau by ``rational``'s fraction-free
+pivot and return a certificate, in Fractions built at read-out:
+nonnegative combination coefficients inside, a separating functional
+outside.  Duals and facets come from an incremental double description
+pass with generators inserted in input order, which keeps facet lists
+reproducible across platforms.  The pass carries each ray's incidence
+(the generators it is tight on, as an int bitmask), and ``extreme_rays``
+and ``codim2_faces`` read that incidence instead of pairing normals with
+generators again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .rational import QMat, QVec, rank, rat
+from .rational import QMat, QVec, _cleared, _pivot, rank, rat
 
 IVec = tuple[int, ...]
 
@@ -38,18 +39,11 @@ def canonicalize_ray(v) -> IVec:
     Clears denominators, divides by the content.  The direction is kept:
     no sign flip, a ray and its negative stay distinct.
     """
-    entries = [rat(e) for e in v]
-    if not entries:
-        raise ConeError("empty vector")
-    if all(e == 0 for e in entries):
-        raise ConeError("zero vector has no ray direction")
-    lcm = 1
-    for e in entries:
-        lcm = lcm * e.denominator // gcd(lcm, e.denominator)
-    ints = [int(e * lcm) for e in entries]
-    content = 0
-    for x in ints:
-        content = gcd(content, abs(x))
+    ints = _cleared([rat(e) for e in v])
+    content = gcd(*ints)
+    if content == 0:
+        raise ConeError("zero vector has no ray direction" if ints
+                        else "empty vector")
     return tuple(x // content for x in ints)
 
 
@@ -57,65 +51,57 @@ def canonicalize_ray(v) -> IVec:
 # Exact phase-1 simplex
 # ---------------------------------------------------------------------------
 
-def _phase1(cols: list[Sequence], rhs: Sequence):
+def _phase1(cols: list[Sequence[int]], rhs: Sequence):
     """Feasibility of  sum_j lam_j * cols[j] = rhs,  lam >= 0.
 
     Returns ("feasible", lam) with exact nonnegative coefficients, or
     ("infeasible", y) with y . cols[j] <= 0 for every j and y . rhs > 0.
     Bland's rule throughout: deterministic and cycle-free.
+
+    The tableau is int, its rhs scaled by the lcm of its denominators and
+    its last row the reduced costs of the cost (0,...,0, 1,...,1).
+    ``_pivot`` keeps it det times the rational tableau (det the last
+    pivot), so lam and y are read out as Fractions over det.
     """
     d = len(rhs)
     n = len(cols)
-    flip = [-1 if rhs[k] < 0 else 1 for k in range(d)]
-    tab = []
-    for k in range(d):
-        row = [Fraction(flip[k] * cols[j][k]) for j in range(n)]
-        row += [Fraction(1) if t == k else Fraction(0) for t in range(d)]
-        row.append(Fraction(flip[k] * rhs[k]))
-        tab.append(row)
+    b = _cleared(rhs)
+    flip = [-1 if e < 0 else 1 for e in b]
+    tab = [[flip[k] * c[k] for c in cols]
+           + [1 if t == k else 0 for t in range(d)] + [abs(b[k])]
+           for k in range(d)]
     basis = [n + k for k in range(d)]
     total = n + d
-    # reduced costs for cost vector (0,...,0, 1,...,1)
-    z = [Fraction(0)] * (total + 1)
-    for j in range(total + 1):
-        z[j] = (Fraction(1) if n <= j < total else Fraction(0)) - sum(
-            tab[k][j] for k in range(d))
-
+    tab.append([(1 if n <= j < total else 0) - sum(row[j] for row in tab)
+                for j in range(total + 1)])
+    det = 1
     while True:
-        enter = next((j for j in range(total) if z[j] < 0), None)
+        enter = next((j for j in range(total) if tab[d][j] < 0), None)
         if enter is None:
             break
+        # least ratio (by cross product), a tie to the smaller basic index
         leave = None
-        best = None
         for k in range(d):
-            if tab[k][enter] > 0:
-                ratio = tab[k][total] / tab[k][enter]
-                if best is None or ratio < best or (
-                        ratio == best and basis[k] < basis[leave]):
-                    best = ratio
-                    leave = k
+            if tab[k][enter] > 0 and (leave is None or (
+                    cross := tab[k][total] * tab[leave][enter]
+                    - tab[leave][total] * tab[k][enter]) < 0
+                    or cross == 0 and basis[k] < basis[leave]):
+                leave = k
         if leave is None:
             raise ConeError("unbounded phase-1 objective (corrupt input)")
-        piv = tab[leave][enter]
-        tab[leave] = [e / piv for e in tab[leave]]
-        for k in range(d):
-            if k != leave and tab[k][enter] != 0:
-                f = tab[k][enter]
-                tab[k] = [a - f * b for a, b in zip(tab[k], tab[leave])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [a - f * b for a, b in zip(z, tab[leave])]
+        det = _pivot(tab, leave, enter, det)
         basis[leave] = enter
 
-    objective = -z[total]
-    if objective > 0:
-        # duals sit under the artificial columns: z[n+t] = 1 - y_t
-        y = [flip[t] * (1 - z[n + t]) for t in range(d)]
-        return "infeasible", y
+    z = tab[d]
+    if z[total] < 0:
+        # duals sit under the artificial columns: z[n+t] = det * (1 - y_t)
+        return "infeasible", [Fraction(flip[t] * (det - z[n + t]), det)
+                              for t in range(d)]
+    scale = lcm(*(e.denominator for e in rhs))
     lam = [Fraction(0)] * n
     for k in range(d):
         if basis[k] < n:
-            lam[basis[k]] = tab[k][total]
+            lam[basis[k]] = Fraction(tab[k][total], det * scale)
     return "feasible", lam
 
 

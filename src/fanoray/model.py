@@ -330,13 +330,13 @@ def record_from_json(data: dict, source: str = "record") -> FanoRecord:
 
 def _json_at(raw, path: str):
     """Parsed JSON from bytes or text; already parsed data passes through."""
-    if isinstance(raw, (bytes, bytearray)):
-        raw = raw.decode("utf-8")
-    if not isinstance(raw, str):
-        return raw
     try:
+        if isinstance(raw, (bytes, bytearray)):
+            raw = raw.decode("utf-8")
+        if not isinstance(raw, str):
+            return raw
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise RecordError(path, f"bad JSON: {exc}") from None
 
 

@@ -1,16 +1,18 @@
-"""Exact rational scalars, vectors and matrices.
+"""Exact rational scalars, vectors and matrices, and the exact int kernel.
 
-Everything downstream (cones, pullback charts, flop solves) runs on these.
-Scalars are ``fractions.Fraction``, which already gives canonical form:
-gcd-reduced, denominator > 0, arbitrary-precision integers.  Serialization
-is the plain ``str``/``Fraction`` round trip ("3", "-3/2"), which is
-bit-exact.  No floats are accepted anywhere.
+Scalars are ``fractions.Fraction`` (gcd-reduced, denominator > 0), and
+serialization is the bit-exact ``str``/``Fraction`` round trip ("3",
+"-3/2").  No floats are accepted anywhere.  Elimination (``rank``,
+``solve_linear``) and the cone engine's phase-1 simplex share one
+fraction-free (Bareiss) pivot on int rows, whose division by the previous
+pivot is exact; a ``Fraction`` is built only to read out an answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
@@ -157,38 +159,48 @@ class QMat:
                         Fraction(0)) for i in range(self.rows))
 
 
-def _eliminate(rows: list[list], width: int):
-    """In-place fraction-free elimination, first nonzero pivot by row order.
+def _cleared(row) -> list[int]:
+    """An int or Fraction row times the lcm of its denominators: ints."""
+    m = lcm(*(e.denominator for e in row))
+    return [e.numerator * (m // e.denominator) for e in row]
 
-    Returns the list of (row index, pivot column) in elimination order.
-    Deterministic by construction: columns scanned left to right, the first
-    not-yet-used row with a nonzero entry wins.  Other rows are cleared by
-    cross-multiplication, never divided, so int rows stay ints.
+
+def _pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
+    """One fraction-free (Bareiss) pivot on p = rows[r][col], in place.
+
+    Every other row becomes (p*row - row[col]*rows[r]) // prev, prev being
+    the previous pivot (1 at the start); returns p, the next prev.  The
+    division is exact (each entry is a minor of the starting int rows)
+    only because *every* row is updated, zero in the pivot column or not.
     """
+    pivot = rows[r]
+    p = pivot[col]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot)]
+    return p
+
+
+def _eliminate(rows: list[list[int]], width: int):
+    """In-place Gauss-Jordan elimination of int rows by ``_pivot``; returns
+    the (row index, pivot column) pairs in order.  Columns are scanned left
+    to right and the first not-yet-used row with a nonzero entry wins."""
     pivots: list[tuple[int, int]] = []
-    used: set[int] = set()
+    free = list(range(len(rows)))
+    prev = 1
     for col in range(width):
-        pivot_row = None
-        for i in range(len(rows)):
-            if i not in used and rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        used.add(pivot_row)
-        pivots.append((pivot_row, col))
-        pivot = rows[pivot_row]
-        p = pivot[col]
-        for i in range(len(rows)):
-            if i != pivot_row and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [p * a - f * b for a, b in zip(rows[i], pivot)]
+        r = next((i for i in free if rows[i][col] != 0), None)
+        if r is not None:
+            free.remove(r)
+            pivots.append((r, col))
+            prev = _pivot(rows, r, col, prev)
     return pivots
 
 
 def rank(rows: Iterable[Sequence]) -> int:
     """Rank of int or Fraction rows: the number of pivots found."""
-    rows = [list(r) for r in rows]
+    rows = [_cleared(r) for r in rows]
     return len(_eliminate(rows, len(rows[0]) if rows else 0))
 
 
@@ -202,21 +214,19 @@ def solve_linear(a: QMat, b: QVec):
     if a.rows != b.dim:
         raise ExactArithError(
             f"dimension mismatch: matrix rows {a.rows}, vector {b.dim}")
-    aug = [list(r) + [b[i]] for i, r in enumerate(a.entries)]
+    aug = [_cleared(r + (b[i],)) for i, r in enumerate(a.entries)]
     pivots = _eliminate(aug, a.cols)
-    pivot_cols = {col: row for row, col in pivots}
-    for i, row in enumerate(aug):
-        if all(e == 0 for e in row[: a.cols]) and row[a.cols] != 0:
-            return None
-    solution = [Fraction(0)] * a.cols
-    for col, row in pivot_cols.items():
-        solution[col] = aug[row][a.cols] / aug[row][col]
+    if any(row[a.cols] != 0 and not any(row[: a.cols]) for row in aug):
+        return None
+    solution = [0] * a.cols
+    for row, col in pivots:
+        solution[col] = Fraction(aug[row][a.cols], aug[row][col])
     basis = []
-    for fc in (c for c in range(a.cols) if c not in pivot_cols):
-        v = [Fraction(0)] * a.cols
-        v[fc] = Fraction(1)
-        for col, row in pivot_cols.items():
-            v[col] = -aug[row][fc] / aug[row][col]
+    for fc in sorted(set(range(a.cols)) - {col for _, col in pivots}):
+        v = [0] * a.cols
+        v[fc] = 1
+        for row, col in pivots:
+            v[col] = Fraction(-aug[row][fc], aug[row][col])
         basis.append(QVec(v))
     return QVec(solution), basis
 
@@ -225,16 +235,18 @@ def inconsistent_rows(rows: Sequence[Sequence[RatLike]],
                       rhs: Sequence[RatLike]) -> tuple[int, ...]:
     """Indices of an infeasible subsystem of  rows . x = rhs.
 
-    Pairs first (the common case is one row contradicting a duplicate),
+    Single rows first (a zero row with a nonzero right-hand side), then
+    pairs (the common case is one row contradicting a duplicate),
     otherwise greedy deletion down to an irreducible infeasible core.
     """
     def feasible(idx):
         return solve_linear(QMat([rows[i] for i in idx]),
                             QVec([rhs[i] for i in idx])) is not None
 
-    for pair in combinations(range(len(rows)), 2):
-        if not feasible(pair):
-            return pair
+    for size in (1, 2):
+        for idx in combinations(range(len(rows)), size):
+            if not feasible(idx):
+                return idx
     core = list(range(len(rows)))
     for i in list(core):
         trial = [j for j in core if j != i]

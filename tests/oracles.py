@@ -6,12 +6,21 @@ enumeration, solving each generator subset with integer Cramer
 determinants (Bareiss elimination for the minors), so a bug in the
 engine's LP cannot hide itself.  Rank is the size of the largest nonzero
 minor, independent of the engine's elimination.
+
+Two references run the engine's algorithms in plain Fraction arithmetic,
+dividing by each pivot, so the engine's int kernel is judged against
+them: ``phase1_fraction`` (the same phase-1 simplex and Bland's rule on a
+Fraction tableau) and ``solve_linear_fraction`` (Gauss-Jordan).  The
+engine must return exactly their certificates and solutions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
+
+from fanoray.cone import ConeError
 
 
 def _int_det(rows) -> int:
@@ -35,6 +44,71 @@ def _int_det(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def phase1_fraction(cols: list[Sequence], rhs: Sequence):
+    """Reference phase-1 simplex on a Fraction tableau, dividing by each
+    pivot; ``cone._phase1`` must return the same answer.
+
+    Feasibility of  sum_j lam_j * cols[j] = rhs,  lam >= 0.
+
+    Returns ("feasible", lam) with exact nonnegative coefficients, or
+    ("infeasible", y) with y . cols[j] <= 0 for every j and y . rhs > 0.
+    Bland's rule throughout: deterministic and cycle-free.
+    """
+    d = len(rhs)
+    n = len(cols)
+    flip = [-1 if rhs[k] < 0 else 1 for k in range(d)]
+    tab = []
+    for k in range(d):
+        row = [Fraction(flip[k] * cols[j][k]) for j in range(n)]
+        row += [Fraction(1) if t == k else Fraction(0) for t in range(d)]
+        row.append(Fraction(flip[k] * rhs[k]))
+        tab.append(row)
+    basis = [n + k for k in range(d)]
+    total = n + d
+    # reduced costs for cost vector (0,...,0, 1,...,1)
+    z = [Fraction(0)] * (total + 1)
+    for j in range(total + 1):
+        z[j] = (Fraction(1) if n <= j < total else Fraction(0)) - sum(
+            tab[k][j] for k in range(d))
+
+    while True:
+        enter = next((j for j in range(total) if z[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for k in range(d):
+            if tab[k][enter] > 0:
+                ratio = tab[k][total] / tab[k][enter]
+                if best is None or ratio < best or (
+                        ratio == best and basis[k] < basis[leave]):
+                    best = ratio
+                    leave = k
+        if leave is None:
+            raise ConeError("unbounded phase-1 objective (corrupt input)")
+        piv = tab[leave][enter]
+        tab[leave] = [e / piv for e in tab[leave]]
+        for k in range(d):
+            if k != leave and tab[k][enter] != 0:
+                f = tab[k][enter]
+                tab[k] = [a - f * b for a, b in zip(tab[k], tab[leave])]
+        if z[enter] != 0:
+            f = z[enter]
+            z = [a - f * b for a, b in zip(z, tab[leave])]
+        basis[leave] = enter
+
+    objective = -z[total]
+    if objective > 0:
+        # duals sit under the artificial columns: z[n+t] = 1 - y_t
+        y = [flip[t] * (1 - z[n + t]) for t in range(d)]
+        return "infeasible", y
+    lam = [Fraction(0)] * n
+    for k in range(d):
+        if basis[k] < n:
+            lam[basis[k]] = tab[k][total]
+    return "feasible", lam
 
 
 def rank_bruteforce(rows) -> int:
@@ -160,3 +234,42 @@ def random_pointed_cones(count, seed=20240815):
             for gen in cone.generators)
         cones.append(cone)
     return cones
+
+
+def solve_linear_fraction(rows, rhs):
+    """Plain Fraction Gauss-Jordan for  rows . x = rhs.
+
+    Returns (solution, kernel basis) as lists of Fraction lists, free
+    variables set to zero, or None when the system is inconsistent.  The
+    reduced echelon form is unique, so any exact elimination must agree.
+    """
+    width = len(rows[0])
+    m = [[Fraction(e) for e in row] + [Fraction(b)]
+         for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(width):
+        r = next((i for i in range(len(pivots), len(m)) if m[i][col] != 0),
+                 None)
+        if r is None:
+            continue
+        top = len(pivots)
+        m[top], m[r] = m[r], m[top]
+        m[top] = [e / m[top][col] for e in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[top])]
+        pivots.append(col)
+    if any(row[width] != 0 for row in m[len(pivots):]):
+        return None
+    solution = [Fraction(0)] * width
+    for i, col in enumerate(pivots):
+        solution[col] = m[i][width]
+    kernel = []
+    for free in (c for c in range(width) if c not in pivots):
+        v = [Fraction(0)] * width
+        v[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            v[col] = -m[i][free]
+        kernel.append(v)
+    return solution, kernel

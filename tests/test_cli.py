@@ -203,6 +203,19 @@ def test_derive_antik_flags_mistake(capsys, data_root):
     assert json.loads(out)["inconsistent_rows"] == ["flop_tables.l5.l25"]
 
 
+def test_derive_antik_witness_is_the_zero_row_alone(capsys, record_paths,
+                                                   tmp_path):
+    data = json.loads(record_paths["b2_2_n1"].read_text())
+    data["rays"].append({
+        "label": "lz", "vec": ["0", "0"], "antiK": "1", "type": "E1",
+        "contraction": {"target": None, "pullback": [["0"], ["1"]]}})
+    path = tmp_path / "lz.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "derive-antik", str(path))
+    assert code == 1
+    assert json.loads(out)["witnesses"] == ["lz"]
+
+
 def test_console_script_entry_point(record_paths):
     proc = subprocess.run(
         [sys.executable, "-m", "fanoray.cli", "nef",
@@ -267,3 +280,23 @@ def test_malformed_proposal_names_its_file(text, capsys, record_paths,
                            "--propose", str(good), "--propose", str(bad))
     assert code == 2
     assert err.startswith(f"error: {bad}")
+
+
+UNDECODABLE = {
+    "not_utf8": b'\xff\xfe{"a": 1}',
+    "too_deep": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "nef", "derive-antik",
+                                     "check-exhaustion", "flop"])
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+def test_undecodable_file_exits_two_naming_it(command, kind, capsys,
+                                              tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(UNDECODABLE[kind])
+    target = tmp_path if command == "verify" else path
+    code, _, err = run_cli(capsys, command, str(target))
+    assert code == 2
+    assert str(path) in err
+    assert "Traceback" not in err

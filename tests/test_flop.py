@@ -115,6 +115,18 @@ def test_inconsistent_system_names_witness_curves(flop_configs):
     assert "M3" in str(err.value)
 
 
+def test_zero_exc_row_curve_is_the_only_witness(flop_configs):
+    # a contracted curve with exc_row 0 and pullback_row[0] != 0 reads
+    # 0 = -1 on its own; the consistent curve M must not be named
+    data = _as_json(flop_configs["e1_b2_2_n1"])
+    data["test_curves"].insert(0, {
+        "label": "Z", "pullback_row": ["1", "0"], "exc_row": ["0"],
+        "contracted_by_flop": True})
+    with pytest.raises(FlopError) as err:
+        compute_flop(flop_config_from_json(data))
+    assert "curves ['Z']" in str(err.value)
+
+
 def test_too_few_contracted_curves_rejected(flop_configs):
     data = _as_json(flop_configs["e5_b2_2_n28"])
     for c in data["test_curves"]:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanoray.rational import (ExactArithError, QMat, QVec, kernel, rank, rat,
-                              rat_str, solve_linear)
+from fanoray.rational import (ExactArithError, QMat, QVec, inconsistent_rows,
+                              kernel, rank, rat, rat_str, solve_linear)
 
 from oracles import rank_bruteforce
 
@@ -132,3 +132,9 @@ def test_qvec_qmat_basics():
         QVec([])
     with pytest.raises(ExactArithError):
         QMat([[1], [1, 2]])
+
+
+def test_inconsistent_rows_blames_a_lone_infeasible_row():
+    # row 2 alone reads 0 = 5; rows 0 and 1 are innocent
+    assert inconsistent_rows([[1, 0], [0, 1], [0, 0]], [1, 2, 5]) == (2,)
+    assert inconsistent_rows([[1, 1], [1, 1]], [1, 2]) == (0, 1)
