@@ -8,9 +8,8 @@ nonnegative combination coefficients inside, a separating functional
 outside.  Duals and facets come from an incremental double description
 pass with generators inserted in input order, which keeps facet lists
 reproducible across platforms.  The pass carries each ray's incidence
-(the generators it is tight on, as an int bitmask), and ``extreme_rays``
-and ``codim2_faces`` read that incidence instead of pairing normals with
-generators again.
+(the generators it is tight on, as an int bitmask), read by its own
+adjacency test, by ``extreme_rays`` (no rank) and by ``codim2_faces``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,9 @@ def canonicalize_ray(v) -> IVec:
     Clears denominators, divides by the content.  The direction is kept:
     no sign flip, a ray and its negative stay distinct.
     """
-    ints = _cleared([rat(e) for e in v])
+    ints = list(v)
+    if not all(type(e) is int for e in ints):
+        ints = _cleared([rat(e) for e in ints])
     content = gcd(*ints)
     if content == 0:
         raise ConeError("zero vector has no ray direction" if ints
@@ -135,10 +136,12 @@ def dual_description(generators: Sequence[IVec], dim: int):
     Generators are inserted in the given order; rays come back sorted.
     The lineality basis is empty exactly when the generators span R^dim.
     ``incidence[k]`` is the int bitmask of the generators that ``rays[k]``
-    is tight on (bit i for ``generators[i]``).  It is carried through the
-    construction, never recomputed: each insertion pairs the new generator
-    with each ray once, and a ray made from an adjacent pair is tight
-    exactly where both parents are.
+    is tight on (bit i for ``generators[i]``), carried through the
+    insertions: a ray made from an adjacent pair is tight exactly where
+    both parents are.  A pair is adjacent iff no third ray is tight on all
+    its common generators; one with fewer than dim - len(lineality) - 2
+    common bits is not (a 2-face lies on that many independent tight
+    constraints; Fukuda and Prodon 1996) and skips that scan.
     """
     lineality: list[IVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
@@ -169,14 +172,16 @@ def dual_description(generators: Sequence[IVec], dim: int):
             new = {r: mask | bit if v == 0 else mask
                    for r, mask, v in zip(rays, masks, vals) if v >= 0}
             neg = [k for k, v in enumerate(vals) if v < 0]
+            need = dim - len(lineality) - 2
             for p, ap in enumerate(vals):
                 if ap <= 0:
                     continue
                 for m in neg:
                     common = masks[p] & masks[m]
-                    if any(common & mask == common
-                           for k, mask in enumerate(masks)
-                           if k != p and k != m):
+                    if common.bit_count() < need or any(
+                            common & mask == common
+                            for k, mask in enumerate(masks)
+                            if k != p and k != m):
                         continue
                     new.setdefault(canonicalize_ray(tuple(
                         ap * x - vals[m] * y
@@ -289,11 +294,11 @@ class Cone:
     def extreme_rays(self) -> tuple[IVec, ...]:
         """Minimal generating subset, sorted lexicographically.
 
-        A generator is kept iff it is not in the cone of the others.  For a
-        pointed cone that is equivalent to spanning a one-dimensional face,
-        so each generator is tested by the rank of its tight constraints,
-        read from the incidence of the dual description (equalities from
-        the dual's lineality count as always-tight).
+        A generator is kept iff it is not in the cone of the others.  In a
+        pointed cone the smallest face through g is cut out by the dual
+        rays tight on g (the dual's lineality is tight everywhere), so g is
+        extreme iff it is the only generator tight on every dual ray that
+        g is tight on: a containment test on the incidence transposed.
         """
         if self._extreme is not None:
             return self._extreme
@@ -303,20 +308,15 @@ class Cone:
                 f"extreme rays undefined: cone contains the line through "
                 f"{pt.line}")
         if len(self.generators) <= 1:
-            result = tuple(self.generators)
-            self._extreme = result
-            return result
-        normals, lineality, incidence = self._double_description()
-        survivors = []
-        for j, g in enumerate(self.generators):
-            tight = list(lineality)
-            tight += [n for n, mask in zip(normals, incidence)
-                      if mask >> j & 1]
-            if tight and rank(tight) == self.ambient_dim - 1:
-                survivors.append(g)
-        result = tuple(sorted(survivors))
-        self._extreme = result
-        return result
+            self._extreme = tuple(self.generators)
+            return self._extreme
+        incidence = self._double_description()[2]
+        cover = [sum(1 << k for k, mask in enumerate(incidence)
+                     if mask >> j & 1) for j in range(len(self.generators))]
+        self._extreme = tuple(sorted(
+            g for g, c in zip(self.generators, cover)
+            if sum(other & c == c for other in cover) == 1))
+        return self._extreme
 
     def _double_description(self):
         """The memoised (rays, lineality, incidence) of the dual, as

@@ -12,15 +12,24 @@ dividing by each pivot, so the engine's int kernel is judged against
 them: ``phase1_fraction`` (the same phase-1 simplex and Bland's rule on a
 Fraction tableau) and ``solve_linear_fraction`` (Gauss-Jordan).  The
 engine must return exactly their certificates and solutions.
+``dual_description_reference`` is the double description without the
+popcount prefilter: every pair of rays goes through the full adjacency
+scan, and the engine must return exactly its rays, lineality and
+incidence.
+
+``minus_one_curves`` enumerates the (-1)-curve classes of P^2 blown up at
+up to 8 points, where the largest degree is 6 (the benchmark's own
+enumerator stops at degree 3, which is enough only up to 7 points).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 from typing import Sequence
 
-from fanoray.cone import ConeError
+from fanoray.cone import ConeError, IVec, _ivec_dot, canonicalize_ray
 
 
 def _int_det(rows) -> int:
@@ -273,3 +282,94 @@ def solve_linear_fraction(rows, rhs):
             v[col] = -m[i][free]
         kernel.append(v)
     return solution, kernel
+
+
+def dual_description_reference(generators: Sequence[IVec], dim: int):
+    """Reference double description without the popcount prefilter;
+    ``cone.dual_description`` must return the same answer.
+
+    Minimal description (rays, lineality, incidence) of
+    {w : w.g >= 0 for all g}.
+
+    Generators are inserted in the given order; rays come back sorted.
+    The lineality basis is empty exactly when the generators span R^dim.
+    ``incidence[k]`` is the int bitmask of the generators that ``rays[k]``
+    is tight on (bit i for ``generators[i]``).  It is carried through the
+    construction, never recomputed: each insertion pairs the new generator
+    with each ray once, and a ray made from an adjacent pair is tight
+    exactly where both parents are.
+    """
+    lineality: list[IVec] = [
+        tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    rays: list[IVec] = []
+    masks: list[int] = []
+    for i, a in enumerate(generators):
+        bit = 1 << i
+        vals = [_ivec_dot(a, u) for u in lineality]
+        hit = next((k for k, s in enumerate(vals) if s != 0), None)
+        if hit is not None:
+            # a cuts the lineality space: every other vector moves along u0
+            # onto a.w = 0; u0 becomes a ray, tight on every earlier generator
+            sign = 1 if vals[hit] > 0 else -1
+            u0 = tuple(sign * x for x in lineality[hit])
+            s = abs(vals[hit])
+            new: dict[IVec, int] = {}
+
+            def onto_a(v, t):
+                return canonicalize_ray(
+                    tuple(s * x - t * y for x, y in zip(v, u0)))
+            lineality = [onto_a(u, t) for k, (u, t)
+                         in enumerate(zip(lineality, vals)) if k != hit]
+            for r, mask in zip(rays, masks):
+                new.setdefault(onto_a(r, _ivec_dot(a, r)), mask | bit)
+            new.setdefault(canonicalize_ray(u0), bit - 1)
+        else:
+            vals = [_ivec_dot(a, r) for r in rays]
+            new = {r: mask | bit if v == 0 else mask
+                   for r, mask, v in zip(rays, masks, vals) if v >= 0}
+            neg = [k for k, v in enumerate(vals) if v < 0]
+            for p, ap in enumerate(vals):
+                if ap <= 0:
+                    continue
+                for m in neg:
+                    common = masks[p] & masks[m]
+                    if any(common & mask == common
+                           for k, mask in enumerate(masks)
+                           if k != p and k != m):
+                        continue
+                    new.setdefault(canonicalize_ray(tuple(
+                        ap * x - vals[m] * y
+                        for x, y in zip(rays[m], rays[p]))), common | bit)
+        rays, masks = list(new), list(new.values())
+    ordered = sorted(zip(rays, masks))
+    return [r for r, _ in ordered], sorted(lineality), [m for _, m in ordered]
+
+
+def minus_one_curves(r: int) -> list[tuple[int, ...]]:
+    """Sorted classes (a, b_1..b_r) of a*L - sum b_i*E_i on P^2 blown up at
+    r <= 8 points with self-intersection -1 and anticanonical degree 1:
+    a^2 - sum b_i^2 = -1 and 3a - sum b_i = 1.
+
+    The exceptional curves E_i are the classes with a = 0; every other
+    class has 0 <= b_i <= a, and a <= 6 once r <= 8 (the largest is
+    6L - 3E_1 - 2(E_2 + ... + E_8)).  Each b_i is at most the square root
+    of what is left of sum b_i^2, and the coordinates still open can reach
+    the sum still owed only if its square is at most their count times
+    the square sum still owed (Cauchy-Schwarz).
+    """
+    if not 0 <= r <= 8:
+        raise ValueError("the degree bound a <= 6 holds for r <= 8 only")
+    found = [tuple(-1 if i == j else 0 for i in range(-1, r))
+             for j in range(r)]
+    for a in range(1, 7):
+        stack = [((), 3 * a - 1, a * a + 1)]
+        while stack:
+            prefix, total, squares = stack.pop()
+            left = r - len(prefix)
+            if left == 0:
+                if total == 0 and squares == 0:
+                    found.append((a, *prefix))
+            elif total * total <= left * squares:
+                for b in range(min(a, isqrt(squares)) + 1):
+                    stack.append((prefix + (b,), total - b, squares - b * b))
+    return sorted(found)

@@ -20,6 +20,9 @@ from fanoray.cone import Cone
 from fanoray.exhaustion import build_targets, pushforward_map
 from fanoray.model import record_from_json
 
+from oracles import minus_one_curves
+from test_cone import B2_5_N1_RAYS
+
 
 def count_calls(monkeypatch, home: str, name: str) -> list:
     """Arguments of every call of ``fanoray.<home>.<name>`` from now on."""
@@ -100,3 +103,12 @@ def test_facet_patch_tests_each_dual_generator_once(monkeypatch, records):
     monkeypatch.setattr(Cone, "membership", counted)
     assert facet_patch_check(record, targets) == []
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("dim, generators", [
+    (8, minus_one_curves(7)), (5, B2_5_N1_RAYS)], ids=["gosset7", "b2_5_n1"])
+def test_extreme_rays_compute_no_rank(monkeypatch, dim, generators):
+    cone = Cone(dim, generators)
+    calls = count_calls(monkeypatch, "rational", "rank")
+    assert cone.extreme_rays() == tuple(sorted(generators))
+    assert calls == []

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from fanoray.cone import Cone, canonicalize_ray, dual_description
 from fanoray.rational import rat
 
-from oracles import (extreme_rays_bruteforce, in_cone_bruteforce,
-                     random_pointed_cones, rank_bruteforce)
+from oracles import (dual_description_reference, extreme_rays_bruteforce,
+                     in_cone_bruteforce, random_pointed_cones,
+                     rank_bruteforce)
 
 CONES = random_pointed_cones(40, seed=11)
 
@@ -64,6 +65,52 @@ def test_incidence_matches_dot_products(cone):
                            if sum(x * y for x, y in zip(ray, g)) == 0)
 
 
+small_ints = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def generator_lists(draw, kind):
+    """(dim, generators) of one kind:
+
+    - "full": random integer generators;
+    - "lower": integer combinations of fewer than dim vectors, so the dual
+      keeps a lineality space at every step;
+    - "non-pointed": random generators plus a nonzero vector and its
+      negative;
+    - "repeated-zero": random generators with repeats and zero vectors.
+    """
+    dim = draw(st.integers(min_value=2, max_value=5))
+    vec = st.tuples(*[small_ints] * dim)
+    if kind == "lower":
+        basis = draw(st.lists(vec, min_size=1, max_size=dim - 1))
+        coefficients = st.lists(small_ints, min_size=len(basis),
+                                max_size=len(basis))
+        gens = [tuple(sum(c * b[k] for c, b in zip(cs, basis))
+                      for k in range(dim))
+                for cs in draw(st.lists(coefficients, min_size=1,
+                                        max_size=8))]
+    else:
+        gens = draw(st.lists(vec, min_size=1, max_size=8))
+    if kind == "non-pointed":
+        g = draw(vec.filter(any))
+        gens += [g, tuple(-x for x in g)]
+    if kind == "repeated-zero":
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            at = draw(st.integers(min_value=0, max_value=len(gens)))
+            gens.insert(at, draw(st.sampled_from(gens + [(0,) * dim])))
+    return dim, gens
+
+
+@pytest.mark.parametrize("kind", ["full", "lower", "non-pointed",
+                                  "repeated-zero"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_dual_description_matches_reference(kind, data):
+    dim, gens = data.draw(generator_lists(kind))
+    assert dual_description(gens, dim) == dual_description_reference(
+        gens, dim)
+
+
 # the last cone has a generator inside a codim-2 face that is not extreme
 FULL_DIMENSIONAL = [c for c in CONES if c.is_full_dimensional()] + [
     Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -97,6 +144,11 @@ def test_degenerate_cones():
     assert empty.extreme_rays() == ()
     single = Cone(3, [(2, -4, 6)])
     assert single.extreme_rays() == ((1, -2, 3),)
+    # lower-dimensional (the dual has lineality), (1, 1, 0, 0) not extreme
+    flat = Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)])
+    assert list(flat.extreme_rays()) == extreme_rays_bruteforce(
+        list(flat.generators), 4)
+    assert (1, 1, 0, 0) not in flat.extreme_rays()
 
 
 @pytest.mark.parametrize("cone", CONES[:20], ids=lambda c: f"d{c.ambient_dim}n{len(c.generators)}")
