@@ -1,8 +1,12 @@
 """Exact-rational verification toolkit for extremal-ray tables of Fano
 3-folds: polyhedral cone engine, exhaustion criterion for candidate ray
-sets, flop intersection-number calculus, and a batch audit harness."""
+sets, flop intersection-number calculus, and a batch audit harness.
 
-from .rational import Rat, QVec, QMat, rat, rat_str, solve_linear, kernel
+Every exact value is an ``int`` when integral and a ``Fraction``
+otherwise (``rat``), and every vector is a plain tuple of such values,
+a matrix a tuple of row tuples (``fanoray.rational``)."""
+
+from .rational import Rat, rat, rat_str, solve_linear, kernel
 from .cone import Cone, ConeError, canonicalize_ray
 from .model import (FanoRecord, Finding, RecordError, RecordId,
                     derive_antiK_combo, diff_records, parse_record,
@@ -17,7 +21,7 @@ from .chambers import (ChamberGraph, chamber_graph, emit_dot,
                        facet_patch_check, nef_cone)
 
 __all__ = [
-    "Rat", "QVec", "QMat", "rat", "rat_str", "solve_linear", "kernel",
+    "Rat", "rat", "rat_str", "solve_linear", "kernel",
     "Cone", "ConeError", "canonicalize_ray",
     "FanoRecord", "Finding", "RecordError", "RecordId",
     "derive_antiK_combo", "diff_records", "parse_record",

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .cone import Cone, ConeError, _ivec_dot
+from .cone import Cone, ConeError
 from .exhaustion import TargetEntry
 from .model import (FLOP_TYPES, ChamberSpec, FanoRecord, Finding)
-from .rational import QVec, solve_linear
+from .rational import dot, rat_str, solve_linear
 
 
 class ChamberError(ValueError):
@@ -61,11 +61,10 @@ def facet_patch_check(record: FanoRecord,
         if ray.contraction is None or lab not in targets:
             continue
         pullback = ray.contraction.pullback
-        wall = [w for w in amp.generators
-                if _ivec_dot(w, ray.vec.entries) == 0]
+        wall = [w for w in amp.generators if dot(w, ray.vec) == 0]
         chart_wall = []
         for w in wall:
-            solved = solve_linear(pullback, QVec(w))
+            solved = solve_linear(pullback, w)
             if solved is None:
                 findings.append(Finding(
                     "facet-patch", f"rays.{lab}",
@@ -76,12 +75,12 @@ def facet_patch_check(record: FanoRecord,
                            list(targets[lab].edges)).dual()
         for w in chart_wall:
             # the definition of the dual: w pairs >= 0 with every edge
-            if any(_ivec_dot(w, e) < 0 for e in targets[lab].edges):
+            if any(dot(w, e) < 0 for e in targets[lab].edges):
                 findings.append(Finding(
                     "facet-patch", f"rays.{lab}",
                     f"facet of the nef cone on {lab}'s wall is strictly "
                     f"larger than the dual of its target edges: witness "
-                    f"({', '.join(w.to_strings())})"))
+                    f"({', '.join(map(rat_str, w))})"))
         if chart_wall:
             chart_cone = Cone(record.rho - 1, chart_wall)
             for e in dual_target.generators:

@@ -18,9 +18,9 @@ from .chambers import ChamberError, chamber_graph, emit_dot, facet_patch_check, 
 from .cone import ConeError
 from .exhaustion import ExhaustionError, build_targets, check_exhaustion, extend_candidates
 from .flop import FlopError, compute_flop, flop_config_from_json, parse_flop_config, verify_against_table
-from .model import (Finding, RecordError, _json_at, _qvec_at, diff_records,
+from .model import (Finding, RecordError, _json_at, _vec_at, diff_records,
                     parse_record, record_from_json)
-from .rational import ExactArithError, QVec, rat_str
+from .rational import ExactArithError, Vec, dot, rat_str
 
 OK, FOUND, UNUSABLE = 0, 1, 2
 
@@ -90,7 +90,7 @@ def cmd_verify(args) -> int:
                    else None)
         if derived is not None and derived.status == "ok":
             add("antik-audit", [], detail={
-                "combo": derived.combo.to_strings()})
+                "combo": [rat_str(e) for e in derived.combo]})
         else:
             add("antik-audit", [], status="fail",
                 detail={"status": derived.status if derived else "too few rays"})
@@ -196,13 +196,13 @@ def _render_table(reports, summary) -> str:
 # check-exhaustion
 # ---------------------------------------------------------------------------
 
-def _read_proposal(path: Path) -> QVec:
+def _read_proposal(path: Path, rho: int) -> Vec:
     data = _read_json(path)
     if isinstance(data, dict):
         data = data.get("vec", data)
     if not isinstance(data, list):
         raise RecordError(str(path), "expected a vector or {'vec': [...]}")
-    return _qvec_at(data, str(path))
+    return _vec_at(data, str(path), rho)
 
 
 def cmd_check_exhaustion(args) -> int:
@@ -217,7 +217,8 @@ def cmd_check_exhaustion(args) -> int:
     targets = build_targets(record,
                             prefer_record_tables=(args.targets == "auto"))
     if args.propose:
-        proposals = [_read_proposal(Path(p)) for p in args.propose]
+        proposals = [_read_proposal(Path(p), record.rho)
+                     for p in args.propose]
         result = extend_candidates(record, candidates, targets, proposals)
         payload = {"final_candidates": list(result.final_candidates),
                    "events": list(result.events),
@@ -240,10 +241,10 @@ def cmd_flop(args) -> int:
         "record": cfg.record.render(),
         "ray": cfg.ray,
         "coefficients": {
-            tracked: {exc: rat_str(result.coeffs.entries[t][s])
+            tracked: {exc: rat_str(result.coeffs[t][s])
                       for s, exc in enumerate(cfg.exceptional_divisors)}
             for t, tracked in enumerate(cfg.tracked_divisors)},
-        "rows": [{"label": row.label, "vec": row.row.to_strings(),
+        "rows": [{"label": row.label, "vec": [rat_str(e) for e in row.row],
                   "antiK": rat_str(row.antiK)} for row in result.rows],
     }
     findings = []
@@ -278,17 +279,17 @@ def cmd_derive_antik(args) -> int:
     payload = {"record": record.record_id.render(), "status": derived.status}
     bad = []
     if derived.status == "ok":
-        payload["combo"] = derived.combo.to_strings()
+        payload["combo"] = [rat_str(e) for e in derived.combo]
         ray_total = table_total = ray_bad = table_bad = 0
         for ray in record.rays:
             ray_total += 1
-            if derived.combo.dot(ray.vec) != ray.antiK:
+            if dot(derived.combo, ray.vec) != ray.antiK:
                 ray_bad += 1
                 bad.append(f"rays.{ray.label}")
         for key, rows in sorted(record.flop_tables.items()):
             for row in rows:
                 table_total += 1
-                if derived.combo.dot(row.vec) != row.antiK:
+                if dot(derived.combo, row.vec) != row.antiK:
                     table_bad += 1
                     bad.append(f"flop_tables.{key}.{row.label}")
         payload["ray_rows"] = {"checked": ray_total,

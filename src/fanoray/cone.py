@@ -3,23 +3,24 @@
 Rays are primitive integer vectors, so "equal up to positive scaling" is
 structural equality.  Membership and pointedness run an exact phase-1
 simplex (Bland's rule) on an int tableau by ``rational``'s fraction-free
-pivot and return a certificate, in Fractions built at read-out:
+pivot and return a certificate, read out as ints or Fractions:
 nonnegative combination coefficients inside, a separating functional
 outside.  Duals and facets come from an incremental double description
 pass with generators inserted in input order, which keeps facet lists
 reproducible across platforms.  The pass carries each ray's incidence
-(the generators it is tight on, as an int bitmask), read by its own
-adjacency test, by ``extreme_rays`` (no rank) and by ``codim2_faces``.
+(the generators it is tight on, as an int bitmask).  One combinatorial
+adjacency test on those masks serves the pass itself and ``codim2_faces``;
+``extreme_rays`` reads the masks with no rank at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations, product
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .rational import QMat, QVec, _cleared, _pivot, rank, rat
+from .rational import Rat, _cleared, _pivot, _quotient, apply, rank, rat
 
 IVec = tuple[int, ...]
 
@@ -28,7 +29,7 @@ class ConeError(ValueError):
     pass
 
 
-def _ivec_dot(a: Sequence, b: Sequence) -> Fraction | int:
+def _ivec_dot(a: Sequence, b: Sequence) -> Rat:
     return sum(x * y for x, y in zip(a, b))
 
 
@@ -62,7 +63,7 @@ def _phase1(cols: list[Sequence[int]], rhs: Sequence):
     The tableau is int, its rhs scaled by the lcm of its denominators and
     its last row the reduced costs of the cost (0,...,0, 1,...,1).
     ``_pivot`` keeps it det times the rational tableau (det the last
-    pivot), so lam and y are read out as Fractions over det.
+    pivot), so lam and y are read out as exact quotients over det.
     """
     d = len(rhs)
     n = len(cols)
@@ -96,13 +97,13 @@ def _phase1(cols: list[Sequence[int]], rhs: Sequence):
     z = tab[d]
     if z[total] < 0:
         # duals sit under the artificial columns: z[n+t] = det * (1 - y_t)
-        return "infeasible", [Fraction(flip[t] * (det - z[n + t]), det)
+        return "infeasible", [_quotient(flip[t] * (det - z[n + t]), det)
                               for t in range(d)]
     scale = lcm(*(e.denominator for e in rhs))
-    lam = [Fraction(0)] * n
+    lam = [0] * n
     for k in range(d):
         if basis[k] < n:
-            lam[basis[k]] = Fraction(tab[k][total], det * scale)
+            lam[basis[k]] = _quotient(tab[k][total], det * scale)
     return "feasible", lam
 
 
@@ -113,21 +114,37 @@ def _phase1(cols: list[Sequence[int]], rhs: Sequence):
 @dataclass(frozen=True)
 class Membership:
     inside: bool
-    coefficients: Optional[tuple[Fraction, ...]]  # aligned with generators
-    separator: Optional[tuple[Fraction, ...]]
+    coefficients: Optional[tuple[Rat, ...]]  # aligned with generators
+    separator: Optional[tuple[Rat, ...]]
 
 
 @dataclass(frozen=True)
 class Pointedness:
     pointed: bool
-    functional: Optional[tuple[Fraction, ...]]  # <w, g> > 0 for every g
-    line_combination: Optional[tuple[Fraction, ...]]  # mu >= 0, sum mu g = 0
+    functional: Optional[tuple[Rat, ...]]  # <w, g> > 0 for every g
+    line_combination: Optional[tuple[Rat, ...]]  # mu >= 0, sum mu g = 0
     line: Optional[IVec]
 
 
 # ---------------------------------------------------------------------------
 # Double description
 # ---------------------------------------------------------------------------
+
+def _adjacent_pairs(masks: Sequence[int],
+                    pairs: Iterable[tuple[int, int]], need: int):
+    """The pairs (p, m) of rays of a double description that span a
+    2-face, in the given order and with their common tight set, read from
+    the tight sets alone: the common set has at least ``need`` bits
+    (dim - len(lineality) - 2: a 2-face lies on that many independent tight
+    constraints; Fukuda and Prodon 1996) and no third ray is tight on all
+    of it."""
+    for p, m in pairs:
+        common = masks[p] & masks[m]
+        if common.bit_count() >= need and not any(
+                common & mask == common
+                for k, mask in enumerate(masks) if k != p and k != m):
+            yield p, m, common
+
 
 def dual_description(generators: Sequence[IVec], dim: int):
     """Minimal description (rays, lineality, incidence) of
@@ -138,10 +155,8 @@ def dual_description(generators: Sequence[IVec], dim: int):
     ``incidence[k]`` is the int bitmask of the generators that ``rays[k]``
     is tight on (bit i for ``generators[i]``), carried through the
     insertions: a ray made from an adjacent pair is tight exactly where
-    both parents are.  A pair is adjacent iff no third ray is tight on all
-    its common generators; one with fewer than dim - len(lineality) - 2
-    common bits is not (a 2-face lies on that many independent tight
-    constraints; Fukuda and Prodon 1996) and skips that scan.
+    both parents are.  Which pairs are adjacent is decided by
+    ``_adjacent_pairs`` on those masks.
     """
     lineality: list[IVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
@@ -171,21 +186,13 @@ def dual_description(generators: Sequence[IVec], dim: int):
             vals = [_ivec_dot(a, r) for r in rays]
             new = {r: mask | bit if v == 0 else mask
                    for r, mask, v in zip(rays, masks, vals) if v >= 0}
+            pos = [k for k, v in enumerate(vals) if v > 0]
             neg = [k for k, v in enumerate(vals) if v < 0]
-            need = dim - len(lineality) - 2
-            for p, ap in enumerate(vals):
-                if ap <= 0:
-                    continue
-                for m in neg:
-                    common = masks[p] & masks[m]
-                    if common.bit_count() < need or any(
-                            common & mask == common
-                            for k, mask in enumerate(masks)
-                            if k != p and k != m):
-                        continue
-                    new.setdefault(canonicalize_ray(tuple(
-                        ap * x - vals[m] * y
-                        for x, y in zip(rays[m], rays[p]))), common | bit)
+            for p, m, common in _adjacent_pairs(
+                    masks, product(pos, neg), dim - len(lineality) - 2):
+                new.setdefault(canonicalize_ray(tuple(
+                    vals[p] * x - vals[m] * y
+                    for x, y in zip(rays[m], rays[p]))), common | bit)
         rays, masks = list(new), list(new.values())
     ordered = sorted(zip(rays, masks))
     return [r for r, _ in ordered], sorted(lineality), [m for _, m in ordered]
@@ -258,9 +265,7 @@ class Cone:
 
     def _pointedness(self) -> Pointedness:
         if not self.generators:
-            return Pointedness(True, tuple(Fraction(0) for _ in
-                                           range(self.ambient_dim)),
-                               None, None)
+            return Pointedness(True, (0,) * self.ambient_dim, None, None)
         cols = [g + (1,) for g in self.generators]
         rhs = tuple([0] * self.ambient_dim + [1])
         status, cert = _phase1(cols, rhs)
@@ -277,8 +282,7 @@ class Cone:
         if len(vv) != self.ambient_dim:
             raise ConeError("dimension mismatch")
         if all(e == 0 for e in vv):
-            return Membership(True, tuple(Fraction(0)
-                                          for _ in self.generators), None)
+            return Membership(True, (0,) * len(self.generators), None)
         if not self.generators:
             # separate v from the origin
             sep = tuple(-e for e in vv)
@@ -340,21 +344,18 @@ class Cone:
             gens.append(tuple(-x for x in u))
         return Cone(self.ambient_dim, gens)
 
-    def image(self, m: QMat) -> "Cone":
-        """Image cone under a linear map; zero images dropped, result
-        reduced to extreme rays."""
-        if m.cols != self.ambient_dim:
-            raise ConeError(
-                f"map expects dim {m.cols}, cone has {self.ambient_dim}")
-        images = []
-        for g in self.generators:
-            w = m.apply(QVec(g))
-            if not w.is_zero():
-                images.append(canonicalize_ray(w))
+    def image(self, m: Sequence[Sequence[Rat]]) -> "Cone":
+        """Image cone under a linear map, given by its rows; zero images
+        dropped, result reduced to extreme rays."""
+        for row in m:
+            if len(row) != self.ambient_dim:
+                raise ConeError(
+                    f"map expects dim {len(row)}, cone has {self.ambient_dim}")
+        images = [canonicalize_ray(w) for w in
+                  (apply(m, g) for g in self.generators) if any(w)]
         if not images:
-            return Cone(m.rows, [])
-        cone = Cone(m.rows, images)
-        return Cone(m.rows, cone.extreme_rays())
+            return Cone(len(m), [])
+        return Cone(len(m), Cone(len(m), images).extreme_rays())
 
     def facets(self) -> tuple[IVec, ...]:
         """Supporting halfspace normals (<n, g> >= 0), memoised.
@@ -375,33 +376,29 @@ class Cone:
     def codim2_faces(self):
         """Codimension-two faces with the two facets containing each.
 
-        Returns a list of ((facet_index_a, facet_index_b), face_rays).
-        Every codimension-two face of a pointed full-dimensional cone lies
-        in exactly two facets; violations raise, since they can only come
-        from corrupt data.  Tight sets are read from the incidence of the
-        dual description.  A face lists its extreme rays only; a generator
-        that is not extreme but lies in the face is in every facet through
-        them, so it changes no containment test.
+        Returns a list of ((facet_index_a, facet_index_b), face_rays), the
+        index pairs in lexicographic order.  The facet normals are the
+        rays of the dual description, and a pair of them meets in a
+        codimension-two face iff the two are adjacent there, which
+        ``_adjacent_pairs`` decides from the incidence; no third facet then
+        contains the face.  One rank per face found checks that the face
+        really has codimension two, so corrupt data raises.  A face lists
+        its extreme rays only; a generator that is not extreme but lies in
+        the face is in every facet through them, so it changes no
+        containment test.
         """
         normals = self.facets()
         incidence = self._double_description()[2]
         ext = [(g, 1 << self.generators.index(g)) for g in self.extreme_rays()]
         d = self.ambient_dim
         result = []
-        seen: dict[tuple[IVec, ...], tuple[int, int]] = {}
-        for i in range(len(normals)):
-            for j in range(i + 1, len(normals)):
-                common = incidence[i] & incidence[j]
-                tight = tuple(g for g, bit in ext if common & bit)
-                if rank(tight) != d - 2:
-                    continue
-                containing = [k for k, mask in enumerate(incidence)
-                              if common & mask == common]
-                if tight and len(containing) != 2:
-                    raise ConeError(
-                        f"codim-2 face in {len(containing)} facets: {tight}")
-                if tight in seen:
-                    continue
-                seen[tight] = (i, j)
-                result.append(((i, j), tight))
+        for i, j, common in _adjacent_pairs(
+                incidence, combinations(range(len(normals)), 2), d - 2):
+            tight = tuple(g for g, bit in ext if common & bit)
+            face_rank = rank(tight)
+            if face_rank != d - 2:
+                raise ConeError(
+                    f"facets {i} and {j} meet in a face of rank "
+                    f"{face_rank}, not {d - 2}: {tight}")
+            result.append(((i, j), tight))
         return result

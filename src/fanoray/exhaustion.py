@@ -15,11 +15,12 @@ targets, so a failure genuinely reflects a missing ray.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Mapping, Optional, Sequence
 
 from .cone import Cone, IVec, canonicalize_ray
 from .model import FanoRecord
-from .rational import QMat, QVec
+from .rational import Mat, Vec, apply
 
 
 class ExhaustionError(ValueError):
@@ -75,7 +76,7 @@ class ExhaustionReport:
         }
 
 
-def pushforward_map(record: FanoRecord, label: str) -> QMat:
+def pushforward_map(record: FanoRecord, label: str) -> Mat:
     """Pushforward on curve classes: the transpose of the contraction's
     pullback matrix (projection formula), read from the ray's chart."""
     ray = record.ray(label)
@@ -84,7 +85,7 @@ def pushforward_map(record: FanoRecord, label: str) -> QMat:
             f"{record.record_id.render()}: ray {label} has no contraction "
             f"descriptor")
     phi, image, phi_rank = ray.chart
-    if not image.is_zero():
+    if any(image):
         raise ExhaustionError(
             f"{record.record_id.render()}: descriptor of {label} does not "
             f"annihilate its own ray")
@@ -135,7 +136,7 @@ def build_targets(record: FanoRecord,
 def check_exhaustion(record: FanoRecord,
                      candidate_labels: Sequence[str],
                      targets: Mapping[str, TargetEntry],
-                     extra_rays: Optional[Mapping[str, QVec]] = None
+                     extra_rays: Optional[Mapping[str, Vec]] = None
                      ) -> ExhaustionReport:
     """Run the criterion over a candidate set.
 
@@ -145,7 +146,7 @@ def check_exhaustion(record: FanoRecord,
     """
     extra_rays = dict(extra_rays or {})
     index_of = {lab: i + 1 for i, lab in enumerate(record.ray_labels())}
-    vectors: dict[str, QVec] = {}
+    vectors: dict[str, Vec] = {}
     for lab in candidate_labels:
         if lab in extra_rays:
             vectors[lab] = extra_rays[lab]
@@ -161,7 +162,7 @@ def check_exhaustion(record: FanoRecord,
     misses: list[Miss] = []
     reciprocal: list[ReciprocalFailure] = []
 
-    def phi_of(lab: str) -> Optional[QMat]:
+    def phi_of(lab: str) -> Optional[Mat]:
         if lab in extra_rays or record.ray(lab).contraction is None:
             return None
         return pushforward_map(record, lab)
@@ -178,8 +179,8 @@ def check_exhaustion(record: FanoRecord,
         for other in candidate_labels:
             if other == lab:
                 continue
-            image = phi.apply(vectors[other])
-            if not image.is_zero():
+            image = apply(phi, vectors[other])
+            if any(image):
                 images.append((other, canonicalize_ray(image)))
         for edge in targets[lab].edges:
             matched = [other for other, canon in images if canon == edge]
@@ -191,7 +192,7 @@ def check_exhaustion(record: FanoRecord,
                 phi_other = phi_of(other)
                 if phi_other is None or other not in targets:
                     continue
-                back = canonicalize_ray(phi_other.apply(vectors[lab]))
+                back = canonicalize_ray(apply(phi_other, vectors[lab]))
                 if back not in targets[other].edges:
                     reciprocal.append(ReciprocalFailure(lab, other))
 
@@ -217,7 +218,7 @@ class ExtensionResult:
 def extend_candidates(record: FanoRecord,
                       candidate_labels: Sequence[str],
                       targets: Mapping[str, TargetEntry],
-                      proposals: Sequence[QVec]
+                      proposals: Sequence[Vec]
                       ) -> ExtensionResult:
     """Inductive extension: rerun the criterion, consuming the first
     proposal whose image matches a missing edge, until pass or exhaustion
@@ -225,14 +226,16 @@ def extend_candidates(record: FanoRecord,
 
     A proposal equal (up to positive scale) to a record ray is adopted
     under that ray's label, descriptor included, so the final check covers
-    its edge set too.
+    its edge set too.  Any other is added as ``p<k>``, the first such label
+    that is not a record ray's.
     """
     candidates = list(candidate_labels)
-    extras: dict[str, QVec] = {}
+    extras: dict[str, Vec] = {}
     pending = [(canonicalize_ray(p), p) for p in proposals]
     reports: list[ExhaustionReport] = []
     events: list[str] = []
     by_canon = {canonicalize_ray(r.vec): r.label for r in record.rays}
+    labels = set(record.ray_labels())
 
     while True:
         report = check_exhaustion(record, candidates, targets, extras)
@@ -243,8 +246,8 @@ def extend_candidates(record: FanoRecord,
         for miss in report.misses:
             phi = pushforward_map(record, miss.ray_label)
             for k, (canon, vec) in enumerate(pending):
-                image = phi.apply(vec)
-                if image.is_zero():
+                image = apply(phi, vec)
+                if not any(image):
                     continue
                 if canonicalize_ray(image) == miss.edge:
                     consumed = (k, canon, vec, miss)
@@ -263,7 +266,8 @@ def extend_candidates(record: FanoRecord,
             events.append(f"adopted record ray {label} for the missing edge "
                           f"{miss.edge} of {miss.ray_label}")
         else:
-            label = f"p{len(extras) + 1}"
+            label = next(f"p{k}" for k in count(1) if f"p{k}" not in labels)
+            labels.add(label)
             extras[label] = vec
             events.append(f"added proposal {label} = {canon} for the missing "
                           f"edge {miss.edge} of {miss.ray_label}")

@@ -11,10 +11,10 @@ side are then plain evaluations.  Coefficients are honest rationals
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from .model import FanoRecord, Finding, RecordError, RecordId, _expect_keys, \
-    _id_at, _json_at, _list_at, _qvec_at
-from .rational import QMat, QVec, inconsistent_rows, rat_str, solve_linear
+    _id_at, _json_at, _list_at, _vec_at
+from .rational import (Mat, Rat, Vec, dot, inconsistent_rows, rat, rat_str,
+                       solve_linear)
 
 
 class FlopError(ValueError):
@@ -24,8 +24,8 @@ class FlopError(ValueError):
 @dataclass(frozen=True)
 class TestCurve:
     label: str
-    pullback_row: QVec            # pairings with pulled-back tracked divisors
-    exc_row: QVec                 # pairings with the exceptional divisors
+    pullback_row: Vec             # pairings with pulled-back tracked divisors
+    exc_row: Vec                  # pairings with the exceptional divisors
     contracted_by_flop: bool
 
 
@@ -37,7 +37,7 @@ class FlopConfig:
     exceptional_divisors: tuple[str, ...]
     test_curves: tuple[TestCurve, ...]
     result_curves: tuple[str, ...]
-    antiK_combo_tracked: QVec
+    antiK_combo_tracked: Vec
 
     def curve(self, label: str) -> TestCurve:
         for c in self.test_curves:
@@ -49,13 +49,13 @@ class FlopConfig:
 @dataclass(frozen=True)
 class FlopRowResult:
     label: str
-    row: QVec                     # pairings with the tracked strict transforms
-    antiK: Fraction
+    row: Vec                      # pairings with the tracked strict transforms
+    antiK: Rat
 
 
 @dataclass(frozen=True)
 class FlopResult:
-    coeffs: QMat                  # tracked x exceptional correction matrix
+    coeffs: Mat                   # tracked x exceptional correction matrix
     rows: tuple[FlopRowResult, ...]
 
 
@@ -87,16 +87,16 @@ def flop_config_from_json(data: dict, source: str = "flop") -> FlopConfig:
             raise RecordError(f"{path}.contracted_by_flop", "expected boolean")
         curves.append(TestCurve(
             raw["label"],
-            _qvec_at(raw["pullback_row"], f"{path}.pullback_row", len(tracked)),
-            _qvec_at(raw["exc_row"], f"{path}.exc_row", len(exceptional)),
+            _vec_at(raw["pullback_row"], f"{path}.pullback_row", len(tracked)),
+            _vec_at(raw["exc_row"], f"{path}.exc_row", len(exceptional)),
             raw["contracted_by_flop"]))
     results = data["result_curves"]
     if not isinstance(results, list) or not all(
             isinstance(r, str) and r in labels for r in results):
         raise RecordError(f"{source}.result_curves",
                           "every result curve must be a test curve label")
-    combo = _qvec_at(data["antiK_combo_tracked"],
-                     f"{source}.antiK_combo_tracked", len(tracked))
+    combo = _vec_at(data["antiK_combo_tracked"],
+                    f"{source}.antiK_combo_tracked", len(tracked))
     contracted = sum(c.contracted_by_flop for c in curves)
     if contracted < len(exceptional):
         raise RecordError(f"{source}.test_curves",
@@ -112,7 +112,7 @@ def parse_flop_config(raw) -> FlopConfig:
     return flop_config_from_json(_json_at(raw, "flop"))
 
 
-def solve_pullback_coeffs(cfg: FlopConfig) -> QMat:
+def solve_pullback_coeffs(cfg: FlopConfig) -> Mat:
     """Correction coefficients, one column per exceptional divisor.
 
     For each tracked divisor X_t the contracted curves impose
@@ -120,14 +120,14 @@ def solve_pullback_coeffs(cfg: FlopConfig) -> QMat:
     determine every alpha exactly.
     """
     contracted = [c for c in cfg.test_curves if c.contracted_by_flop]
-    a = QMat([c.exc_row.entries for c in contracted])
+    a = [c.exc_row for c in contracted]
     coeff_rows = []
     for t in range(len(cfg.tracked_divisors)):
-        b = QVec([-c.pullback_row[t] for c in contracted])
+        b = [-c.pullback_row[t] for c in contracted]
         solved = solve_linear(a, b)
         if solved is None:
-            witnesses = [contracted[i].label for i in inconsistent_rows(
-                a.entries, b.entries)]
+            witnesses = [contracted[i].label
+                         for i in inconsistent_rows(a, b)]
             raise FlopError(
                 f"inconsistent vanishing conditions for "
                 f"{cfg.tracked_divisors[t]!r}: curves {witnesses}")
@@ -136,11 +136,11 @@ def solve_pullback_coeffs(cfg: FlopConfig) -> QMat:
             raise FlopError(
                 f"underdetermined correction for {cfg.tracked_divisors[t]!r}: "
                 f"kernel dimension {len(ker)}")
-        coeff_rows.append(alpha.entries)
-    return QMat(coeff_rows)
+        coeff_rows.append(alpha)
+    return tuple(coeff_rows)
 
 
-def flopped_rows(cfg: FlopConfig, coeffs: QMat) -> FlopResult:
+def flopped_rows(cfg: FlopConfig, coeffs: Mat) -> FlopResult:
     """Evaluate every result curve against the corrected pullbacks.
 
     (l, X_t^+) = (l, psi*X_t) + sum_s alpha_{t,s} (l, D^s); the -K entry is
@@ -148,21 +148,23 @@ def flopped_rows(cfg: FlopConfig, coeffs: QMat) -> FlopResult:
     pair to exactly zero with every corrected pullback; that is asserted,
     not assumed.
     """
+    def corrected(c: TestCurve) -> Vec:
+        return tuple(rat(p + dot(alpha, c.exc_row))
+                     for p, alpha in zip(c.pullback_row, coeffs, strict=True))
+
     for c in cfg.test_curves:
         if not c.contracted_by_flop:
             continue
-        for t in range(len(cfg.tracked_divisors)):
-            value = c.pullback_row[t] + coeffs.row(t).dot(c.exc_row)
+        for t, value in enumerate(corrected(c)):
             if value != 0:
                 raise FlopError(
                     f"contracted curve {c.label} pairs {rat_str(value)} != 0 "
                     f"with corrected {cfg.tracked_divisors[t]!r}")
     rows = []
     for label in cfg.result_curves:
-        c = cfg.curve(label)
-        row = QVec([c.pullback_row[t] + coeffs.row(t).dot(c.exc_row)
-                    for t in range(len(cfg.tracked_divisors))])
-        rows.append(FlopRowResult(label, row, cfg.antiK_combo_tracked.dot(row)))
+        row = corrected(cfg.curve(label))
+        rows.append(FlopRowResult(label, row,
+                                  dot(cfg.antiK_combo_tracked, row)))
     return FlopResult(coeffs, tuple(rows))
 
 
@@ -201,8 +203,8 @@ def verify_against_table(record: FanoRecord, cfg: FlopConfig,
         if row.vec != computed.row or row.antiK != computed.antiK:
             findings.append(Finding(
                 "flop-table", key,
-                f"table says ({', '.join(row.vec.to_strings())} | "
+                f"table says ({', '.join(map(rat_str, row.vec))} | "
                 f"{rat_str(row.antiK)}), recomputation gives "
-                f"({', '.join(computed.row.to_strings())} | "
+                f"({', '.join(map(rat_str, computed.row))} | "
                 f"{rat_str(computed.antiK)})"))
     return findings

@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cone import Cone, ConeError, canonicalize_ray
-from .rational import (ExactArithError, QMat, QVec, inconsistent_rows, rat,
-                       rat_str, rank, solve_linear)
+from .rational import (ExactArithError, Mat, Rat, Vec, apply, dot,
+                       inconsistent_rows, rat, rat_str, rank, solve_linear,
+                       transpose)
 
 RAY_TYPES = ("E1", "E2", "E3", "E4", "E5", "C", "D", "F_fiber", "Flopping")
 DIVISORIAL_TYPES = ("E1", "E2", "E3", "E4", "E5")
@@ -70,30 +70,30 @@ class RecordId:
 @dataclass(frozen=True)
 class ContractionDescriptor:
     target: Optional[RecordId]
-    pullback: QMat                       # rho rows, rho-1 columns
-    target_edges: Optional[tuple[QVec, ...]] = None
+    pullback: Mat                        # rho rows, rho-1 columns
+    target_edges: Optional[tuple[Vec, ...]] = None
 
 
 @dataclass(frozen=True)
 class RayRecord:
     label: str
-    vec: QVec
-    antiK: Fraction
+    vec: Vec
+    antiK: Rat
     ray_type: str
     contraction: Optional[ContractionDescriptor] = None
 
     @cached_property
-    def chart(self) -> tuple[QMat, QVec, int]:
+    def chart(self) -> tuple[Mat, Vec, int]:
         """(pushforward = pullback^T, its image of vec, its rank), once."""
-        phi = self.contraction.pullback.transpose()
-        return phi, phi.apply(self.vec), rank(phi.entries)
+        phi = transpose(self.contraction.pullback)
+        return phi, apply(phi, self.vec), rank(phi)
 
 
 @dataclass(frozen=True)
 class FlopRow:
     label: str
-    vec: QVec
-    antiK: Fraction
+    vec: Vec
+    antiK: Rat
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class FanoRecord:
     record_id: RecordId
     rho: int
     basis_labels: tuple[str, ...]
-    antiK_combo: QVec
+    antiK_combo: Vec
     rays: tuple[RayRecord, ...]
     flop_tables: dict[str, tuple[FlopRow, ...]]
     weyl_group: str
@@ -175,7 +175,7 @@ def _list_at(value, path: str) -> list:
     return value
 
 
-def _rat_at(value, path: str) -> Fraction:
+def _rat_at(value, path: str) -> Rat:
     if isinstance(value, float):
         raise RecordError(path, f"float rejected: {value!r}")
     try:
@@ -184,12 +184,12 @@ def _rat_at(value, path: str) -> Fraction:
         raise RecordError(path, str(exc)) from None
 
 
-def _qvec_at(value, path: str, dim: Optional[int] = None) -> QVec:
+def _vec_at(value, path: str, dim: Optional[int] = None) -> Vec:
     if not isinstance(value, list) or not value:
         raise RecordError(path, "expected a non-empty array of rationals")
-    v = QVec([_rat_at(x, f"{path}[{i}]") for i, x in enumerate(value)])
-    if dim is not None and v.dim != dim:
-        raise RecordError(path, f"expected length {dim}, got {v.dim}")
+    v = tuple(_rat_at(x, f"{path}[{i}]") for i, x in enumerate(value))
+    if dim is not None and len(v) != dim:
+        raise RecordError(path, f"expected length {dim}, got {len(v)}")
     return v
 
 
@@ -213,16 +213,14 @@ def _contraction_at(value, path: str, rho: int) -> ContractionDescriptor:
     pb = value["pullback"]
     if not isinstance(pb, list) or len(pb) != rho:
         raise RecordError(f"{path}.pullback", f"expected {rho} rows")
-    rows = []
-    for i, row in enumerate(pb):
-        rows.append(_qvec_at(row, f"{path}.pullback[{i}]", rho - 1).entries)
-    pullback = QMat(rows)
+    pullback = tuple(_vec_at(row, f"{path}.pullback[{i}]", rho - 1)
+                     for i, row in enumerate(pb))
     edges = None
     if "target_edges" in value and value["target_edges"] is not None:
         raw = value["target_edges"]
         if not isinstance(raw, list) or not raw:
             raise RecordError(f"{path}.target_edges", "expected non-empty array")
-        edges = tuple(_qvec_at(e, f"{path}.target_edges[{i}]", rho - 1)
+        edges = tuple(_vec_at(e, f"{path}.target_edges[{i}]", rho - 1)
                       for i, e in enumerate(raw))
     return ContractionDescriptor(target, pullback, edges)
 
@@ -261,7 +259,7 @@ def record_from_json(data: dict, source: str = "record") -> FanoRecord:
             or not all(isinstance(b, str) for b in basis)):
         raise RecordError(f"{source}.basis", "expected array of strings")
     rho = len(basis)
-    combo = _qvec_at(data["antiK_combo"], f"{source}.antiK_combo", rho)
+    combo = _vec_at(data["antiK_combo"], f"{source}.antiK_combo", rho)
 
     rays = []
     labels_seen = set()
@@ -287,7 +285,7 @@ def record_from_json(data: dict, source: str = "record") -> FanoRecord:
         if raw["type"] in DIVISORIAL_TYPES and contraction is None:
             raise RecordError(path,
                               f"divisorial ray {label!r} needs a contraction")
-        rays.append(RayRecord(label, _qvec_at(raw["vec"], f"{path}.vec", rho),
+        rays.append(RayRecord(label, _vec_at(raw["vec"], f"{path}.vec", rho),
                               _rat_at(raw["antiK"], f"{path}.antiK"),
                               raw["type"], contraction))
 
@@ -309,7 +307,7 @@ def record_from_json(data: dict, source: str = "record") -> FanoRecord:
                 raise RecordError(rpath, f"duplicate row label {raw['label']!r}")
             row_labels.add(raw["label"])
             rows.append(FlopRow(raw["label"],
-                                _qvec_at(raw["vec"], f"{rpath}.vec", rho),
+                                _vec_at(raw["vec"], f"{rpath}.vec", rho),
                                 _rat_at(raw["antiK"], f"{rpath}.antiK")))
         tables[key] = tuple(rows)
 
@@ -367,8 +365,8 @@ def validate_record(record: FanoRecord) -> list[Finding]:
     findings: list[Finding] = []
     combo = record.antiK_combo
 
-    def check_row(key: str, vec: QVec, antiK: Fraction):
-        expected = combo.dot(vec)
+    def check_row(key: str, vec: Vec, antiK: Rat):
+        expected = dot(combo, vec)
         if expected != antiK:
             findings.append(Finding(
                 "antiK", key,
@@ -391,11 +389,11 @@ def validate_record(record: FanoRecord) -> list[Finding]:
             continue
         key = f"rays.{ray.label}.contraction"
         _, image, pullback_rank = ray.chart
-        if not image.is_zero():
+        if any(image):
             findings.append(Finding(
                 "pullback", key,
                 f"projection formula violated: pullback^T . vec(l) = "
-                f"({', '.join(image.to_strings())}) != 0"))
+                f"({', '.join(map(rat_str, image))}) != 0"))
         if pullback_rank != record.rho - 1:
             findings.append(Finding(
                 "pullback", key,
@@ -403,7 +401,7 @@ def validate_record(record: FanoRecord) -> list[Finding]:
         if desc.target_edges is not None:
             edges = []
             for i, e in enumerate(desc.target_edges):
-                if e.is_zero():
+                if not any(e):
                     findings.append(Finding(
                         "target-edges", f"{key}.target_edges[{i}]",
                         "zero edge vector"))
@@ -435,9 +433,9 @@ def validate_record(record: FanoRecord) -> list[Finding]:
     if derived.status == "ok" and derived.combo != combo:
         findings.append(Finding(
             "antiK-combo", "antiK_combo",
-            f"stored combination ({', '.join(combo.to_strings())}) "
+            f"stored combination ({', '.join(map(rat_str, combo))}) "
             f"disagrees with the one derived from the ray rows "
-            f"({', '.join(derived.combo.to_strings())})"))
+            f"({', '.join(map(rat_str, derived.combo))})"))
     elif derived.status == "inconsistent":
         labels = [record.rays[i].label for i in derived.witnesses]
         findings.append(Finding(
@@ -454,12 +452,12 @@ def validate_record(record: FanoRecord) -> list[Finding]:
 @dataclass(frozen=True)
 class AntiKDerivation:
     status: str                      # "ok" | "underdetermined" | "inconsistent"
-    combo: Optional[QVec] = None
+    combo: Optional[Vec] = None
     kernel_dim: int = 0
     witnesses: tuple[int, ...] = ()
 
 
-def derive_antiK_combo(rows: Sequence[tuple[QVec, Fraction]],
+def derive_antiK_combo(rows: Sequence[tuple[Vec, Rat]],
                        rho: int) -> AntiKDerivation:
     """Solve for the coefficients lam with lam . vec = antiK on every row.
 
@@ -469,12 +467,12 @@ def derive_antiK_combo(rows: Sequence[tuple[QVec, Fraction]],
     """
     if len(rows) < rho:
         raise ExactArithError(f"need at least {rho} rows, got {len(rows)}")
-    a = QMat([r[0].entries for r in rows])
-    b = QVec([r[1] for r in rows])
+    a = [r[0] for r in rows]
+    b = [r[1] for r in rows]
     solved = solve_linear(a, b)
     if solved is None:
-        return AntiKDerivation("inconsistent", witnesses=inconsistent_rows(
-            a.entries, b.entries))
+        return AntiKDerivation("inconsistent",
+                               witnesses=inconsistent_rows(a, b))
     combo, ker = solved
     if ker:
         return AntiKDerivation("underdetermined", kernel_dim=len(ker))
@@ -490,29 +488,30 @@ def serialize_record(record: FanoRecord) -> dict:
     out: dict = {
         "id": record.record_id.to_json(),
         "basis": list(record.basis_labels),
-        "antiK_combo": record.antiK_combo.to_strings(),
+        "antiK_combo": [rat_str(e) for e in record.antiK_combo],
         "rays": [],
         "flop_tables": {},
         "weyl_group": record.weyl_group,
         "flop_types": list(record.flop_types),
     }
     for ray in record.rays:
-        entry: dict = {"label": ray.label, "vec": ray.vec.to_strings(),
+        entry: dict = {"label": ray.label,
+                       "vec": [rat_str(e) for e in ray.vec],
                        "antiK": rat_str(ray.antiK), "type": ray.ray_type}
         if ray.contraction is not None:
             desc = ray.contraction
             entry["contraction"] = {
                 "target": desc.target.to_json() if desc.target else None,
                 "pullback": [[rat_str(e) for e in row]
-                             for row in desc.pullback.entries],
+                             for row in desc.pullback],
             }
             if desc.target_edges is not None:
                 entry["contraction"]["target_edges"] = [
-                    e.to_strings() for e in desc.target_edges]
+                    [rat_str(x) for x in e] for e in desc.target_edges]
         out["rays"].append(entry)
     for key in sorted(record.flop_tables):
         out["flop_tables"][key] = [
-            {"label": row.label, "vec": row.vec.to_strings(),
+            {"label": row.label, "vec": [rat_str(e) for e in row.vec],
              "antiK": rat_str(row.antiK)}
             for row in record.flop_tables[key]]
     if record.chambers is not None:
@@ -537,9 +536,9 @@ def diff_records(record: FanoRecord, reference: FanoRecord) -> list[Finding]:
         if vec_a != vec_b or antik_a != antik_b:
             findings.append(Finding(
                 "correction", key,
-                f"({', '.join(vec_a.to_strings())} | {rat_str(antik_a)}) "
+                f"({', '.join(map(rat_str, vec_a))} | {rat_str(antik_a)}) "
                 f"should read "
-                f"({', '.join(vec_b.to_strings())} | {rat_str(antik_b)})"))
+                f"({', '.join(map(rat_str, vec_b))} | {rat_str(antik_b)})"))
 
     ref_rays = {r.label: r for r in reference.rays}
     for ray in record.rays:

@@ -1,11 +1,14 @@
-"""Exact rational scalars, vectors and matrices, and the exact int kernel.
+"""Exact rational values, vectors and matrices, and the exact int kernel.
 
-Scalars are ``fractions.Fraction`` (gcd-reduced, denominator > 0), and
-serialization is the bit-exact ``str``/``Fraction`` round trip ("3",
-"-3/2").  No floats are accepted anywhere.  Elimination (``rank``,
-``solve_linear``) and the cone engine's phase-1 simplex share one
-fraction-free (Bareiss) pivot on int rows, whose division by the previous
-pivot is exact; a ``Fraction`` is built only to read out an answer.
+A value is an ``int`` when it is integral and a ``fractions.Fraction``
+(gcd-reduced, denominator > 1) otherwise; ``rat`` is the one way in, and
+serialization is the bit-exact ``str`` round trip ("3", "-3/2").  No
+floats are accepted anywhere.  A vector is a plain tuple of values and a
+matrix a tuple of row tuples; ``dot``, ``apply`` and ``transpose`` are the
+only operations on them.  Elimination (``rank``, ``solve_linear``) and the
+cone engine's phase-1 simplex share one fraction-free (Bareiss) pivot on
+int rows, whose division by the previous pivot is exact; a ``Fraction`` is
+built only to read out a value that is not integral.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence, Union
 
-Rat = Fraction
+Rat = Union[int, Fraction]
+Vec = tuple[Rat, ...]
+Mat = tuple[Vec, ...]           # by rows
 RatLike = Union[Fraction, int, str]
 
 
@@ -23,18 +28,19 @@ class ExactArithError(ValueError):
     pass
 
 
-def rat(x: RatLike) -> Fraction:
-    """Coerce an int, Fraction or serialized string to an exact rational.
+def rat(x: RatLike) -> Rat:
+    """Coerce an int, Fraction or serialized string to an exact value: an
+    int when it is integral, a Fraction otherwise.
 
     Floats are rejected: every number in the corpus is exact and a float
     sneaking in would silently poison downstream equality checks.
     """
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, bool):
         raise ExactArithError(f"not a rational: {x!r}")
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
         s = x.strip()
         try:
@@ -43,120 +49,34 @@ def rat(x: RatLike) -> Fraction:
             raise ExactArithError(f"bad rational literal {x!r}") from exc
         if "." in s or "e" in s or "E" in s:
             raise ExactArithError(f"decimal notation rejected: {x!r}")
-        return value
+        return value.numerator if value.denominator == 1 else value
     raise ExactArithError(f"not a rational: {x!r}")
 
 
-def rat_str(x: Fraction) -> str:
+def rat_str(x: Rat) -> str:
     """Canonical serialization: "p/q" in lowest terms, or "n" for integers."""
     return str(x)
 
 
-class QVec:
-    """Immutable exact rational vector."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[RatLike]):
-        self.entries = tuple(rat(e) for e in entries)
-        if not self.entries:
-            raise ExactArithError("empty vector")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QVec) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return "QVec(%s)" % (", ".join(rat_str(e) for e in self.entries))
-
-    def _check_dim(self, other: "QVec") -> None:
-        if self.dim != other.dim:
-            raise ExactArithError(
-                f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "QVec") -> "QVec":
-        self._check_dim(other)
-        return QVec(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other: "QVec") -> "QVec":
-        self._check_dim(other)
-        return QVec(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self) -> "QVec":
-        return QVec(-a for a in self.entries)
-
-    def scale(self, c: RatLike) -> "QVec":
-        c = rat(c)
-        return QVec(c * a for a in self.entries)
-
-    def dot(self, other: "QVec") -> Fraction:
-        self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)),
-                   Fraction(0))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
-    def to_strings(self) -> list[str]:
-        return [rat_str(e) for e in self.entries]
+def _quotient(n: int, d: int) -> Rat:
+    """The exact value n/d of two ints: an int when d divides n."""
+    q, r = divmod(n, d)
+    return q if r == 0 else Fraction(n, d)
 
 
-class QMat:
-    """Immutable exact rational matrix, row-major."""
+def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
+    """Exact a . b; vectors of different lengths raise ValueError."""
+    s = sum(x * y for x, y in zip(a, b, strict=True))
+    return s if type(s) is int else rat(s)
 
-    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows_of_entries: Sequence[Sequence[RatLike]]):
-        data = [tuple(rat(e) for e in row) for row in rows_of_entries]
-        if not data:
-            raise ExactArithError("empty matrix")
-        self.rows = len(data)
-        self.cols = len(data[0])
-        if self.cols == 0 or any(len(r) != self.cols for r in data):
-            raise ExactArithError("ragged matrix")
-        self.entries = tuple(data)
+def apply(m: Sequence[Sequence[Rat]], v: Sequence[Rat]) -> Vec:
+    """The matrix m applied to the vector v: one dot per row."""
+    return tuple(dot(row, v) for row in m)
 
-    @classmethod
-    def identity(cls, n: int) -> "QMat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QMat) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"QMat({self.rows}x{self.cols})"
-
-    def row(self, i: int) -> QVec:
-        return QVec(self.entries[i])
-
-    def transpose(self) -> "QMat":
-        return QMat([[self.entries[i][j] for i in range(self.rows)]
-                     for j in range(self.cols)])
-
-    def apply(self, v: QVec) -> QVec:
-        if v.dim != self.cols:
-            raise ExactArithError(
-                f"dimension mismatch: matrix cols {self.cols}, vector {v.dim}")
-        return QVec(sum((self.entries[i][j] * v[j] for j in range(self.cols)),
-                        Fraction(0)) for i in range(self.rows))
+def transpose(m: Sequence[Sequence[Rat]]) -> Mat:
+    return tuple(zip(*m))
 
 
 def _cleared(row) -> list[int]:
@@ -204,35 +124,38 @@ def rank(rows: Iterable[Sequence]) -> int:
     return len(_eliminate(rows, len(rows[0]) if rows else 0))
 
 
-def solve_linear(a: QMat, b: QVec):
-    """Solve A·x = b exactly.
+def solve_linear(a: Sequence[Sequence[Rat]], b: Sequence[Rat]):
+    """Solve A·x = b exactly, A given by its rows.
 
     Returns (solution, kernel_basis) with A·solution = b and the kernel
     vectors spanning the null space, or None when b is outside the column
     space.  Free variables are set to zero, so the result is deterministic.
     """
-    if a.rows != b.dim:
+    if len(a) != len(b):
         raise ExactArithError(
-            f"dimension mismatch: matrix rows {a.rows}, vector {b.dim}")
-    aug = [_cleared(r + (b[i],)) for i, r in enumerate(a.entries)]
-    pivots = _eliminate(aug, a.cols)
-    if any(row[a.cols] != 0 and not any(row[: a.cols]) for row in aug):
+            f"dimension mismatch: matrix rows {len(a)}, vector {len(b)}")
+    cols = len(a[0]) if a else 0
+    if any(len(row) != cols for row in a):
+        raise ExactArithError("ragged matrix")
+    aug = [_cleared([*row, e]) for row, e in zip(a, b)]
+    pivots = _eliminate(aug, cols)
+    if any(row[cols] != 0 and not any(row[:cols]) for row in aug):
         return None
-    solution = [0] * a.cols
+    solution = [0] * cols
     for row, col in pivots:
-        solution[col] = Fraction(aug[row][a.cols], aug[row][col])
+        solution[col] = _quotient(aug[row][cols], aug[row][col])
     basis = []
-    for fc in sorted(set(range(a.cols)) - {col for _, col in pivots}):
-        v = [0] * a.cols
+    for fc in sorted(set(range(cols)) - {col for _, col in pivots}):
+        v = [0] * cols
         v[fc] = 1
         for row, col in pivots:
-            v[col] = Fraction(-aug[row][fc], aug[row][col])
-        basis.append(QVec(v))
-    return QVec(solution), basis
+            v[col] = _quotient(-aug[row][fc], aug[row][col])
+        basis.append(tuple(v))
+    return tuple(solution), basis
 
 
-def inconsistent_rows(rows: Sequence[Sequence[RatLike]],
-                      rhs: Sequence[RatLike]) -> tuple[int, ...]:
+def inconsistent_rows(rows: Sequence[Sequence[Rat]],
+                      rhs: Sequence[Rat]) -> tuple[int, ...]:
     """Indices of an infeasible subsystem of  rows . x = rhs.
 
     Single rows first (a zero row with a nonzero right-hand side), then
@@ -240,8 +163,8 @@ def inconsistent_rows(rows: Sequence[Sequence[RatLike]],
     otherwise greedy deletion down to an irreducible infeasible core.
     """
     def feasible(idx):
-        return solve_linear(QMat([rows[i] for i in idx]),
-                            QVec([rhs[i] for i in idx])) is not None
+        return solve_linear([rows[i] for i in idx],
+                            [rhs[i] for i in idx]) is not None
 
     for size in (1, 2):
         for idx in combinations(range(len(rows)), size):
@@ -255,6 +178,6 @@ def inconsistent_rows(rows: Sequence[Sequence[RatLike]],
     return tuple(core)
 
 
-def kernel(a: QMat) -> list[QVec]:
+def kernel(a: Sequence[Sequence[Rat]]) -> list[Vec]:
     """Basis of the exact null space of A (empty list when injective)."""
-    return solve_linear(a, QVec([0] * a.rows))[1]
+    return solve_linear(a, [0] * len(a))[1]

@@ -14,7 +14,7 @@ from fanoray.cone import canonicalize_ray
 from fanoray.exhaustion import build_targets, check_exhaustion, pushforward_map
 from fanoray.flop import compute_flop
 from fanoray.model import derive_antiK_combo, diff_records
-from fanoray.rational import QVec
+from fanoray.rational import apply, dot
 
 from oracles import extreme_rays_bruteforce, in_cone_bruteforce, random_pointed_cones
 
@@ -38,7 +38,7 @@ def test_criterion_1_missing_ray_reproduction(capsys, record_paths, records):
     expected = []
     for i in (4, 5, 6, 7):
         phi = pushforward_map(rec, f"l{i}")
-        expected.append((i, canonicalize_ray(phi.apply(rec.ray("l8").vec))))
+        expected.append((i, canonicalize_ray(apply(phi, rec.ray("l8").vec))))
     got = [(m["ray_index"], tuple(m["edge"])) for m in payload["misses"]]
     fail_ok = (code == 1 and payload["verdict"] == "fail" and got == expected
                and not payload["reciprocal_failures"])
@@ -55,7 +55,7 @@ def test_criterion_1_missing_ray_reproduction(capsys, record_paths, records):
 def test_criterion_2_flop_coefficients(flop_configs):
     def grid(name):
         coeffs = compute_flop(flop_configs[name]).coeffs
-        return tuple(tuple(e for e in row) for row in coeffs.entries)
+        return tuple(tuple(e for e in row) for row in coeffs)
 
     half = Fraction(1, 2)
     ok = (grid("e1_b2_2_n1") == ((-1,), (0,))
@@ -68,7 +68,7 @@ def test_criterion_2_flop_coefficients(flop_configs):
 
 def test_criterion_3_flopped_rows(flop_configs):
     def rows(name):
-        return {r.label: tuple(r.row.entries) + (r.antiK,)
+        return {r.label: tuple(r.row) + (r.antiK,)
                 for r in compute_flop(flop_configs[name]).rows}
 
     half = Fraction(1, 2)
@@ -85,11 +85,11 @@ def test_criterion_3_flopped_rows(flop_configs):
 def test_criterion_4_antik_audit(records, mistakes):
     rec = records["b2_5_n1"]
     derived = derive_antiK_combo([(r.vec, r.antiK) for r in rec.rays], 5)
-    lam_ok = derived.status == "ok" and derived.combo == QVec(
-        [-2, -2, -2, -1, 3])
+    lam_ok = derived.status == "ok" and derived.combo == (
+        -2, -2, -2, -1, 3)
     table_rows = [row for rows in rec.flop_tables.values() for row in rows]
     rows_ok = len(table_rows) == 64 and all(
-        derived.combo.dot(row.vec) == row.antiK for row in table_rows)
+        dot(derived.combo, row.vec) == row.antiK for row in table_rows)
 
     n1_mistake, n1_findings = mistakes["b2_5_n1_mistake"]
     antik_keys = [f.key for f in n1_findings if f.check == "antiK"]

@@ -8,6 +8,7 @@ import pytest
 from fanoray.cli import main
 from fanoray.flop import parse_flop_config
 from fanoray.model import RecordError, parse_record
+from fanoray.rational import rat_str
 
 
 def run_cli(capsys, *argv):
@@ -132,7 +133,7 @@ def test_check_exhaustion_with_proposal(capsys, record_paths, tmp_path,
                                         records):
     proposal = tmp_path / "l8.json"
     proposal.write_text(json.dumps(
-        {"vec": records["b2_5_n1"].ray("l8").vec.to_strings()}))
+        {"vec": [rat_str(e) for e in records["b2_5_n1"].ray("l8").vec]}))
     code, out, _ = run_cli(capsys, "check-exhaustion",
                            str(record_paths["b2_5_n1"]),
                            "--drop-ray", "l8", "--propose", str(proposal))
@@ -268,7 +269,8 @@ def test_malformed_container_is_a_record_error(name, capsys, data_root,
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("text", ["nope", "[]", '["x"]', "[1.5]"])
+@pytest.mark.parametrize("text", ["nope", "[]", '["x"]', "[1.5]",
+                                  "[1, 2, 3]"])
 def test_malformed_proposal_names_its_file(text, capsys, record_paths,
                                            tmp_path):
     good = tmp_path / "good.json"

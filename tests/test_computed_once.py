@@ -112,3 +112,16 @@ def test_extreme_rays_compute_no_rank(monkeypatch, dim, generators):
     calls = count_calls(monkeypatch, "rational", "rank")
     assert cone.extreme_rays() == tuple(sorted(generators))
     assert calls == []
+
+
+@pytest.mark.parametrize("dim, generators", [
+    (7, minus_one_curves(6)), (5, B2_5_N1_RAYS)], ids=["gosset6", "b2_5_n1"])
+def test_codim2_faces_rank_each_face_once(monkeypatch, dim, generators):
+    # facet pairs are decided by the incidence; one rank checks each face
+    cone = Cone(dim, generators).dual()
+    normals = cone.facets()
+    cone.extreme_rays()
+    calls = count_calls(monkeypatch, "rational", "rank")
+    faces = cone.codim2_faces()
+    assert len(faces) < len(normals) * (len(normals) - 1) // 2
+    assert [args[0] for args in calls] == [tight for _, tight in faces]

@@ -5,7 +5,7 @@ import pytest
 
 from fanoray import cone as cone_module
 from fanoray.cone import Cone, ConeError, canonicalize_ray
-from fanoray.rational import QMat, rat
+from fanoray.rational import rat
 
 B2_5_N1_RAYS = [
     (-1, 0, 0, 1, 0), (0, -1, 0, 1, 0), (0, 0, -1, 1, 0),
@@ -118,21 +118,21 @@ def test_dual_of_lower_dimensional_cone_contains_lines():
 
 def test_image_cone_projection():
     quadrant = Cone(2, [(1, 0), (0, 1)])
-    proj = QMat([[1, 0]])
+    proj = ((1, 0),)
     img = quadrant.image(proj)
     assert img.generators == ((1,),)
 
 
 def test_image_cone_zero_map():
     quadrant = Cone(2, [(1, 0), (0, 1)])
-    img = quadrant.image(QMat([[0, 0], [0, 0]]))
+    img = quadrant.image(((0, 0), (0, 0)))
     assert img.generators == ()
 
 
 def test_image_cone_scaling_invariance():
     gens = [(2, 0, 1), (0, 3, 1), (1, 1, 1)]
     scaled = [tuple(5 * x for x in gens[0])] + gens[1:]
-    m = QMat([[1, 0, 0], [0, 1, 0]])
+    m = ((1, 0, 0), (0, 1, 0))
     assert (Cone(3, gens).image(m).extreme_rays()
             == Cone(3, scaled).image(m).extreme_rays())
 
@@ -190,6 +190,17 @@ def test_extreme_rays_and_codim2_faces_read_the_incidence(monkeypatch):
     assert len(cone.extreme_rays()) == len(B2_5_N1_RAYS)
     assert cone.codim2_faces()
     assert calls["dot"] == 0
+
+
+def test_codim2_faces_raise_on_a_corrupt_incidence():
+    cone = Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert len(cone.extreme_rays()) == 3
+    rays, lineality, _ = cone._double_description()
+    # facets 0 and 1 claim the same two generators: adjacent by the
+    # incidence, but they would meet in a face of rank 2, not 1
+    cone._dd = (rays, lineality, (0b011, 0b011, 0b100))
+    with pytest.raises(ConeError, match="rank 2"):
+        cone.codim2_faces()
 
 
 def test_codim2_faces_of_a_4d_cone():

@@ -4,13 +4,14 @@ from fanoray.cone import canonicalize_ray
 from fanoray.exhaustion import (ExhaustionError, build_targets,
                                 check_exhaustion, derive_target_edges,
                                 extend_candidates, pushforward_map)
-from fanoray.rational import QVec
+from fanoray.model import record_from_json, serialize_record
+from fanoray.rational import apply
 
 ALL8 = [f"l{i}" for i in range(1, 9)]
 
 
 def phi(record, label, vec):
-    return pushforward_map(record, label).apply(vec)
+    return apply(pushforward_map(record, label), vec)
 
 
 def test_pushforward_annihilates_own_ray_on_every_fixture(records):
@@ -18,7 +19,7 @@ def test_pushforward_annihilates_own_ray_on_every_fixture(records):
         for ray in rec.rays:
             if ray.contraction is None:
                 continue
-            assert phi(rec, ray.label, ray.vec).is_zero()
+            assert not any(phi(rec, ray.label, ray.vec))
 
 
 def test_pushforward_of_l8_hits_the_other_ruling(records):
@@ -33,8 +34,8 @@ def test_pushforward_of_l8_hits_the_other_ruling(records):
 def test_pushforward_on_rho2_record(records):
     rec = records["b2_2_n1"]
     m = pushforward_map(rec, "l1")
-    assert (m.rows, m.cols) == (1, 2)
-    assert m.apply(rec.ray("l1").vec).is_zero()
+    assert (len(m), len(m[0])) == (1, 2)
+    assert not any(apply(m, rec.ray("l1").vec))
 
 
 def test_derived_edges_b2_5_n1_counts(records):
@@ -107,7 +108,7 @@ def test_rho2_records_pass_with_both_rays(records):
 def test_matching_invariant_under_candidate_rescaling(records):
     rec = records["b2_5_n1"]
     targets = build_targets(rec, prefer_record_tables=False)
-    tripled = rec.ray("l8").vec.scale(3)
+    tripled = tuple(3 * x for x in rec.ray("l8").vec)
     report = check_exhaustion(rec, ALL8[:7] + ["l8x"], targets,
                               extra_rays={"l8x": tripled})
     assert report.passed
@@ -173,9 +174,39 @@ def test_extension_insufficient_proposals(records):
     assert any(m.edge == l7_edge for m in final.misses)
 
 
+@pytest.mark.parametrize("proposal", [(1, 1, 1), (1, 1, 1, -1, 2, 7)])
+def test_extension_rejects_a_proposal_of_the_wrong_length(records, proposal):
+    rec = records["b2_5_n1"]
+    with pytest.raises(ValueError):
+        extend_candidates(rec, ALL8[:7], build_targets(rec), [proposal])
+
+
 def test_extension_useless_proposal_skipped(records):
     rec = records["b2_5_n1"]
     targets = build_targets(rec, prefer_record_tables=False)
-    result = extend_candidates(rec, ALL8[:7], targets, [QVec([9, 7, 5, 3, 1])])
+    result = extend_candidates(rec, ALL8[:7], targets, [(9, 7, 5, 3, 1)])
     assert not result.passed
     assert any("matches no missing edge" in e for e in result.events)
+
+
+def test_added_proposal_label_avoids_record_labels(records):
+    # a record whose own ray is labelled p1 must not be shadowed by the
+    # first added proposal
+    data = serialize_record(records["b2_5_n1"])
+    for ray in data["rays"]:
+        if ray["label"] == "l3":
+            ray["label"] = "p1"
+    data["flop_tables"]["p1"] = data["flop_tables"].pop("l3")
+    rec = record_from_json(data)
+    l8, l4 = rec.ray("l8").vec, rec.ray("l4").vec
+    candidates = [lab for lab in rec.ray_labels() if lab != "l8"]
+    result = extend_candidates(rec, candidates, build_targets(rec),
+                               [tuple(a + b for a, b in zip(l8, l4))])
+    assert result.final_candidates == tuple(candidates) + ("p2",)
+    assert any(e.startswith("added proposal p2 ") for e in result.events)
+    plain = records["b2_5_n1"]
+    expected = extend_candidates(
+        plain, [lab for lab in plain.ray_labels() if lab != "l8"],
+        build_targets(plain), [tuple(a + b for a, b in zip(l8, l4))])
+    assert ([len(r.misses) for r in result.reports]
+            == [len(r.misses) for r in expected.reports] == [4, 3])

@@ -5,10 +5,11 @@ import pytest
 from fanoray.flop import (FlopError, compute_flop, flop_config_from_json,
                           parse_flop_config, solve_pullback_coeffs,
                           verify_against_table)
+from fanoray.rational import dot, rat_str
 
 
 def coeff_grid(result):
-    return [[str(e) for e in row] for row in result.coeffs.entries]
+    return [[str(e) for e in row] for row in result.coeffs]
 
 
 def rows_of(result):
@@ -56,13 +57,13 @@ def test_contracted_curves_vanish_in_all_configs(flop_configs):
             if not c.contracted_by_flop:
                 continue
             for t in range(len(cfg.tracked_divisors)):
-                assert c.pullback_row[t] + coeffs.row(t).dot(c.exc_row) == 0
+                assert c.pullback_row[t] + dot(coeffs[t], c.exc_row) == 0
 
 
 def test_antiK_is_linear_in_tracked_divisors(flop_configs):
     for cfg in flop_configs.values():
         for row in compute_flop(cfg).rows:
-            assert cfg.antiK_combo_tracked.dot(row.row) == row.antiK
+            assert dot(cfg.antiK_combo_tracked, row.row) == row.antiK
 
 
 def test_solving_invariant_under_contracted_curve_rescaling(flop_configs):
@@ -83,12 +84,14 @@ def _as_json(cfg):
         "tracked_divisors": list(cfg.tracked_divisors),
         "exceptional_divisors": list(cfg.exceptional_divisors),
         "test_curves": [
-            {"label": c.label, "pullback_row": c.pullback_row.to_strings(),
-             "exc_row": c.exc_row.to_strings(),
+            {"label": c.label,
+             "pullback_row": [rat_str(e) for e in c.pullback_row],
+             "exc_row": [rat_str(e) for e in c.exc_row],
              "contracted_by_flop": c.contracted_by_flop}
             for c in cfg.test_curves],
         "result_curves": list(cfg.result_curves),
-        "antiK_combo_tracked": cfg.antiK_combo_tracked.to_strings(),
+        "antiK_combo_tracked": [rat_str(e) for e in
+                                cfg.antiK_combo_tracked],
     }
 
 

@@ -1,11 +1,15 @@
+import ast
+import importlib.util
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanoray.rational import (ExactArithError, QMat, QVec, inconsistent_rows,
-                              kernel, rank, rat, rat_str, solve_linear)
+from fanoray.rational import (ExactArithError, apply, dot, inconsistent_rows,
+                              kernel, rank, rat, rat_str, solve_linear,
+                              transpose)
 
 from oracles import rank_bruteforce
 
@@ -49,46 +53,47 @@ def test_division_by_zero():
 
 def test_solve_linear_flop_coefficient_system():
     # imposing two vanishing conditions pins (3/2, 3)
-    sol, ker = solve_linear(QMat([[-2, 0], [0, -1]]), QVec([-3, -3]))
-    assert sol == QVec([rat("3/2"), 3])
+    sol, ker = solve_linear([[-2, 0], [0, -1]], [-3, -3])
+    assert sol == (Fraction(3, 2), 3)
+    assert type(sol[1]) is int
     assert ker == []
 
 
 def test_solve_linear_identity():
-    sol, ker = solve_linear(QMat.identity(3), QVec([0, 0, 0]))
-    assert sol == QVec([0, 0, 0])
+    sol, ker = solve_linear([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
+    assert sol == (0, 0, 0)
     assert ker == []
 
 
 def test_solve_linear_underdetermined_checked_by_substitution():
-    a = QMat([[1, 1]])
-    sol, ker = solve_linear(a, QVec([1]))
-    assert a.apply(sol) == QVec([1])
+    a = [[1, 1]]
+    sol, ker = solve_linear(a, [1])
+    assert apply(a, sol) == (1,)
     assert len(ker) == 1
-    assert a.apply(ker[0]) == QVec([0])
-    assert not ker[0].is_zero()
+    assert apply(a, ker[0]) == (0,)
+    assert any(ker[0])
 
 
 def test_solve_linear_no_solution():
-    assert solve_linear(QMat([[1, 0], [1, 0]]), QVec([1, 2])) is None
+    assert solve_linear([[1, 0], [1, 0]], [1, 2]) is None
 
 
 def test_solve_linear_dimension_mismatch():
     with pytest.raises(ExactArithError):
-        solve_linear(QMat([[1, 0]]), QVec([1, 2]))
+        solve_linear([[1, 0]], [1, 2])
 
 
 def test_kernel_examples():
-    assert kernel(QMat.identity(2)) == []
-    two = kernel(QMat([[1, 1, 1]]))
+    assert kernel([[1, 0], [0, 1]]) == []
+    two = kernel([[1, 1, 1]])
     assert len(two) == 2
     for v in two:
-        assert sum(v.entries) == 0
-    four = kernel(QMat([[1, 1, 1, -1, 2]]))
+        assert sum(v) == 0
+    row = (1, 1, 1, -1, 2)
+    four = kernel([row])
     assert len(four) == 4
-    row = QVec([1, 1, 1, -1, 2])
     for v in four:
-        assert row.dot(v) == 0
+        assert dot(row, v) == 0
 
 
 matrices = st.integers(min_value=1, max_value=6).flatmap(
@@ -102,36 +107,70 @@ matrices = st.integers(min_value=1, max_value=6).flatmap(
 @given(rows=matrices)
 @settings(max_examples=100)
 def test_rank_nullity(rows):
-    a = QMat(rows)
-    assert rank(a.entries) == rank_bruteforce(rows)
-    assert rank(a.entries) + len(kernel(a)) == a.cols
+    assert rank(rows) == rank_bruteforce(rows)
+    assert rank(rows) + len(kernel(rows)) == len(rows[0])
 
 
 @given(rows=matrices, data=st.data())
 @settings(max_examples=60)
 def test_solve_resubstitutes_exactly(rows, data):
-    a = QMat(rows)
-    x = QVec(data.draw(st.lists(rationals, min_size=a.cols, max_size=a.cols)))
-    b = a.apply(x)
-    solved = solve_linear(a, b)
+    cols = len(rows[0])
+    x = data.draw(st.lists(rationals, min_size=cols, max_size=cols))
+    b = apply(rows, x)
+    solved = solve_linear(rows, b)
     assert solved is not None
     sol, ker = solved
-    assert a.apply(sol) == b
+    assert apply(rows, sol) == b
     for v in ker:
-        assert a.apply(v) == QVec([0] * a.rows)
+        assert apply(rows, v) == (0,) * len(rows)
 
 
-def test_qvec_qmat_basics():
-    v = QVec([1, "1/2", -2])
-    assert v.dim == 3
-    assert (v + v).entries == (rat(2), rat(1), rat(-4))
-    assert v.scale("1/2")[1] == rat("1/4")
-    m = QMat([[1, 2], [3, 4]])
-    assert m.transpose().entries == ((rat(1), rat(3)), (rat(2), rat(4)))
+def test_vector_functions_basics():
+    v = (1, Fraction(1, 2), -2)
+    assert dot(v, v) == Fraction(21, 4)
+    assert dot((Fraction(1, 2), Fraction(1, 2)), (1, 1)) == 1
+    assert type(dot((Fraction(1, 2), Fraction(1, 2)), (1, 1))) is int
+    assert apply(((1, 2), (3, 4)), (1, 1)) == (3, 7)
+    assert transpose(((1, 2), (3, 4))) == ((1, 3), (2, 4))
+    with pytest.raises(ValueError):
+        dot((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        apply(((1, 2), (3, 4)), (1, 1, 1))
     with pytest.raises(ExactArithError):
-        QVec([])
-    with pytest.raises(ExactArithError):
-        QMat([[1], [1, 2]])
+        solve_linear([[1], [1, 2]], [0, 0])
+
+
+@pytest.mark.parametrize("value", [3, "4/2", Fraction(6, 3), " -5 "])
+def test_rat_returns_int_for_integral_values(value):
+    assert type(rat(value)) is int
+
+
+@pytest.mark.parametrize("value", ["3/2", Fraction(-1, 3)])
+def test_rat_returns_fraction_otherwise(value):
+    assert type(rat(value)) is Fraction
+    assert rat(value) == Fraction(value)
+
+
+def test_solver_answers_are_int_where_integral():
+    (sol, ker) = solve_linear([[2, 0], [0, 4]], [4, 2])
+    assert sol == (2, Fraction(1, 2))
+    assert [type(e) for e in sol] == [int, Fraction]
+    assert all(type(e) is int for v in kernel([[1, 1, 1]]) for e in v)
+
+
+EXACT_MODULES = ("rational", "cone", "model", "exhaustion", "chambers",
+                 "flop")
+
+
+@pytest.mark.parametrize("name", EXACT_MODULES)
+def test_exact_modules_use_no_true_division(name):
+    # int / int is a float: the exact layers divide by // or Fraction only
+    source = importlib.util.find_spec(f"fanoray.{name}").origin
+    tree = ast.parse(pathlib.Path(source).read_text(encoding="utf-8"))
+    divisions = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.Div)]
+    assert divisions == []
 
 
 def test_inconsistent_rows_blames_a_lone_infeasible_row():
