@@ -1,11 +1,11 @@
 """Dual-side checks: nef cones, boundary facet patching, chamber graphs.
 
 The nef cone is the dual of the ray cone; each ray supports one facet.
-The patching check re-states the exhaustion criterion on the dual side:
-the facet cut out by a ray, read in the contraction's divisor chart, must
-coincide with the dual of that ray's target edge set, and the facets must
-meet pairwise along honest codimension-two faces.  Chamber graphs are
-transcribed adjacency data, validated and emitted as deterministic DOT.
+The patching check re-states the exhaustion criterion on the dual side,
+by pairings on a checked chart (no LP): the facet cut out by a ray, read
+in the contraction's divisor chart, must be the dual of that ray's target
+edges, and facets must meet pairwise along codimension-two faces.  Chamber
+graphs are transcribed adjacency, validated and emitted as DOT.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .cone import Cone, ConeError
-from .exhaustion import TargetEntry
+from .exhaustion import TargetEntry, pushforward_map
 from .model import (FLOP_TYPES, ChamberSpec, FanoRecord, Finding)
-from .rational import dot, rat_str, solve_linear
+from .rational import apply, dot, rat_str, solve_linear
 
 
 class ChamberError(ValueError):
@@ -43,48 +43,43 @@ def facet_patch_check(record: FanoRecord,
                       ) -> list[Finding]:
     """Boundary-patching audit of the nef cone.
 
-    For each candidate ray with a descriptor: the generators of the facet
-    it cuts out of the nef cone, written in the pullback chart, must
-    generate exactly the dual of its target edge set (mutual membership).
-    Separately,
-    every codimension-two face of the nef cone must lie in exactly two
-    facets.  Findings mirror exhaustion failures: a candidate set missing
-    a ray leaves some facet strictly larger than the dual it should match.
+    For each candidate ray l with a descriptor, the facet of the nef cone
+    on l's wall, read in the pullback chart P, must be the dual of l's
+    target edges.  ``pushforward_map`` checks the chart first; then P maps
+    it onto the wall, and both containments are pairings: each facet
+    generator's preimage with the edges, and P e for each dual generator
+    e with the candidate rays.  Every codimension-two face of the nef cone
+    must lie in exactly two facets.  Findings mirror exhaustion failures:
+    a candidate set missing a ray leaves some facet strictly larger than
+    the dual it should match.
     """
     labels = list(candidate_labels) if candidate_labels is not None \
         else record.ray_labels()
     findings: list[Finding] = []
     amp = nef_cone(record, labels)
+    candidates = [record.ray(lab).vec for lab in labels]
 
     for lab in labels:
         ray = record.ray(lab)
         if ray.contraction is None or lab not in targets:
             continue
+        pushforward_map(record, lab)  # ExhaustionError on a bad chart
         pullback = ray.contraction.pullback
-        wall = [w for w in amp.generators if dot(w, ray.vec) == 0]
-        chart_wall = []
-        for w in wall:
-            solved = solve_linear(pullback, w)
-            if solved is None:
-                findings.append(Finding(
-                    "facet-patch", f"rays.{lab}",
-                    f"facet generator {w} is outside the pullback chart"))
-                continue
-            chart_wall.append(solved[0])
-        dual_target = Cone(record.rho - 1,
-                           list(targets[lab].edges)).dual()
+        chart_wall = [solve_linear(pullback, w)[0] for w in amp.generators
+                      if dot(w, ray.vec) == 0]
+        edges = targets[lab].edges
         for w in chart_wall:
             # the definition of the dual: w pairs >= 0 with every edge
-            if any(dot(w, e) < 0 for e in targets[lab].edges):
+            if any(dot(w, e) < 0 for e in edges):
                 findings.append(Finding(
                     "facet-patch", f"rays.{lab}",
                     f"facet of the nef cone on {lab}'s wall is strictly "
                     f"larger than the dual of its target edges: witness "
                     f"({', '.join(map(rat_str, w))})"))
         if chart_wall:
-            chart_cone = Cone(record.rho - 1, chart_wall)
-            for e in dual_target.generators:
-                if not chart_cone.contains(e):
+            for e in Cone(record.rho - 1, list(edges)).dual().generators:
+                image = apply(pullback, e)
+                if any(dot(image, c) < 0 for c in candidates):
                     findings.append(Finding(
                         "facet-patch", f"rays.{lab}",
                         f"dual of target edges exceeds the facet on {lab}'s "

@@ -8,9 +8,10 @@ nonnegative combination coefficients inside, a separating functional
 outside.  Duals and facets come from an incremental double description
 pass with generators inserted in input order, which keeps facet lists
 reproducible across platforms.  The pass carries each ray's incidence
-(the generators it is tight on, as an int bitmask).  One combinatorial
-adjacency test on those masks serves the pass itself and ``codim2_faces``;
-``extreme_rays`` reads the masks with no rank at all.
+(the generators it is tight on, as an int bitmask) and decides which
+pairs of rays are adjacent from those masks alone.  ``extreme_rays``
+reads the masks with no rank at all; ``codim2_faces`` prefilters facet
+pairs on them and lets one rank per remaining pair decide.
 """
 
 from __future__ import annotations
@@ -130,22 +131,6 @@ class Pointedness:
 # Double description
 # ---------------------------------------------------------------------------
 
-def _adjacent_pairs(masks: Sequence[int],
-                    pairs: Iterable[tuple[int, int]], need: int):
-    """The pairs (p, m) of rays of a double description that span a
-    2-face, in the given order and with their common tight set, read from
-    the tight sets alone: the common set has at least ``need`` bits
-    (dim - len(lineality) - 2: a 2-face lies on that many independent tight
-    constraints; Fukuda and Prodon 1996) and no third ray is tight on all
-    of it."""
-    for p, m in pairs:
-        common = masks[p] & masks[m]
-        if common.bit_count() >= need and not any(
-                common & mask == common
-                for k, mask in enumerate(masks) if k != p and k != m):
-            yield p, m, common
-
-
 def dual_description(generators: Sequence[IVec], dim: int):
     """Minimal description (rays, lineality, incidence) of
     {w : w.g >= 0 for all g}.
@@ -155,8 +140,9 @@ def dual_description(generators: Sequence[IVec], dim: int):
     ``incidence[k]`` is the int bitmask of the generators that ``rays[k]``
     is tight on (bit i for ``generators[i]``), carried through the
     insertions: a ray made from an adjacent pair is tight exactly where
-    both parents are.  Which pairs are adjacent is decided by
-    ``_adjacent_pairs`` on those masks.
+    both parents are.  A pair is adjacent iff its common tight set has at
+    least dim - len(lineality) - 2 bits (Fukuda and Prodon 1996) and no
+    third ray is tight on all of it.
     """
     lineality: list[IVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
@@ -188,8 +174,13 @@ def dual_description(generators: Sequence[IVec], dim: int):
                    for r, mask, v in zip(rays, masks, vals) if v >= 0}
             pos = [k for k, v in enumerate(vals) if v > 0]
             neg = [k for k, v in enumerate(vals) if v < 0]
-            for p, m, common in _adjacent_pairs(
-                    masks, product(pos, neg), dim - len(lineality) - 2):
+            need = dim - len(lineality) - 2
+            for p, m in product(pos, neg):
+                common = masks[p] & masks[m]
+                # p and m are tight on all of common: adjacent iff no third
+                if common.bit_count() < need or sum(
+                        common & mask == common for mask in masks) > 2:
+                    continue
                 new.setdefault(canonicalize_ray(tuple(
                     vals[p] * x - vals[m] * y
                     for x, y in zip(rays[m], rays[p]))), common | bit)
@@ -377,12 +368,11 @@ class Cone:
         """Codimension-two faces with the two facets containing each.
 
         Returns a list of ((facet_index_a, facet_index_b), face_rays), the
-        index pairs in lexicographic order.  The facet normals are the
-        rays of the dual description, and a pair of them meets in a
-        codimension-two face iff the two are adjacent there, which
-        ``_adjacent_pairs`` decides from the incidence; no third facet then
-        contains the face.  One rank per face found checks that the face
-        really has codimension two, so corrupt data raises.  A face lists
+        index pairs in lexicographic order.  A pair with fewer than d - 2
+        common generators is skipped; any other pair is decided by the rank
+        of the extreme rays on both facets: d - 2 is a codimension-two face
+        (in no third facet, the cone being pointed and full-dimensional),
+        less is no face, and more is corrupt data and raises.  A face lists
         its extreme rays only; a generator that is not extreme but lies in
         the face is in every facet through them, so it changes no
         containment test.
@@ -392,13 +382,16 @@ class Cone:
         ext = [(g, 1 << self.generators.index(g)) for g in self.extreme_rays()]
         d = self.ambient_dim
         result = []
-        for i, j, common in _adjacent_pairs(
-                incidence, combinations(range(len(normals)), 2), d - 2):
+        for i, j in combinations(range(len(normals)), 2):
+            common = incidence[i] & incidence[j]
+            if common.bit_count() < d - 2:
+                continue
             tight = tuple(g for g, bit in ext if common & bit)
             face_rank = rank(tight)
-            if face_rank != d - 2:
+            if face_rank > d - 2:
                 raise ConeError(
                     f"facets {i} and {j} meet in a face of rank "
                     f"{face_rank}, not {d - 2}: {tight}")
-            result.append(((i, j), tight))
+            if face_rank == d - 2:
+                result.append(((i, j), tight))
         return result

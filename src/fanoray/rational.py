@@ -13,6 +13,7 @@ built only to read out a value that is not integral.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -32,8 +33,10 @@ def rat(x: RatLike) -> Rat:
     """Coerce an int, Fraction or serialized string to an exact value: an
     int when it is integral, a Fraction otherwise.
 
-    Floats are rejected: every number in the corpus is exact and a float
-    sneaking in would silently poison downstream equality checks.
+    A string reads "n" or "n/d" in ASCII digits on every Python version
+    (a sign on n, d nonzero, whitespace around; no ".", "e", "_" or other
+    digits).  Floats are rejected: every number in the corpus is exact and
+    a float sneaking in would silently poison downstream equality checks.
     """
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
@@ -42,14 +45,13 @@ def rat(x: RatLike) -> Rat:
     if isinstance(x, int):
         return int(x)
     if isinstance(x, str):
-        s = x.strip()
-        try:
-            value = Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ExactArithError(f"bad rational literal {x!r}") from exc
-        if "." in s or "e" in s or "E" in s:
-            raise ExactArithError(f"decimal notation rejected: {x!r}")
-        return value.numerator if value.denominator == 1 else value
+        match = re.fullmatch(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", x)
+        if match:
+            try:
+                return _quotient(int(match[1]), int(match[2] or 1))
+            except (ValueError, ZeroDivisionError):
+                pass  # int() refuses an overlong literal; d is zero
+        raise ExactArithError(f"bad rational literal {x!r}")
     raise ExactArithError(f"not a rational: {x!r}")
 
 

@@ -17,6 +17,12 @@ popcount prefilter: every pair of rays goes through the full adjacency
 scan, and the engine must return exactly its rays, lineality and
 incidence.
 
+``facet_patch_reference`` is ``chambers.facet_patch_check`` as it was
+before its reverse containment became a pairing on a checked chart: it
+decides that containment by membership in the cone of the chart
+preimages, here by the Caratheodory oracle, and it never checks the
+chart.  On records with valid charts the two must agree.
+
 ``minus_one_curves`` enumerates the (-1)-curve classes of P^2 blown up at
 up to 8 points, where the largest degree is 6 (the benchmark's own
 enumerator stops at degree 3, which is enough only up to 7 points).
@@ -29,7 +35,10 @@ from itertools import combinations
 from math import isqrt
 from typing import Sequence
 
-from fanoray.cone import ConeError, IVec, _ivec_dot, canonicalize_ray
+from fanoray.chambers import nef_cone
+from fanoray.cone import Cone, ConeError, IVec, _ivec_dot, canonicalize_ray
+from fanoray.model import Finding
+from fanoray.rational import dot, rat_str, solve_linear
 
 
 def _int_det(rows) -> int:
@@ -373,3 +382,62 @@ def minus_one_curves(r: int) -> list[tuple[int, ...]]:
                 for b in range(min(a, isqrt(squares)) + 1):
                     stack.append((prefix + (b,), total - b, squares - b * b))
     return sorted(found)
+
+
+def facet_patch_reference(record, targets, candidate_labels=None):
+    """Reference facet-patch audit; ``chambers.facet_patch_check`` must
+    return the same findings on records whose charts are valid.
+
+    For each candidate ray with a descriptor: the generators of the facet
+    it cuts out of the nef cone, written in the pullback chart, must
+    generate exactly the dual of its target edge set (mutual membership).
+    Separately,
+    every codimension-two face of the nef cone must lie in exactly two
+    facets.  Findings mirror exhaustion failures: a candidate set missing
+    a ray leaves some facet strictly larger than the dual it should match.
+    """
+    labels = list(candidate_labels) if candidate_labels is not None \
+        else record.ray_labels()
+    findings: list[Finding] = []
+    amp = nef_cone(record, labels)
+
+    for lab in labels:
+        ray = record.ray(lab)
+        if ray.contraction is None or lab not in targets:
+            continue
+        pullback = ray.contraction.pullback
+        wall = [w for w in amp.generators if dot(w, ray.vec) == 0]
+        chart_wall = []
+        for w in wall:
+            solved = solve_linear(pullback, w)
+            if solved is None:
+                findings.append(Finding(
+                    "facet-patch", f"rays.{lab}",
+                    f"facet generator {w} is outside the pullback chart"))
+                continue
+            chart_wall.append(solved[0])
+        dual_target = Cone(record.rho - 1,
+                           list(targets[lab].edges)).dual()
+        for w in chart_wall:
+            # the definition of the dual: w pairs >= 0 with every edge
+            if any(dot(w, e) < 0 for e in targets[lab].edges):
+                findings.append(Finding(
+                    "facet-patch", f"rays.{lab}",
+                    f"facet of the nef cone on {lab}'s wall is strictly "
+                    f"larger than the dual of its target edges: witness "
+                    f"({', '.join(map(rat_str, w))})"))
+        if chart_wall:
+            chart_cone = Cone(record.rho - 1, chart_wall)
+            for e in dual_target.generators:
+                if not in_cone_bruteforce(e, chart_cone.generators,
+                                          record.rho - 1):
+                    findings.append(Finding(
+                        "facet-patch", f"rays.{lab}",
+                        f"dual of target edges exceeds the facet on {lab}'s "
+                        f"wall: witness {e}"))
+
+    try:
+        amp.codim2_faces()
+    except ConeError as exc:
+        findings.append(Finding("facet-patch", "codim2", str(exc)))
+    return findings

@@ -1,9 +1,19 @@
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 
+from fanoray import datafiles
 from fanoray.chambers import (ChamberError, chamber_graph, emit_dot,
                               facet_patch_check, nef_cone)
-from fanoray.exhaustion import build_targets, check_exhaustion
-from fanoray.model import ChamberEdge, ChamberNode, ChamberSpec
+from fanoray.cone import ConeError
+from fanoray.exhaustion import ExhaustionError, build_targets, check_exhaustion
+from fanoray.model import ChamberEdge, ChamberNode, ChamberSpec, parse_record
+
+from oracles import facet_patch_reference
+
+FIXTURES = sorted(path for sub in ("records", "mistakes", "extra")
+                  for path in (datafiles.data_root() / sub).glob("*.json"))
 
 
 def test_nef_facet_counts(records):
@@ -66,6 +76,60 @@ def test_patch_and_exhaustion_verdicts_agree(records):
         exh = check_exhaustion(rec, rec.ray_labels(), targets).passed
         patch = facet_patch_check(rec, targets) == []
         assert exh == patch
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (ChamberError, ConeError, ExhaustionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_facet_patch_matches_the_reference_on_weakened_candidate_sets():
+    # every fixture, every candidate set with at most two rays dropped,
+    # both target modes: the pairings on a checked chart give exactly the
+    # findings of the membership-based reference
+    assert len(FIXTURES) == 13
+    cases = with_findings = 0
+    for path in FIXTURES:
+        record, _ = parse_record(path.read_text(), strict=False)
+        labels = record.ray_labels()
+        for prefer_tables in (True, False):
+            targets = _outcome(build_targets, record, prefer_tables)
+            if isinstance(targets, tuple):
+                cases += 1  # no targets, so neither check can run
+                continue
+            for k in range(3):
+                for dropped in combinations(labels, k):
+                    kept = [lab for lab in labels if lab not in dropped]
+                    found = _outcome(facet_patch_check, record, targets, kept)
+                    assert found == _outcome(facet_patch_reference, record,
+                                             targets, kept), (path.name,
+                                                              dropped)
+                    cases += 1
+                    with_findings += isinstance(found, list) and bool(found)
+    assert (cases, with_findings) == (338, 156)
+
+
+def test_facet_patch_matches_the_reference_on_weakened_targets():
+    # a target set missing one edge has a dual larger than the facet: the
+    # reverse containment, which no weakened candidate set reaches
+    cases = 0
+    for path in FIXTURES:
+        record, _ = parse_record(path.read_text(), strict=False)
+        targets = _outcome(build_targets, record, True)
+        if isinstance(targets, tuple):
+            continue
+        for lab, entry in targets.items():
+            for k in range(len(entry.edges)):
+                weak = {**targets, lab: replace(
+                    entry, edges=entry.edges[:k] + entry.edges[k + 1:])}
+                found = _outcome(facet_patch_check, record, weak)
+                assert found == _outcome(facet_patch_reference, record,
+                                         weak), (path.name, lab, k)
+                assert any("exceeds the facet" in f.message for f in found)
+                cases += 1
+    assert cases == 160
 
 
 def test_pyramid_codim2_faces_lie_in_exactly_two_facets(records):

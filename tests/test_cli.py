@@ -64,6 +64,21 @@ def test_verify_flags_mistake_fixture(capsys, corpus_dir, data_root):
                        "flop_tables.l7.l67"}
 
 
+def test_verify_skips_facet_patch_on_an_invalid_chart(capsys, record_paths,
+                                                      tmp_path):
+    data = json.loads(record_paths["b2_5_n1"].read_text())
+    l4 = next(r for r in data["rays"] if r["label"] == "l4")
+    l4["contraction"]["pullback"][0][0] = "1"
+    (tmp_path / "b2_5_n1.json").write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 1
+    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
+    assert sections["validate"]["status"] == "fail"
+    assert sections["facet-patch"] == {
+        "check": "facet-patch", "status": "skipped", "findings": [],
+        "detail": "B2=5/n1: descriptor of l4 does not annihilate its own ray"}
+
+
 def test_verify_human_rendering(capsys, corpus_dir, data_root):
     shutil.copy(data_root / "mistakes" / "b2_4_n3_mistake.json", corpus_dir)
     code, out, _ = run_cli(capsys, "verify", str(corpus_dir), "--human")

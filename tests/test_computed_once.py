@@ -89,10 +89,9 @@ def test_pushforward_chart_is_ranked_once(monkeypatch):
 
 
 def test_facet_patch_tests_each_dual_generator_once(monkeypatch, records):
+    # on a checked chart each dual generator is tested by pairings, no LP
     record = records["b2_5_n1"]
     targets = build_targets(record, prefer_record_tables=False)
-    expected = sum(len(Cone(record.rho - 1, list(t.edges)).dual().generators)
-                   for t in targets.values())
     calls = []
     membership = Cone.membership
 
@@ -102,7 +101,7 @@ def test_facet_patch_tests_each_dual_generator_once(monkeypatch, records):
 
     monkeypatch.setattr(Cone, "membership", counted)
     assert facet_patch_check(record, targets) == []
-    assert len(calls) == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize("dim, generators", [
@@ -117,7 +116,8 @@ def test_extreme_rays_compute_no_rank(monkeypatch, dim, generators):
 @pytest.mark.parametrize("dim, generators", [
     (7, minus_one_curves(6)), (5, B2_5_N1_RAYS)], ids=["gosset6", "b2_5_n1"])
 def test_codim2_faces_rank_each_face_once(monkeypatch, dim, generators):
-    # facet pairs are decided by the incidence; one rank checks each face
+    # the popcount prefilter leaves only adjacent facet pairs on these
+    # cones, and one rank decides each pair, so each face is ranked once
     cone = Cone(dim, generators).dual()
     normals = cone.facets()
     cone.extreme_rays()

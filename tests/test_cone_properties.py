@@ -114,7 +114,14 @@ def test_dual_description_matches_reference(kind, data):
 # the last cone has a generator inside a codim-2 face that is not extreme
 FULL_DIMENSIONAL = [c for c in CONES if c.is_full_dimensional()] + [
     Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-             (1, 1, 0, 0), (1, 1, 1, -1)])]
+             (1, 1, 0, 0), (1, 1, 1, -1)]),
+    # the cone over a bipyramid on square x triangle: 14 facets, and of the
+    # 75 facet pairs that pass the popcount prefilter 30 meet in a face of
+    # rank below d - 2, so here the rank, not the prefilter, decides
+    Cone(6, [(1,) + a + b + (0,)
+             for a in [(-1, -1), (1, -1), (-1, 1), (1, 1)]
+             for b in [(-1, -1), (2, -1), (-1, 2)]]
+         + [(1, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, -1)])]
 
 
 @pytest.mark.parametrize("cone", FULL_DIMENSIONAL, ids=lambda c: f"d{c.ambient_dim}n{len(c.generators)}")

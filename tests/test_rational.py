@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,32 @@ def test_rat_parsing_rejects_floats_and_decimals():
         rat(0.5)  # type: ignore[arg-type]
     with pytest.raises(ExactArithError):
         rat("3/0")
+
+
+@pytest.mark.parametrize("literal, value", [
+    (" -5 ", -5), ("4/2", 2), ("+3", 3), ("-6/4", Fraction(-3, 2)),
+    ("0/7", 0), ("1_000", None), ("3 / 2", None), ("\u0663", None),
+    ("1/\u0662", None), ("1.5", None), ("1e3", None), ("0x10", None),
+    ("1/-2", None), ("3/0", None), ("", None), ("+", None),
+], ids=repr)
+def test_rat_parses_one_ascii_grammar(literal, value):
+    # the same literals load, and the same fail, on every Python version
+    if value is None:
+        with pytest.raises(ExactArithError, match="bad rational literal"):
+            rat(literal)
+    else:
+        assert rat(literal) == value
+        assert type(rat(literal)) is type(value)
+
+
+def test_rat_overlong_literal_is_an_arith_error_not_a_traceback():
+    literal = "9" * 5000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < len(literal):
+        with pytest.raises(ExactArithError):
+            rat(literal)
+    else:  # no digit limit on this interpreter
+        assert rat(literal) == int(literal)
 
 
 def test_rat_serialization_format():
