@@ -10,7 +10,8 @@ pass with generators inserted in input order, which keeps facet lists
 reproducible across platforms.  The pass carries each ray's incidence
 (the generators it is tight on, as an int bitmask) and decides which
 pairs of rays are adjacent from those masks alone.  ``extreme_rays``
-reads the masks with no rank at all; ``codim2_faces`` prefilters facet
+and ``neighbours`` (the extreme rays sharing a 2-face with a given one)
+read the masks with no rank at all; ``codim2_faces`` prefilters facet
 pairs on them and lets one rank per remaining pair decide.
 """
 
@@ -305,13 +306,40 @@ class Cone:
         if len(self.generators) <= 1:
             self._extreme = tuple(self.generators)
             return self._extreme
-        incidence = self._double_description()[2]
-        cover = [sum(1 << k for k, mask in enumerate(incidence)
-                     if mask >> j & 1) for j in range(len(self.generators))]
+        cover = self._cover()
         self._extreme = tuple(sorted(
             g for g, c in zip(self.generators, cover)
             if sum(other & c == c for other in cover) == 1))
         return self._extreme
+
+    def neighbours(self, ray) -> tuple[IVec, ...]:
+        """The extreme rays that span a two-dimensional face with the
+        extreme ray ``ray``, sorted lexicographically.
+
+        The smallest face through two extreme rays is cut out by the dual
+        rays tight on both, so r is a neighbour of ``ray`` iff no third
+        extreme ray is tight on every one of those (the adjacency test of
+        Fukuda and Prodon 1996, on the incidence transposed).
+        """
+        ray = canonicalize_ray(ray)
+        extreme = self.extreme_rays()
+        if ray not in extreme:
+            raise ConeError(f"{ray} is not an extreme ray of the cone")
+        cover = dict(zip(self.generators, self._cover()))
+        covers = [cover[g] for g in extreme]
+        result = []
+        for g in extreme:
+            common = cover[ray] & cover[g]
+            if g != ray and sum(c & common == common for c in covers) == 2:
+                result.append(g)
+        return tuple(result)
+
+    def _cover(self) -> list[int]:
+        """The incidence transposed: for each generator, the bitmask of the
+        dual rays tight on it (bit k for ``rays[k]``)."""
+        incidence = self._double_description()[2]
+        return [sum(1 << k for k, mask in enumerate(incidence)
+                    if mask >> j & 1) for j in range(len(self.generators))]
 
     def _double_description(self):
         """The memoised (rays, lineality, incidence) of the dual, as

@@ -8,7 +8,10 @@ under positive rescaling of any candidate or edge.
 
 Target edge sets come from data: either transcribed on the contraction
 descriptor (record-table) or computed from the record's full corrected ray
-set (derived-oracle).  Audits weaken only the candidate set, never the
+set (derived-oracle).  A derived set is the images of the 2-faces of the
+full ray cone through the contracted ray (the edges of a quotient by a
+face), read off that cone's one double description: every contraction of
+a record shares it.  Audits weaken only the candidate set, never the
 targets, so a failure genuinely reflects a missing ray.
 """
 
@@ -99,15 +102,26 @@ def pushforward_map(record: FanoRecord, label: str) -> Mat:
 
 def derive_target_edges(record: FanoRecord, full_labels: Sequence[str],
                         label: str) -> TargetEntry:
-    """Edge set of the pushed cone, computed from the full ray set."""
+    """Edge set of the pushed cone, read off the full ray cone.
+
+    The chart's kernel is the contracted ray l, so the pushed cone is the
+    quotient of the full cone by its face l, whose edges are the images
+    of the 2-faces through l: one per neighbour of l in the full cone's
+    one double description.
+    """
     cone = record.ray_cone(full_labels)
-    pointed = cone.is_pointed()
-    if not pointed.pointed:
+    if not cone.is_pointed().pointed:
         raise ExhaustionError(
             f"{record.record_id.render()}: ray set is not pointed")
-    image = cone.image(pushforward_map(record, label))
-    # image() already reduced its generators to the sorted extreme rays
-    return TargetEntry(image.generators, "derived-oracle")
+    phi = pushforward_map(record, label)
+    contracted = canonicalize_ray(record.ray(label).vec)
+    if contracted not in cone.extreme_rays():
+        raise ExhaustionError(
+            f"{record.record_id.render()}: contracted ray {label} = "
+            f"{list(contracted)} is not an extreme ray of the ray set")
+    edges = {canonicalize_ray(apply(phi, r))
+             for r in cone.neighbours(contracted)}
+    return TargetEntry(tuple(sorted(edges)), "derived-oracle")
 
 
 def build_targets(record: FanoRecord,

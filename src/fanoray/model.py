@@ -187,7 +187,13 @@ def _rat_at(value, path: str) -> Rat:
 def _vec_at(value, path: str, dim: Optional[int] = None) -> Vec:
     if not isinstance(value, list) or not value:
         raise RecordError(path, "expected a non-empty array of rationals")
-    v = tuple(_rat_at(x, f"{path}[{i}]") for i, x in enumerate(value))
+    try:
+        v = tuple(map(rat, value))
+    except ExactArithError:
+        # only now build the paths: the first bad entry raises with its own
+        for i, x in enumerate(value):
+            _rat_at(x, f"{path}[{i}]")
+        raise
     if dim is not None and len(v) != dim:
         raise RecordError(path, f"expected length {dim}, got {len(v)}")
     return v
@@ -334,7 +340,9 @@ def _json_at(raw, path: str):
         if not isinstance(raw, str):
             return raw
         return json.loads(raw)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: undecodable bytes, bad JSON or an int past Python's
+        # digit limit
         raise RecordError(path, f"bad JSON: {exc}") from None
 
 

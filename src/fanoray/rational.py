@@ -29,30 +29,43 @@ class ExactArithError(ValueError):
     pass
 
 
-def rat(x: RatLike) -> Rat:
-    """Coerce an int, Fraction or serialized string to an exact value: an
-    int when it is integral, a Fraction otherwise.
+# the one grammar of a serialized value: "n" or "n/d" in ASCII digits
+_LITERAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
-    A string reads "n" or "n/d" in ASCII digits on every Python version
-    (a sign on n, d nonzero, whitespace around; no ".", "e", "_" or other
-    digits).  Floats are rejected: every number in the corpus is exact and
-    a float sneaking in would silently poison downstream equality checks.
+
+def rat(x: RatLike) -> Rat:
+    """Coerce a serialized string, an int or a Fraction to an exact value:
+    an int when it is integral, a Fraction otherwise.
+
+    A string, the loader's case and so tested first, reads "n" or "n/d"
+    in ASCII digits on every Python version (a sign on n, d nonzero,
+    whitespace around; no ".", "e", "_" or other digits), matched against
+    one compiled grammar.  Floats are rejected: every number in the corpus
+    is exact and a float sneaking in would silently poison downstream
+    equality checks.  An error message echoes the value's repr, cut to
+    its first 40 characters and its length when longer.
     """
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, bool):
-        raise ExactArithError(f"not a rational: {x!r}")
-    if isinstance(x, int):
-        return int(x)
     if isinstance(x, str):
-        match = re.fullmatch(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", x)
+        match = _LITERAL.fullmatch(x)
         if match:
             try:
                 return _quotient(int(match[1]), int(match[2] or 1))
             except (ValueError, ZeroDivisionError):
                 pass  # int() refuses an overlong literal; d is zero
-        raise ExactArithError(f"bad rational literal {x!r}")
-    raise ExactArithError(f"not a rational: {x!r}")
+        raise ExactArithError(f"bad rational literal {_shown(x)}")
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    raise ExactArithError(f"not a rational: {_shown(x)}")
+
+
+def _shown(x) -> str:
+    """repr(x), or its first 40 characters, "…" and its length if longer."""
+    text = repr(x)
+    if len(text) <= 40:
+        return text
+    return f"{text[:40]}… ({len(text)} characters)"
 
 
 def rat_str(x: Rat) -> str:

@@ -23,6 +23,12 @@ decides that containment by membership in the cone of the chart
 preimages, here by the Caratheodory oracle, and it never checks the
 chart.  On records with valid charts the two must agree.
 
+``derive_target_edges_reference`` is ``exhaustion.derive_target_edges``
+as it was before it read the edges off the full cone's incidence: it
+builds the image cone under the pushforward and reduces it to its extreme
+rays by a double description of its own.  The two must return the same
+edges, or raise the same exception class, on every input.
+
 ``minus_one_curves`` enumerates the (-1)-curve classes of P^2 blown up at
 up to 8 points, where the largest degree is 6 (the benchmark's own
 enumerator stops at degree 3, which is enough only up to 7 points).
@@ -37,6 +43,7 @@ from typing import Sequence
 
 from fanoray.chambers import nef_cone
 from fanoray.cone import Cone, ConeError, IVec, _ivec_dot, canonicalize_ray
+from fanoray.exhaustion import ExhaustionError, TargetEntry, pushforward_map
 from fanoray.model import Finding
 from fanoray.rational import dot, rat_str, solve_linear
 
@@ -441,3 +448,15 @@ def facet_patch_reference(record, targets, candidate_labels=None):
     except ConeError as exc:
         findings.append(Finding("facet-patch", "codim2", str(exc)))
     return findings
+
+
+def derive_target_edges_reference(record, full_labels, label):
+    """Edge set of the pushed cone, computed from the full ray set."""
+    cone = record.ray_cone(full_labels)
+    pointed = cone.is_pointed()
+    if not pointed.pointed:
+        raise ExhaustionError(
+            f"{record.record_id.render()}: ray set is not pointed")
+    image = cone.image(pushforward_map(record, label))
+    # image() already reduced its generators to the sorted extreme rays
+    return TargetEntry(image.generators, "derived-oracle")

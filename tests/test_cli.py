@@ -10,6 +10,8 @@ from fanoray.flop import parse_flop_config
 from fanoray.model import RecordError, parse_record
 from fanoray.rational import rat_str
 
+from test_exhaustion import NOT_EXTREME, _b2_3_n31_with_an_inner_contracted_ray
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -302,6 +304,8 @@ def test_malformed_proposal_names_its_file(text, capsys, record_paths,
 UNDECODABLE = {
     "not_utf8": b'\xff\xfe{"a": 1}',
     "too_deep": b"[" * 200_000 + b"]" * 200_000,
+    # past Python's limit on the digits of an int read from a string
+    "huge_int": b"[" + b"7" * 5000 + b"]",
 }
 
 
@@ -317,3 +321,38 @@ def test_undecodable_file_exits_two_naming_it(command, kind, capsys,
     assert code == 2
     assert str(path) in err
     assert "Traceback" not in err
+
+
+def test_check_exhaustion_names_a_contracted_ray_that_is_not_extreme(
+        capsys, data_root, tmp_path):
+    path = tmp_path / "b2_3_n31.json"
+    path.write_text(json.dumps(_b2_3_n31_with_an_inner_contracted_ray(
+        data_root)))
+    code, out, err = run_cli(capsys, "check-exhaustion", str(path))
+    assert (code, out, err) == (2, "", f"error: {NOT_EXTREME}\n")
+
+
+def test_verify_skips_exhaustion_on_a_contracted_ray_that_is_not_extreme(
+        capsys, data_root, tmp_path):
+    (tmp_path / "b2_3_n31.json").write_text(json.dumps(
+        _b2_3_n31_with_an_inner_contracted_ray(data_root)))
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
+    for check in ("exhaustion", "facet-patch"):
+        assert sections[check] == {"check": check, "status": "skipped",
+                                   "findings": [], "detail": NOT_EXTREME}
+    # a skipped check is no finding, as before: the other checks pass
+    assert code == 0
+
+
+def test_an_overlong_literal_is_echoed_short(capsys, record_paths, tmp_path):
+    data = json.loads(record_paths["b2_2_n1"].read_text())
+    data["rays"][0]["antiK"] = "7" * 5000
+    path = tmp_path / "b2_2_n1.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 2
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err.startswith(f"error: {path}: record.rays[0].antiK: bad "
+                          f"rational literal '7777")
+    assert err.endswith("… (5002 characters)\n")

@@ -88,6 +88,25 @@ def test_pushforward_chart_is_ranked_once(monkeypatch):
     assert second == first
 
 
+def test_derived_targets_share_one_double_description(monkeypatch):
+    # every derived edge set is read off the full ray cone's incidence
+    path = datafiles.records_dir() / "b2_5_n1.json"
+    record = record_from_json(json.loads(path.read_text(encoding="utf-8")))
+    dd_calls = count_calls(monkeypatch, "cone", "dual_description")
+    images = []
+    image = Cone.image
+
+    def counted(self, m):
+        images.append(m)
+        return image(self, m)
+
+    monkeypatch.setattr(Cone, "image", counted)
+    targets = build_targets(record, prefer_record_tables=False)
+    assert len(targets) == 8
+    assert len(dd_calls) == 1
+    assert images == []
+
+
 def test_facet_patch_tests_each_dual_generator_once(monkeypatch, records):
     # on a checked chart each dual generator is tested by pairings, no LP
     record = records["b2_5_n1"]

@@ -97,6 +97,22 @@ def test_extreme_rays_requires_pointed():
         Cone(2, [(1, 0), (-1, 0)]).extreme_rays()
 
 
+def test_neighbours_of_a_square_pyramid_apex_edge():
+    # the cone over a square: (1, 1, 1) spans a 2-face with the two rays
+    # beside it, not with the one across the diagonal; (0, 0, 1) is inside
+    square = [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1), (0, 0, 1)]
+    c = Cone(3, square)
+    assert c.neighbours((2, 2, 2)) == ((-1, 1, 1), (1, -1, 1))
+    with pytest.raises(ConeError):
+        c.neighbours((0, 0, 1))
+
+
+def test_neighbours_in_a_lower_dimensional_cone():
+    c = Cone(3, [(1, 0, 0), (0, 1, 0)])
+    assert c.neighbours((1, 0, 0)) == ((0, 1, 0),)
+    assert Cone(3, [(1, 0, 0)]).neighbours((1, 0, 0)) == ()
+
+
 def test_dual_examples():
     quadrant = Cone(2, [(1, 0), (0, 1)])
     assert sorted(quadrant.dual().generators) == [(0, 1), (1, 0)]

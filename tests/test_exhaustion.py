@@ -1,11 +1,18 @@
-import pytest
+import json
+from itertools import combinations
 
-from fanoray.cone import canonicalize_ray
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fanoray.cone import Cone, canonicalize_ray
 from fanoray.exhaustion import (ExhaustionError, build_targets,
                                 check_exhaustion, derive_target_edges,
                                 extend_candidates, pushforward_map)
 from fanoray.model import record_from_json, serialize_record
-from fanoray.rational import apply
+from fanoray.rational import apply, kernel, rank, transpose
+
+from oracles import derive_target_edges_reference
 
 ALL8 = [f"l{i}" for i in range(1, 9)]
 
@@ -210,3 +217,101 @@ def test_added_proposal_label_avoids_record_labels(records):
         build_targets(plain), [tuple(a + b for a, b in zip(l8, l4))])
     assert ([len(r.misses) for r in result.reports]
             == [len(r.misses) for r in expected.reports] == [4, 3])
+
+
+def _outcome(derive, record, labels, label):
+    """The edges and provenance derived, or the class of the exception."""
+    try:
+        return derive(record, labels, label)
+    except Exception as exc:  # compared by class
+        return type(exc)
+
+
+def test_derived_edges_match_the_image_cone_reference(data_root):
+    # every fixture x every non-empty label subset x every contracted label
+    # in it; the records are loaded afresh so no memoised cone is shared
+    cases = 0
+    for sub in ("records", "mistakes", "extra"):
+        for path in sorted((data_root / sub).glob("*.json")):
+            record = record_from_json(json.loads(path.read_text()))
+            labels = record.ray_labels()
+            for size in range(1, len(labels) + 1):
+                for subset in combinations(labels, size):
+                    for label in subset:
+                        if record.ray(label).contraction is None:
+                            continue
+                        cases += 1
+                        assert _outcome(derive_target_edges, record, subset,
+                                        label) == _outcome(
+                            derive_target_edges_reference, record, subset,
+                            label), (path.stem, subset, label)
+    assert cases == 2448
+
+
+def _record_with_chart(gens, contracted, phi):
+    """A record on the rays ``gens`` plus the ray ``c`` = ``contracted``,
+    whose descriptor's pushforward is ``phi``."""
+    dim = len(contracted)
+
+    def ray(label, vec, **extra):
+        return {"label": label, "vec": [str(x) for x in vec], "antiK": "1",
+                "type": "C", **extra}
+
+    return record_from_json({
+        "id": {"b2": dim, "n": 1},
+        "basis": [f"b{i}" for i in range(dim)],
+        "antiK_combo": ["1"] * dim,
+        "rays": [ray(f"r{i}", g) for i, g in enumerate(gens)] + [ray(
+            "c", contracted, contraction={
+                "target": None,
+                "pullback": [[str(x) for x in row]
+                             for row in transpose(phi)]})],
+        "flop_tables": {}, "weyl_group": "", "flop_types": []})
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_derived_edges_match_the_reference_on_random_cones(data):
+    # a random pointed cone, a random extreme ray of it and a chart whose
+    # kernel is that ray: rows spanning the ray's orthogonal complement,
+    # mixed by a random invertible matrix
+    dim = data.draw(st.integers(min_value=2, max_value=5))
+    small = st.integers(min_value=-3, max_value=3)
+    gens = data.draw(st.lists(st.tuples(*[small] * dim).filter(any),
+                              min_size=1, max_size=8))
+    cone = Cone(dim, gens)
+    assume(cone.is_pointed().pointed)
+    contracted = data.draw(st.sampled_from(cone.extreme_rays()))
+    complement = [canonicalize_ray(v) for v in kernel([contracted])]
+    mix = data.draw(st.lists(st.tuples(*[small] * (dim - 1)),
+                             min_size=dim - 1, max_size=dim - 1))
+    assume(rank(mix) == dim - 1)
+    phi = [tuple(sum(m * row[j] for m, row in zip(coeffs, complement))
+                 for j in range(dim)) for coeffs in mix]
+    record = _record_with_chart(gens, contracted, phi)
+    labels = record.ray_labels()
+    derived = derive_target_edges(record, labels, "c")
+    assert derived == derive_target_edges_reference(record, labels, "c")
+
+
+def _b2_3_n31_with_an_inner_contracted_ray(data_root):
+    """b2_3_n31 plus l4 = l2 + l3 = (0, 0, 1), which is not extreme, with a
+    chart that kills it."""
+    data = json.loads((data_root / "records" / "b2_3_n31.json").read_text())
+    data["rays"].append({
+        "label": "l4", "vec": ["0", "0", "1"], "antiK": "3", "type": "C",
+        "contraction": {"target": None,
+                        "pullback": [["1", "0"], ["0", "1"], ["0", "0"]]}})
+    return data
+
+
+NOT_EXTREME = ("B2=3/n31: contracted ray l4 = [0, 0, 1] is not an extreme "
+               "ray of the ray set")
+
+
+def test_a_contracted_ray_that_is_not_extreme_is_named(data_root):
+    record = record_from_json(_b2_3_n31_with_an_inner_contracted_ray(
+        data_root))
+    with pytest.raises(ExhaustionError) as excinfo:
+        build_targets(record)
+    assert str(excinfo.value) == NOT_EXTREME

@@ -95,6 +95,29 @@ def test_schema_rejects_floats(records):
         record_from_json(data)
 
 
+LOADER_MESSAGES = {
+    # where the bad entry goes, what it is, and the message it must give
+    "float": (lambda d: d["antiK_combo"], 0, 2.0,
+              "record.antiK_combo[0]: float rejected: 2.0"),
+    "letter": (lambda d: d["rays"][1]["vec"], 2, "x",
+               "record.rays[1].vec[2]: bad rational literal 'x'"),
+    "zero-denominator": (
+        lambda d: d["rays"][0]["contraction"]["pullback"][1], 0, "1/0",
+        "record.rays[0].contraction.pullback[1][0]: bad rational literal "
+        "'1/0'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_MESSAGES))
+def test_loader_messages_name_the_entry(name, data_root):
+    where, index, value, message = LOADER_MESSAGES[name]
+    data = json.loads((data_root / "records" / "b2_3_n31.json").read_text())
+    where(data)[index] = value
+    with pytest.raises(RecordError) as err:
+        parse_record(json.dumps(data))
+    assert str(err.value) == message
+
+
 def test_schema_rejects_empty_ray_list(records):
     data = serialize_record(records["b2_2_n1"])
     data["rays"] = []
