@@ -8,6 +8,7 @@ sorted keys and canonical rationals, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -312,7 +313,15 @@ def cmd_derive_antik(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one CLI parser of this process, built on the first call.
+
+    It is constant and keeps no state between ``parse_args`` calls (each
+    call gets its own namespace, and argparse copies an ``append``
+    option's default list before appending), so ``main`` may be called
+    repeatedly in-process.
+    """
     parser = argparse.ArgumentParser(
         prog="fanoray",
         description="Exact verifier for extremal-ray tables of Fano 3-folds")

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .rational import Rat, _cleared, _pivot, _quotient, apply, rank, rat
@@ -32,7 +33,7 @@ class ConeError(ValueError):
 
 
 def _ivec_dot(a: Sequence, b: Sequence) -> Rat:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def canonicalize_ray(v) -> IVec:

@@ -173,41 +173,41 @@ def check_exhaustion(record: FanoRecord,
         raise ExhaustionError(
             f"{record.record_id.render()}: candidate set is not pointed")
 
-    misses: list[Miss] = []
-    reciprocal: list[ReciprocalFailure] = []
-
-    def phi_of(lab: str) -> Optional[Mat]:
-        if lab in extra_rays or record.ray(lab).contraction is None:
-            return None
-        return pushforward_map(record, lab)
-
+    phis: dict[str, Mat] = {}        # candidate -> its pushforward
     for lab in candidate_labels:
-        phi = phi_of(lab)
-        if phi is None:
+        if lab in extra_rays or record.ray(lab).contraction is None:
             continue
+        phis[lab] = pushforward_map(record, lab)
         if lab not in targets:
             raise ExhaustionError(
                 f"{record.record_id.render()}: no target edges for "
                 f"candidate {lab}")
-        images = []
+
+    # images[lab][other]: the canonical image of other under lab's
+    # contraction, left out when it is zero; each is computed once and
+    # read by both the edge cover and the reciprocal check
+    images: dict[str, dict[str, IVec]] = {}
+    for lab, phi in phis.items():
+        images[lab] = {}
         for other in candidate_labels:
-            if other == lab:
-                continue
-            image = apply(phi, vectors[other])
-            if any(image):
-                images.append((other, canonicalize_ray(image)))
+            if other != lab:
+                image = apply(phi, vectors[other])
+                if any(image):
+                    images[lab][other] = canonicalize_ray(image)
+
+    misses: list[Miss] = []
+    reciprocal: list[ReciprocalFailure] = []
+    for lab in phis:
         for edge in targets[lab].edges:
-            matched = [other for other, canon in images if canon == edge]
+            matched = [other for other, canon in images[lab].items()
+                       if canon == edge]
             if not matched:
                 misses.append(Miss(index_of.get(lab, 0), lab, edge,
                                    "no candidate maps onto this edge"))
                 continue
             for other in matched:
-                phi_other = phi_of(other)
-                if phi_other is None or other not in targets:
-                    continue
-                back = canonicalize_ray(apply(phi_other, vectors[lab]))
-                if back not in targets[other].edges:
+                if (other in phis
+                        and images[other].get(lab) not in targets[other].edges):
                     reciprocal.append(ReciprocalFailure(lab, other))
 
     misses.sort(key=lambda m: (m.ray_index, m.edge))

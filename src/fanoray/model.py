@@ -423,11 +423,23 @@ def validate_record(record: FanoRecord) -> list[Finding]:
                         f"edge {e} lies in the cone of the other edges"))
 
     try:
-        pointed = record.ray_cone().is_pointed()
+        cone = record.ray_cone()
+        pointed = cone.is_pointed()
         if not pointed.pointed:
             findings.append(Finding(
                 "pointedness", "rays",
                 f"ray cone contains the line through {pointed.line}"))
+        elif any(ray.contraction for ray in record.rays):
+            # a contraction contracts an extremal ray; the memoised double
+            # description read here serves exhaustion and facet-patch too
+            extreme = cone.extreme_rays()
+            for ray in record.rays:
+                contracted = canonicalize_ray(ray.vec)
+                if ray.contraction and contracted not in extreme:
+                    findings.append(Finding(
+                        "extremality", f"rays.{ray.label}.contraction",
+                        f"contracted ray {ray.label} = {list(contracted)} "
+                        f"is not an extreme ray of the ray cone"))
     except (ConeError, ExactArithError) as exc:  # e.g. a zero ray vector
         findings.append(Finding("pointedness", "rays", str(exc)))
 

@@ -17,6 +17,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -81,7 +82,9 @@ def _quotient(n: int, d: int) -> Rat:
 
 def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
     """Exact a . b; vectors of different lengths raise ValueError."""
-    s = sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"dot of vectors of lengths {len(a)} and {len(b)}")
+    s = sum(map(mul, a, b))
     return s if type(s) is int else rat(s)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from fanoray.cli import main
+from fanoray.cli import build_parser, main
 from fanoray.flop import parse_flop_config
 from fanoray.model import RecordError, parse_record
 from fanoray.rational import rat_str
@@ -160,6 +161,51 @@ def test_check_exhaustion_with_proposal(capsys, record_paths, tmp_path,
     assert payload["trail"][0]["verdict"] == "fail"
     assert payload["trail"][1]["verdict"] == "pass"
     assert payload["final_candidates"][-1] == "l8"
+
+
+def test_repeated_calls_carry_no_state(capsys, record_paths, tmp_path,
+                                      records):
+    """An ``append`` option's list starts empty on every call in-process."""
+    path = str(record_paths["b2_5_n1"])
+    labels = list(records["b2_5_n1"].ray_labels())
+    proposal = tmp_path / "l8.json"
+    proposal.write_text(json.dumps(
+        [rat_str(e) for e in records["b2_5_n1"].ray("l8").vec]))
+    run_cli(capsys, "check-exhaustion", path, "--drop-ray", "l1")
+    code, out, _ = run_cli(capsys, "check-exhaustion", path)
+    assert (code, json.loads(out)["candidates"]) == (0, labels)
+    run_cli(capsys, "check-exhaustion", path, "--drop-ray", "l8",
+            "--propose", str(proposal))
+    code, out, _ = run_cli(capsys, "check-exhaustion", path, "--drop-ray", "l8")
+    payload = json.loads(out)
+    assert code == 1 and "trail" not in payload
+    assert payload["candidates"] == labels[:-1]
+
+
+def test_the_parser_is_built_once_per_process(capsys, record_paths,
+                                              monkeypatch):
+    build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    path = str(record_paths["b2_5_n1"])
+    assert run_cli(capsys, "check-exhaustion", path)[0] == 0
+    first = len(built)
+    assert run_cli(capsys, "check-exhaustion", path, "--drop-ray", "l8")[0] == 1
+    assert built.count("fanoray") == 1 and len(built) == first
+    assert build_parser() is build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fanoray.cli as cli; "
+         "print(cli.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
 
 
 def test_flop_command(capsys, data_root, record_paths):
@@ -332,17 +378,22 @@ def test_check_exhaustion_names_a_contracted_ray_that_is_not_extreme(
     assert (code, out, err) == (2, "", f"error: {NOT_EXTREME}\n")
 
 
-def test_verify_skips_exhaustion_on_a_contracted_ray_that_is_not_extreme(
+def test_verify_flags_a_contracted_ray_that_is_not_extreme(
         capsys, data_root, tmp_path):
     (tmp_path / "b2_3_n31.json").write_text(json.dumps(
         _b2_3_n31_with_an_inner_contracted_ray(data_root)))
     code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
+    report = json.loads(out)["reports"][0]
+    sections = {s["check"]: s for s in report["sections"]}
+    assert sections["validate"] == {
+        "check": "validate", "status": "fail",
+        "findings": ["[extremality] rays.l4.contraction: contracted ray "
+                     "l4 = [0, 0, 1] is not an extreme ray of the ray cone"]}
     for check in ("exhaustion", "facet-patch"):
         assert sections[check] == {"check": check, "status": "skipped",
                                    "findings": [], "detail": NOT_EXTREME}
-    # a skipped check is no finding, as before: the other checks pass
-    assert code == 0
+    assert report["status"] == "fail"
+    assert code == 1
 
 
 def test_an_overlong_literal_is_echoed_short(capsys, record_paths, tmp_path):

@@ -167,6 +167,31 @@ def test_vector_functions_basics():
         solve_linear([[1], [1, 2]], [0, 0])
 
 
+exact_values = st.one_of(st.integers(-10**6, 10**6), rationals)
+
+
+@given(a=st.lists(exact_values, max_size=8), data=st.data())
+@settings(max_examples=100)
+def test_dot_is_the_exact_fraction_sum(a, data):
+    b = data.draw(st.lists(exact_values, min_size=len(a), max_size=len(a)))
+    expected = sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)),
+                   Fraction(0))
+    value = dot(a, b)
+    assert value == expected
+    assert (type(value) is int) == (expected.denominator == 1)
+
+
+@given(a=st.lists(exact_values, max_size=8),
+       b=st.lists(exact_values, max_size=8))
+def test_dot_refuses_every_length_mismatch(a, b):
+    if len(a) == len(b):
+        b = b + [1]
+    with pytest.raises(ValueError):
+        dot(a, b)
+    with pytest.raises(ValueError):
+        dot(b, a)
+
+
 @pytest.mark.parametrize("value", [3, "4/2", Fraction(6, 3), " -5 "])
 def test_rat_returns_int_for_integral_values(value):
     assert type(rat(value)) is int
