@@ -6,7 +6,7 @@ Every exact value is an ``int`` when integral and a ``Fraction``
 otherwise (``rat``), and every vector is a plain tuple of such values,
 a matrix a tuple of row tuples (``fanoray.rational``)."""
 
-from .rational import Rat, rat, rat_str, solve_linear, kernel
+from .rational import Rat, rat, rat_str, solve_linear
 from .cone import Cone, ConeError, canonicalize_ray
 from .model import (FanoRecord, Finding, RecordError, RecordId,
                     derive_antiK_combo, diff_records, parse_record,
@@ -21,7 +21,7 @@ from .chambers import (ChamberGraph, chamber_graph, emit_dot,
                        facet_patch_check, nef_cone)
 
 __all__ = [
-    "Rat", "rat", "rat_str", "solve_linear", "kernel",
+    "Rat", "rat", "rat_str", "solve_linear",
     "Cone", "ConeError", "canonicalize_ray",
     "FanoRecord", "Finding", "RecordError", "RecordId",
     "derive_antiK_combo", "diff_records", "parse_record",

@@ -10,13 +10,12 @@ graphs are transcribed adjacency, validated and emitted as DOT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cone import Cone, ConeError
 from .exhaustion import TargetEntry, pushforward_map
 from .model import (FLOP_TYPES, ChamberSpec, FanoRecord, Finding)
-from .rational import apply, dot, rat_str, solve_linear
+from .rational import _left_inverse, apply, dot, rat_str
 
 
 class ChamberError(ValueError):
@@ -45,13 +44,14 @@ def facet_patch_check(record: FanoRecord,
 
     For each candidate ray l with a descriptor, the facet of the nef cone
     on l's wall, read in the pullback chart P, must be the dual of l's
-    target edges.  ``pushforward_map`` checks the chart first; then P maps
-    it onto the wall, and both containments are pairings: each facet
-    generator's preimage with the edges, and P e for each dual generator
-    e with the candidate rays.  Every codimension-two face of the nef cone
-    must lie in exactly two facets.  Findings mirror exhaustion failures:
-    a candidate set missing a ray leaves some facet strictly larger than
-    the dual it should match.
+    target edges.  ``pushforward_map`` checks the chart first; then P has
+    full column rank and maps it onto the wall, so one left inverse of P
+    gives every facet generator's preimage, and both containments are
+    pairings: each preimage with the edges, and P e for each dual
+    generator e with the candidate rays.  Every codimension-two face of
+    the nef cone must lie in exactly two facets.  Findings mirror
+    exhaustion failures: a candidate set missing a ray leaves some facet
+    strictly larger than the dual it should match.
     """
     labels = list(candidate_labels) if candidate_labels is not None \
         else record.ray_labels()
@@ -65,7 +65,8 @@ def facet_patch_check(record: FanoRecord,
             continue
         pushforward_map(record, lab)  # ExhaustionError on a bad chart
         pullback = ray.contraction.pullback
-        chart_wall = [solve_linear(pullback, w)[0] for w in amp.generators
+        inverse = _left_inverse(pullback)
+        chart_wall = [apply(inverse, w) for w in amp.generators
                       if dot(w, ray.vec) == 0]
         edges = targets[lab].edges
         for w in chart_wall:
@@ -96,8 +97,7 @@ def facet_patch_check(record: FanoRecord,
 # Chamber graph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChamberGraph:
+class ChamberGraph(NamedTuple):
     nodes: tuple[tuple[str, str], ...]        # (id, label), sorted by id
     edges: tuple[tuple[str, str, str], ...]   # (from, to, flop_type)
 

@@ -17,11 +17,10 @@ pairs on them and lets one rank per remaining pair decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rational import Rat, _cleared, _pivot, _quotient, apply, rank, rat
 
@@ -114,15 +113,13 @@ def _phase1(cols: list[Sequence[int]], rhs: Sequence):
 # Certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     inside: bool
     coefficients: Optional[tuple[Rat, ...]]  # aligned with generators
     separator: Optional[tuple[Rat, ...]]
 
 
-@dataclass(frozen=True)
-class Pointedness:
+class Pointedness(NamedTuple):
     pointed: bool
     functional: Optional[tuple[Rat, ...]]  # <w, g> > 0 for every g
     line_combination: Optional[tuple[Rat, ...]]  # mu >= 0, sum mu g = 0
@@ -198,17 +195,19 @@ def dual_description(generators: Sequence[IVec], dim: int):
 class Cone:
     """Polyhedral cone given by generators (canonical primitive rays).
 
-    The generators never change.  Three facts are memoised per instance,
+    The generators never change.  Four facts are memoised per instance,
     each computed on first use: the pointedness certificate, the double
     description of the dual (which ``facets``, ``extreme_rays`` and
-    ``dual`` all read) and the extreme rays.  Concurrent first calls are
-    benign: each thread computes the same deterministic value and the
+    ``dual`` all read), its incidence transposed (which ``extreme_rays``
+    and ``neighbours`` read) and the extreme rays.  Concurrent first calls
+    are benign: each thread computes the same deterministic value and the
     last slot write wins, so instances are safe to share across threads
     (only the identity of a memoised tuple may then differ between the
     racing callers).
     """
 
-    __slots__ = ("ambient_dim", "generators", "_pointed", "_dd", "_extreme")
+    __slots__ = ("ambient_dim", "generators", "_pointed", "_dd", "_covers",
+                 "_extreme")
 
     def __init__(self, ambient_dim: int, generators: Iterable = ()):
         if ambient_dim <= 0:
@@ -224,6 +223,7 @@ class Cone:
         self.generators: tuple[IVec, ...] = tuple(seen)
         self._pointed: Optional[Pointedness] = None
         self._dd: Optional[tuple[tuple, tuple, tuple]] = None
+        self._covers: Optional[tuple[int, ...]] = None
         self._extreme: Optional[tuple[IVec, ...]] = None
 
     def __repr__(self) -> str:
@@ -335,12 +335,16 @@ class Cone:
                 result.append(g)
         return tuple(result)
 
-    def _cover(self) -> list[int]:
-        """The incidence transposed: for each generator, the bitmask of the
-        dual rays tight on it (bit k for ``rays[k]``)."""
-        incidence = self._double_description()[2]
-        return [sum(1 << k for k, mask in enumerate(incidence)
-                    if mask >> j & 1) for j in range(len(self.generators))]
+    def _cover(self) -> tuple[int, ...]:
+        """The incidence transposed, memoised: for each generator, the
+        bitmask of the dual rays tight on it (bit k for ``rays[k]``)."""
+        if self._covers is None:
+            incidence = self._double_description()[2]
+            self._covers = tuple(
+                sum(1 << k for k, mask in enumerate(incidence)
+                    if mask >> j & 1)
+                for j in range(len(self.generators)))
+        return self._covers
 
     def _double_description(self):
         """The memoised (rays, lineality, incidence) of the dual, as

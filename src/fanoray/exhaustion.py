@@ -17,9 +17,8 @@ targets, so a failure genuinely reflects a missing ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cone import Cone, IVec, canonicalize_ray
 from .model import FanoRecord
@@ -30,28 +29,24 @@ class ExhaustionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TargetEntry:
+class TargetEntry(NamedTuple):
     edges: tuple[IVec, ...]
     provenance: str                   # "record-table" | "derived-oracle"
 
 
-@dataclass(frozen=True)
-class Miss:
+class Miss(NamedTuple):
     ray_index: int                    # 1-based position in the record's rays
     ray_label: str
     edge: IVec
     note: str
 
 
-@dataclass(frozen=True)
-class ReciprocalFailure:
+class ReciprocalFailure(NamedTuple):
     ray_label: str
     other_label: str
 
 
-@dataclass(frozen=True)
-class ExhaustionReport:
+class ExhaustionReport(NamedTuple):
     record: str
     candidate_labels: tuple[str, ...]
     misses: tuple[Miss, ...]
@@ -218,8 +213,7 @@ def check_exhaustion(record: FanoRecord,
                             tuple(reciprocal))
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     final_candidates: tuple[str, ...]
     reports: tuple[ExhaustionReport, ...]
     events: tuple[str, ...]

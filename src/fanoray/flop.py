@@ -10,7 +10,8 @@ side are then plain evaluations.  Coefficients are honest rationals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .model import FanoRecord, Finding, RecordError, RecordId, _expect_keys, \
     _id_at, _json_at, _list_at, _vec_at
 from .rational import (Mat, Rat, Vec, dot, inconsistent_rows, rat, rat_str,
@@ -21,16 +22,14 @@ class FlopError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TestCurve:
+class TestCurve(NamedTuple):
     label: str
     pullback_row: Vec             # pairings with pulled-back tracked divisors
     exc_row: Vec                  # pairings with the exceptional divisors
     contracted_by_flop: bool
 
 
-@dataclass(frozen=True)
-class FlopConfig:
+class FlopConfig(NamedTuple):
     record: RecordId
     ray: str
     tracked_divisors: tuple[str, ...]
@@ -46,15 +45,13 @@ class FlopConfig:
         raise KeyError(f"no test curve {label!r}")
 
 
-@dataclass(frozen=True)
-class FlopRowResult:
+class FlopRowResult(NamedTuple):
     label: str
     row: Vec                      # pairings with the tracked strict transforms
     antiK: Rat
 
 
-@dataclass(frozen=True)
-class FlopResult:
+class FlopResult(NamedTuple):
     coeffs: Mat                   # tracked x exceptional correction matrix
     rows: tuple[FlopRowResult, ...]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cone import Cone, ConeError, canonicalize_ray
 from .rational import (ExactArithError, Mat, Rat, Vec, apply, dot,
@@ -37,8 +37,7 @@ class RecordError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     check: str      # e.g. "antiK", "pullback", "pointedness"
     key: str        # row/ray keyed, e.g. "flop_tables.l7.l25"
     message: str
@@ -47,8 +46,7 @@ class Finding:
         return f"[{self.check}] {self.key}: {self.message}"
 
 
-@dataclass(frozen=True, order=True)
-class RecordId:
+class RecordId(NamedTuple):
     b2: int
     number: int
     variant: Optional[str] = None
@@ -67,13 +65,16 @@ class RecordId:
         return out
 
 
-@dataclass(frozen=True)
-class ContractionDescriptor:
+class ContractionDescriptor(NamedTuple):
     target: Optional[RecordId]
     pullback: Mat                        # rho rows, rho-1 columns
     target_edges: Optional[tuple[Vec, ...]] = None
 
 
+# RayRecord and FanoRecord stay frozen dataclasses because their
+# cached_property memos need an instance __dict__, which a NamedTuple
+# lacks.  Every other value record is a NamedTuple: its class is much
+# cheaper to build at import than a dataclass's generated methods.
 @dataclass(frozen=True)
 class RayRecord:
     label: str
@@ -89,28 +90,24 @@ class RayRecord:
         return phi, apply(phi, self.vec), rank(phi)
 
 
-@dataclass(frozen=True)
-class FlopRow:
+class FlopRow(NamedTuple):
     label: str
     vec: Vec
     antiK: Rat
 
 
-@dataclass(frozen=True)
-class ChamberNode:
+class ChamberNode(NamedTuple):
     node_id: str
     label: str
 
 
-@dataclass(frozen=True)
-class ChamberEdge:
+class ChamberEdge(NamedTuple):
     src: str
     dst: str
     flop_type: str
 
 
-@dataclass(frozen=True)
-class ChamberSpec:
+class ChamberSpec(NamedTuple):
     nodes: tuple[ChamberNode, ...]
     edges: tuple[ChamberEdge, ...]
 
@@ -469,8 +466,7 @@ def validate_record(record: FanoRecord) -> list[Finding]:
 # Anticanonical combination
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AntiKDerivation:
+class AntiKDerivation(NamedTuple):
     status: str                      # "ok" | "underdetermined" | "inconsistent"
     combo: Optional[Vec] = None
     kernel_dim: int = 0

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -7,8 +6,10 @@ from fanoray import datafiles
 from fanoray.chambers import (ChamberError, chamber_graph, emit_dot,
                               facet_patch_check, nef_cone)
 from fanoray.cone import ConeError
-from fanoray.exhaustion import ExhaustionError, build_targets, check_exhaustion
+from fanoray.exhaustion import (ExhaustionError, build_targets,
+                                check_exhaustion, pushforward_map)
 from fanoray.model import ChamberEdge, ChamberNode, ChamberSpec, parse_record
+from fanoray.rational import _left_inverse, apply, dot, rat_str, solve_linear
 
 from oracles import facet_patch_reference
 
@@ -122,14 +123,42 @@ def test_facet_patch_matches_the_reference_on_weakened_targets():
             continue
         for lab, entry in targets.items():
             for k in range(len(entry.edges)):
-                weak = {**targets, lab: replace(
-                    entry, edges=entry.edges[:k] + entry.edges[k + 1:])}
+                weak = {**targets, lab: entry._replace(
+                    edges=entry.edges[:k] + entry.edges[k + 1:])}
                 found = _outcome(facet_patch_check, record, weak)
                 assert found == _outcome(facet_patch_reference, record,
                                          weak), (path.name, lab, k)
                 assert any("exceeds the facet" in f.message for f in found)
                 cases += 1
     assert cases == 160
+
+
+def test_one_left_inverse_per_chart_gives_every_wall_preimage():
+    # what facet_patch_check reads off one left inverse of the pullback is,
+    # for every nef generator on a checked chart's wall, the solution that
+    # solve_linear finds, down to its witness string
+    cases = 0
+    for path in FIXTURES:
+        record, _ = parse_record(path.read_text(), strict=False)
+        try:
+            amp = nef_cone(record)
+        except ChamberError:
+            continue
+        for ray in record.rays:
+            try:
+                pushforward_map(record, ray.label)
+            except ExhaustionError:
+                continue
+            pullback = ray.contraction.pullback
+            inverse = _left_inverse(pullback)
+            for w in amp.generators:
+                if dot(w, ray.vec) == 0:
+                    got = apply(inverse, w)
+                    expected = solve_linear(pullback, w)[0]
+                    assert (list(map(rat_str, got))
+                            == list(map(rat_str, expected))), (path.name, w)
+                    cases += 1
+    assert cases == 161
 
 
 def test_pyramid_codim2_faces_lie_in_exactly_two_facets(records):

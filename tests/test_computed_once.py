@@ -123,6 +123,26 @@ def test_facet_patch_tests_each_dual_generator_once(monkeypatch, records):
     assert calls == []
 
 
+def test_facet_patch_eliminates_each_pullback_once(monkeypatch, records):
+    # one left inverse per ray serves every generator on its wall
+    record = records["b2_5_n1"]
+    targets = build_targets(record, prefer_record_tables=False)
+    solves = count_calls(monkeypatch, "rational", "solve_linear")
+    inverses = count_calls(monkeypatch, "rational", "_left_inverse")
+    assert facet_patch_check(record, targets) == []
+    assert solves == []
+    assert [args[0] for args in inverses] == [
+        ray.contraction.pullback for ray in record.rays]
+
+
+def test_incidence_is_transposed_once_per_cone():
+    cone = Cone(5, B2_5_N1_RAYS)
+    cover = cone._cover()
+    for ray in cone.extreme_rays():
+        assert cone.neighbours(ray)
+    assert cone._cover() is cover
+
+
 @pytest.mark.parametrize("dim, generators", [
     (8, minus_one_curves(7)), (5, B2_5_N1_RAYS)], ids=["gosset7", "b2_5_n1"])
 def test_extreme_rays_compute_no_rank(monkeypatch, dim, generators):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanoray.rational import (ExactArithError, apply, dot, inconsistent_rows,
-                              kernel, rank, rat, rat_str, solve_linear,
-                              transpose)
+from fanoray.rational import (ExactArithError, _left_inverse, apply, dot,
+                              inconsistent_rows, rank, rat, rat_str,
+                              solve_linear, transpose)
 
 from oracles import rank_bruteforce
 
@@ -111,13 +111,14 @@ def test_solve_linear_dimension_mismatch():
 
 
 def test_kernel_examples():
-    assert kernel([[1, 0], [0, 1]]) == []
-    two = kernel([[1, 1, 1]])
+    # the kernel basis of a homogeneous system is the null space
+    assert solve_linear([[1, 0], [0, 1]], [0, 0])[1] == []
+    two = solve_linear([[1, 1, 1]], [0])[1]
     assert len(two) == 2
     for v in two:
         assert sum(v) == 0
     row = (1, 1, 1, -1, 2)
-    four = kernel([row])
+    four = solve_linear([row], [0])[1]
     assert len(four) == 4
     for v in four:
         assert dot(row, v) == 0
@@ -135,7 +136,25 @@ matrices = st.integers(min_value=1, max_value=6).flatmap(
 @settings(max_examples=100)
 def test_rank_nullity(rows):
     assert rank(rows) == rank_bruteforce(rows)
-    assert rank(rows) + len(kernel(rows)) == len(rows[0])
+    kernel = solve_linear(rows, [0] * len(rows))[1]
+    assert rank(rows) + len(kernel) == len(rows[0])
+
+
+@given(rows=matrices, data=st.data())
+@settings(max_examples=100)
+def test_left_inverse_gives_solve_linears_solution(rows, data):
+    # L·(A·x) is x, the one solution solve_linear finds, an int where integral
+    width = len(rows[0])
+    if rank(rows) < width:
+        with pytest.raises(ExactArithError):
+            _left_inverse(rows)
+        return
+    x = tuple(map(rat, data.draw(st.lists(rationals, min_size=width,
+                                          max_size=width))))
+    b = apply(rows, x)
+    got = apply(_left_inverse(rows), b)
+    assert got == solve_linear(rows, b)[0] == x
+    assert list(map(type, got)) == list(map(type, x))
 
 
 @given(rows=matrices, data=st.data())
@@ -207,7 +226,8 @@ def test_solver_answers_are_int_where_integral():
     (sol, ker) = solve_linear([[2, 0], [0, 4]], [4, 2])
     assert sol == (2, Fraction(1, 2))
     assert [type(e) for e in sol] == [int, Fraction]
-    assert all(type(e) is int for v in kernel([[1, 1, 1]]) for e in v)
+    assert all(type(e) is int for v in solve_linear([[1, 1, 1]], [0])[1]
+               for e in v)
 
 
 EXACT_MODULES = ("rational", "cone", "model", "exhaustion", "chambers",
