@@ -4,15 +4,17 @@ The nef cone is the dual of the ray cone; each ray supports one facet.
 The patching check re-states the exhaustion criterion on the dual side,
 by pairings on a checked chart (no LP): the facet cut out by a ray, read
 in the contraction's divisor chart, must be the dual of that ray's target
-edges, and facets must meet pairwise along codimension-two faces.  Chamber
-graphs are transcribed adjacency, validated and emitted as DOT.
+edges.  Each distinct target edge set is dualised once per check.  There
+is no codimension-two audit: two facets of a pointed, full-dimensional
+cone have independent normals, so it could never report.  Chamber graphs
+are transcribed adjacency, validated and emitted as DOT.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .cone import Cone, ConeError
+from .cone import Cone
 from .exhaustion import TargetEntry, pushforward_map
 from .model import (FLOP_TYPES, ChamberSpec, FanoRecord, Finding)
 from .rational import _left_inverse, apply, dot, rat_str
@@ -48,16 +50,16 @@ def facet_patch_check(record: FanoRecord,
     full column rank and maps it onto the wall, so one left inverse of P
     gives every facet generator's preimage, and both containments are
     pairings: each preimage with the edges, and P e for each dual
-    generator e with the candidate rays.  Every codimension-two face of
-    the nef cone must lie in exactly two facets.  Findings mirror
-    exhaustion failures: a candidate set missing a ray leaves some facet
-    strictly larger than the dual it should match.
+    generator e with the candidate rays, each distinct edge set dualised
+    once.  Findings mirror exhaustion failures: a candidate set missing a
+    ray leaves some facet strictly larger than the dual it should match.
     """
     labels = list(candidate_labels) if candidate_labels is not None \
         else record.ray_labels()
     findings: list[Finding] = []
     amp = nef_cone(record, labels)
     candidates = [record.ray(lab).vec for lab in labels]
+    duals: dict[tuple, tuple] = {}
 
     for lab in labels:
         ray = record.ray(lab)
@@ -78,18 +80,15 @@ def facet_patch_check(record: FanoRecord,
                     f"larger than the dual of its target edges: witness "
                     f"({', '.join(map(rat_str, w))})"))
         if chart_wall:
-            for e in Cone(record.rho - 1, list(edges)).dual().generators:
+            if edges not in duals:
+                duals[edges] = Cone(record.rho - 1, edges).dual().generators
+            for e in duals[edges]:
                 image = apply(pullback, e)
                 if any(dot(image, c) < 0 for c in candidates):
                     findings.append(Finding(
                         "facet-patch", f"rays.{lab}",
                         f"dual of target edges exceeds the facet on {lab}'s "
                         f"wall: witness {e}"))
-
-    try:
-        amp.codim2_faces()
-    except ConeError as exc:
-        findings.append(Finding("facet-patch", "codim2", str(exc)))
     return findings
 
 

@@ -229,14 +229,6 @@ class Cone:
     def __repr__(self) -> str:
         return f"Cone(dim={self.ambient_dim}, gens={len(self.generators)})"
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Cone)
-                and self.ambient_dim == other.ambient_dim
-                and sorted(self.generators) == sorted(other.generators))
-
-    def __hash__(self):
-        return hash((self.ambient_dim, tuple(sorted(self.generators))))
-
     # -- queries ----------------------------------------------------------
 
     def rank(self) -> int:

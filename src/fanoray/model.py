@@ -404,16 +404,16 @@ def validate_record(record: FanoRecord) -> list[Finding]:
                 "pullback", key,
                 f"pullback rank {pullback_rank} != {record.rho - 1}"))
         if desc.target_edges is not None:
-            edges = []
+            edges = {}  # index in target_edges -> canonical nonzero edge
             for i, e in enumerate(desc.target_edges):
                 if not any(e):
                     findings.append(Finding(
                         "target-edges", f"{key}.target_edges[{i}]",
                         "zero edge vector"))
                 else:
-                    edges.append(canonicalize_ray(e))
-            for i, e in enumerate(edges):
-                others = edges[:i] + edges[i + 1:]
+                    edges[i] = canonicalize_ray(e)
+            for i, e in edges.items():
+                others = [o for j, o in edges.items() if j != i]
                 if others and Cone(record.rho - 1, others).contains(e):
                     findings.append(Finding(
                         "target-edges", f"{key}.target_edges[{i}]",

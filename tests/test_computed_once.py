@@ -135,6 +135,26 @@ def test_facet_patch_eliminates_each_pullback_once(monkeypatch, records):
         ray.contraction.pullback for ray in record.rays]
 
 
+def test_facet_patch_dualises_each_distinct_edge_set_once(monkeypatch,
+                                                         records):
+    # derived targets repeat edge sets; the nef cone's own double
+    # description is never asked for (there is no codimension-two audit)
+    record = records["b2_5_n1"]
+    targets = build_targets(record, prefer_record_tables=False)
+    distinct = {entry.edges for entry in targets.values()}
+    assert (len(targets), len(distinct)) == (8, 4)
+    dd_calls = count_calls(monkeypatch, "cone", "dual_description")
+    ranks = count_calls(monkeypatch, "rational", "rank")
+    codim2 = []
+    monkeypatch.setattr(Cone, "codim2_faces",
+                        lambda self: codim2.append(self))
+    assert facet_patch_check(record, targets) == []
+    assert sorted(tuple(sorted(args[0])) for args in dd_calls) \
+        == sorted(distinct)
+    assert len(ranks) == 1  # nef_cone's full-dimension check
+    assert codim2 == []
+
+
 def test_incidence_is_transposed_once_per_cone():
     cone = Cone(5, B2_5_N1_RAYS)
     cover = cone._cover()

@@ -136,15 +136,25 @@ def test_schema_rejects_bad_flop_table_key(records):
 
 
 def test_validate_flags_nonextreme_target_edge(records):
-    data = serialize_record(records["b2_5_n1"])
-    for ray in data["rays"]:
-        if ray["label"] == "l4":
-            # append the sum of the first two edges: inside their cone
-            ray["contraction"]["target_edges"].append(
-                ["-1", "-1", "2", "0"])
-    record = record_from_json(data)
-    findings = validate_record(record)
-    assert any(f.check == "target-edges" for f in findings)
+    # the key names the edge's index in the transcribed list, zeros included
+    key = "rays.l4.contraction.target_edges"
+    for leading_zero in (False, True):
+        data = serialize_record(records["b2_5_n1"])
+        for ray in data["rays"]:
+            if ray["label"] == "l4":
+                edges = ray["contraction"]["target_edges"]
+                if leading_zero:
+                    edges.insert(0, ["0", "0", "0", "0"])
+                # append the sum of the first two edges: inside their cone
+                edges.append(["-1", "-1", "2", "0"])
+                appended = len(edges) - 1
+        findings = validate_record(record_from_json(data))
+        expected = [(f"{key}[{appended}]", "edge (-1, -1, 2, 0) lies in "
+                     "the cone of the other edges")]
+        if leading_zero:
+            expected.insert(0, (f"{key}[0]", "zero edge vector"))
+        assert [(f.key, f.message) for f in findings
+                if f.check == "target-edges"] == expected, leading_zero
 
 
 def test_validate_flags_rank_deficient_pullback(records):
