@@ -1,8 +1,9 @@
 """Batch verifier CLI.
 
-Exit codes are CI contracts: 0 = no findings, 1 = at least one finding,
-2 = unusable input (I/O, JSON, schema).  All report output is JSON with
-sorted keys and canonical rationals, so repeated runs are byte-identical.
+Exit codes are CI contracts: 0 = every check that ran passed, 1 = some
+check failed, 2 = unusable input (I/O, JSON, schema).  All report output
+is JSON with sorted keys and canonical rationals, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -65,24 +66,21 @@ def cmd_verify(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return UNUSABLE
 
-    by_base = {}
-    for path, (record, _) in records.items():
-        by_base.setdefault(record.record_id.base(), []).append(path)
+    corrected = {}  # base id -> the first corrected record, in path order
+    for record, _ in records.values():
+        if record.record_id.variant is None:
+            corrected.setdefault(record.record_id.base(), record)
 
     reports = []
-    total_findings = 0
-    for path, (record, load_findings) in sorted(records.items()):
+    for path, (record, load_findings) in records.items():
         sections = []
 
         def add(name, findings, status=None, detail=None):
-            nonlocal total_findings
             entry = {"check": name,
                      "status": status or ("fail" if findings else "pass"),
                      "findings": _findings_json(findings)}
             if detail is not None:
                 entry["detail"] = detail
-            if entry["status"] == "fail":
-                total_findings += len(findings) or 1
             sections.append(entry)
 
         add("validate", load_findings)
@@ -138,12 +136,10 @@ def cmd_verify(args) -> int:
             add("flop-tables", [], status="skipped",
                 detail="no matching flop configuration")
 
-        if record.record_id.variant and "mistake" in record.record_id.variant:
-            siblings = [p for p in by_base.get(record.record_id.base(), [])
-                        if records[p][0].record_id.variant is None]
-            if siblings:
-                diff = diff_records(record, records[siblings[0]][0])
-                add("corrections", diff)
+        sibling = corrected.get(record.record_id.base())
+        if (record.record_id.variant and "mistake" in record.record_id.variant
+                and sibling is not None):
+            add("corrections", diff_records(record, sibling))
 
         status = "pass" if all(s["status"] in ("pass", "skipped")
                                for s in sections) else "fail"
@@ -152,9 +148,10 @@ def cmd_verify(args) -> int:
                         "status": status,
                         "sections": sections})
 
+    failed = any(report["status"] == "fail" for report in reports)
     summary = {"records": len(reports),
                "flop_configs": len(configs),
-               "status": "pass" if total_findings == 0 else "fail"}
+               "status": "fail" if failed else "pass"}
     if not reports:
         summary["warning"] = "no records"
 
@@ -174,7 +171,7 @@ def cmd_verify(args) -> int:
         print(_render_table(reports, summary))
     else:
         _emit({"reports": reports, "summary": summary})
-    return OK if total_findings == 0 else FOUND
+    return FOUND if failed else OK
 
 
 def _render_table(reports, summary) -> str:
@@ -260,10 +257,13 @@ def cmd_flop(args) -> int:
 def cmd_nef(args) -> int:
     record = record_from_json(_read_json(Path(args.record)))
     cone = nef_cone(record)
+    # the dual of a pointed, full-dimensional cone has its extreme rays
+    # for facet normals, so the ray cone's one double description serves
+    normals = record.ray_cone().extreme_rays()
     payload = {
         "record": record.record_id.render(),
-        "facets": len(cone.facets()),
-        "facet_normals": [list(n) for n in cone.facets()],
+        "facets": len(normals),
+        "facet_normals": [list(n) for n in normals],
         "nef_generators": [list(g) for g in sorted(cone.generators)],
     }
     if args.dot:
@@ -278,26 +278,19 @@ def cmd_derive_antik(args) -> int:
     record = record_from_json(_read_json(Path(args.record)))
     derived = record.derived_antiK
     payload = {"record": record.record_id.render(), "status": derived.status}
-    bad = []
     if derived.status == "ok":
         payload["combo"] = [rat_str(e) for e in derived.combo]
-        ray_total = table_total = ray_bad = table_bad = 0
-        for ray in record.rays:
-            ray_total += 1
-            if dot(derived.combo, ray.vec) != ray.antiK:
-                ray_bad += 1
-                bad.append(f"rays.{ray.label}")
-        for key, rows in sorted(record.flop_tables.items()):
-            for row in rows:
-                table_total += 1
-                if dot(derived.combo, row.vec) != row.antiK:
-                    table_bad += 1
-                    bad.append(f"flop_tables.{key}.{row.label}")
-        payload["ray_rows"] = {"checked": ray_total,
-                               "consistent": ray_total - ray_bad}
-        payload["table_rows"] = {"checked": table_total,
-                                 "consistent": table_total - table_bad}
-        payload["inconsistent_rows"] = bad
+        rays_bad = [f"rays.{ray.label}" for ray in record.rays
+                    if dot(derived.combo, ray.vec) != ray.antiK]
+        rows = [(key, row) for key, table in sorted(record.flop_tables.items())
+                for row in table]
+        tables_bad = [f"flop_tables.{key}.{row.label}" for key, row in rows
+                      if dot(derived.combo, row.vec) != row.antiK]
+        payload["ray_rows"] = {"checked": len(record.rays),
+                               "consistent": len(record.rays) - len(rays_bad)}
+        payload["table_rows"] = {"checked": len(rows),
+                                 "consistent": len(rows) - len(tables_bad)}
+        bad = payload["inconsistent_rows"] = rays_bad + tables_bad
     elif derived.status == "inconsistent":
         payload["witnesses"] = [record.rays[i].label
                                 for i in derived.witnesses]

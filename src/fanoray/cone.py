@@ -11,8 +11,9 @@ reproducible across platforms.  The pass carries each ray's incidence
 (the generators it is tight on, as an int bitmask) and decides which
 pairs of rays are adjacent from those masks alone.  ``extreme_rays``
 and ``neighbours`` (the extreme rays sharing a 2-face with a given one)
-read the masks with no rank at all; ``codim2_faces`` prefilters facet
-pairs on them and lets one rank per remaining pair decide.
+read the masks with no rank at all, and a cone's rank is read off the
+dual's lineality; ``codim2_faces`` prefilters facet pairs on the masks
+and lets one rank per remaining pair decide.
 """
 
 from __future__ import annotations
@@ -197,8 +198,8 @@ class Cone:
 
     The generators never change.  Four facts are memoised per instance,
     each computed on first use: the pointedness certificate, the double
-    description of the dual (which ``facets``, ``extreme_rays`` and
-    ``dual`` all read), its incidence transposed (which ``extreme_rays``
+    description of the dual (which ``facets``, ``extreme_rays``, ``dual``
+    and ``rank`` all read), its incidence transposed (which ``extreme_rays``
     and ``neighbours`` read) and the extreme rays.  Concurrent first calls
     are benign: each thread computes the same deterministic value and the
     last slot write wins, so instances are safe to share across threads
@@ -232,7 +233,8 @@ class Cone:
     # -- queries ----------------------------------------------------------
 
     def rank(self) -> int:
-        return rank(self.generators)
+        """Dimension of the span, read off the dual's lineality."""
+        return self.ambient_dim - len(self._double_description()[1])
 
     def is_full_dimensional(self) -> bool:
         return self.rank() == self.ambient_dim
@@ -296,9 +298,6 @@ class Cone:
             raise ConeError(
                 f"extreme rays undefined: cone contains the line through "
                 f"{pt.line}")
-        if len(self.generators) <= 1:
-            self._extreme = tuple(self.generators)
-            return self._extreme
         cover = self._cover()
         self._extreme = tuple(sorted(
             g for g, c in zip(self.generators, cover)

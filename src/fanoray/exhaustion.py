@@ -151,7 +151,9 @@ def check_exhaustion(record: FanoRecord,
 
     extra_rays lets the inductive extension add proposal vectors that are
     not record rays; they act as cover providers only (no descriptor, so
-    no edge set of their own is checked).
+    no edge set of their own is checked).  A candidate set in which no
+    ray carries a descriptor raises ``ExhaustionError``: no edge set would
+    be checked, so a "pass" would be vacuous.
     """
     extra_rays = dict(extra_rays or {})
     index_of = {lab: i + 1 for i, lab in enumerate(record.ray_labels())}
@@ -177,6 +179,10 @@ def check_exhaustion(record: FanoRecord,
             raise ExhaustionError(
                 f"{record.record_id.render()}: no target edges for "
                 f"candidate {lab}")
+    if not phis:
+        raise ExhaustionError(
+            f"{record.record_id.render()}: no candidate carries a "
+            f"contraction descriptor, so there is nothing to check")
 
     # images[lab][other]: the canonical image of other under lab's
     # contraction, left out when it is zero; each is computed once and

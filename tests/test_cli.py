@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+from fanoray import datafiles
+from fanoray.chambers import nef_cone
 from fanoray.cli import build_parser, main
 from fanoray.flop import parse_flop_config
-from fanoray.model import RecordError, parse_record
+from fanoray.model import RecordError, parse_record, record_from_json
 from fanoray.rational import rat_str
 
 from test_exhaustion import NOT_EXTREME, _b2_3_n31_with_an_inner_contracted_ray
@@ -82,6 +84,30 @@ def test_verify_skips_facet_patch_on_an_invalid_chart(capsys, record_paths,
         "detail": "B2=5/n1: descriptor of l4 does not annihilate its own ray"}
 
 
+def test_verify_fails_on_a_failed_section_without_findings(capsys,
+                                                          record_paths,
+                                                          tmp_path):
+    # ray rows of rank 2 in rho = 3 leave the -K combination
+    # underdetermined: antik-audit fails with no findings, nothing else does
+    data = json.loads(record_paths["b2_2_n28"].read_text())
+    data.update(id={"b2": 3, "n": 99}, basis=["A", "B", "C"],
+                antiK_combo=["1", "1", "0"], flop_tables={}, rays=[
+                    {"label": label, "vec": vec, "antiK": antik, "type": "C"}
+                    for label, vec, antik in (("l1", ["1", "0", "0"], "1"),
+                                              ("l2", ["0", "1", "0"], "1"),
+                                              ("l3", ["1", "1", "0"], "2"))])
+    (tmp_path / "b2_3_n99.json").write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["summary"]["status"] == "fail"
+    sections = payload["reports"][0]["sections"]
+    assert [(s["check"], s["status"]) for s in sections
+            if s["status"] != "skipped"] == [("validate", "pass"),
+                                             ("antik-audit", "fail")]
+    assert all(s["findings"] == [] for s in sections)
+
+
 def test_verify_human_rendering(capsys, corpus_dir, data_root):
     shutil.copy(data_root / "mistakes" / "b2_4_n3_mistake.json", corpus_dir)
     code, out, _ = run_cli(capsys, "verify", str(corpus_dir), "--human")
@@ -138,6 +164,15 @@ def test_check_exhaustion_full_passes(capsys, record_paths):
                            str(record_paths["b2_5_n1"]))
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+def test_check_exhaustion_with_no_descriptor_exits_two(capsys, record_paths):
+    drops = [arg for k in range(1, 9) for arg in ("--drop-ray", f"l{k}")]
+    code, out, err = run_cli(capsys, "check-exhaustion",
+                             str(record_paths["b2_5_n1"]), *drops)
+    assert code == 2
+    assert out == ""
+    assert "B2=5/n1" in err and "contraction descriptor" in err
 
 
 def test_check_exhaustion_unknown_label(capsys, record_paths):
@@ -231,6 +266,21 @@ def test_nef_command(capsys, record_paths):
     code, out, _ = run_cli(capsys, "nef", str(record_paths["b2_4_n13"]))
     assert code == 0
     assert json.loads(out)["facets"] == 5
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for sub in ("records", "mistakes", "extra")
+    for p in (datafiles.data_root() / sub).glob("*.json")),
+    ids=lambda p: p.stem)
+def test_nef_facet_normals_are_the_dual_cones_facets(capsys, path):
+    # nef reads its facets off the ray cone's extreme rays; on every record
+    # fixture they must be the facets of the dual, computed here directly
+    code, out, _ = run_cli(capsys, "nef", str(path))
+    assert code == 0
+    expected = nef_cone(record_from_json(json.loads(path.read_text())))
+    payload = json.loads(out)
+    assert payload["facet_normals"] == [list(n) for n in expected.facets()]
+    assert payload["facets"] == len(expected.facets())
 
 
 def test_nef_dot_output(capsys, record_paths, tmp_path):

@@ -151,8 +151,19 @@ def test_facet_patch_dualises_each_distinct_edge_set_once(monkeypatch,
     assert facet_patch_check(record, targets) == []
     assert sorted(tuple(sorted(args[0])) for args in dd_calls) \
         == sorted(distinct)
-    assert len(ranks) == 1  # nef_cone's full-dimension check
+    assert ranks == []  # nef_cone's check reads the double description
     assert codim2 == []
+
+
+def test_nef_command_runs_one_double_description(monkeypatch):
+    # the facet normals are the ray cone's extreme rays: the nef cone's
+    # own double description, its pointedness LP and any rank are not run
+    path = datafiles.records_dir() / "b2_5_n1.json"
+    dd_calls = count_calls(monkeypatch, "cone", "dual_description")
+    phase1 = count_calls(monkeypatch, "cone", "_phase1")
+    ranks = count_calls(monkeypatch, "rational", "rank")
+    assert _cli(["nef", str(path)]) == 0
+    assert (len(dd_calls), len(phase1), len(ranks)) == (1, 1, 0)
 
 
 def test_incidence_is_transposed_once_per_cone():

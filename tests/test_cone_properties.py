@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanoray.cone import Cone, canonicalize_ray, dual_description
-from fanoray.rational import rat
+from fanoray.rational import rank, rat
 
 from oracles import (dual_description_reference, extreme_rays_bruteforce,
                      in_cone_bruteforce, random_pointed_cones,
@@ -151,6 +151,9 @@ def test_degenerate_cones():
     assert empty.extreme_rays() == ()
     single = Cone(3, [(2, -4, 6)])
     assert single.extreme_rays() == ((1, -2, 3),)
+    # the incidence test, no special case, decides these two as well
+    assert Cone(1, [(3,)]).extreme_rays() == ((1,),)
+    assert Cone(1, []).extreme_rays() == ()
     # lower-dimensional (the dual has lineality), (1, 1, 0, 0) not extreme
     flat = Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)])
     assert list(flat.extreme_rays()) == extreme_rays_bruteforce(
@@ -184,6 +187,26 @@ positive_rationals = st.fractions(min_value="1/7", max_value=9,
 vectors = st.integers(min_value=2, max_value=5).flatmap(
     lambda d: st.lists(st.integers(min_value=-4, max_value=4),
                        min_size=d, max_size=d).filter(lambda v: any(v)))
+
+
+generator_sets = st.integers(min_value=1, max_value=5).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3),
+                 min_size=d, max_size=d).filter(any),
+        max_size=7)))
+
+
+@given(case=generator_sets, flat=st.booleans(), symmetric=st.booleans())
+@settings(max_examples=150)
+def test_rank_read_off_the_dual_is_the_rank(case, flat, symmetric):
+    # flat: every generator in the hyperplane x_0 = x_1 (lower-dimensional
+    # when d >= 2); symmetric: each generator's negative added (a line)
+    d, gens = case
+    if flat and d >= 2:
+        gens = [[g[1]] + g[1:] for g in gens if any(g[1:])]
+    if symmetric:
+        gens = gens + [[-x for x in g] for g in gens]
+    assert Cone(d, gens).rank() == rank(gens)
 
 
 @given(v=vectors, c=positive_rationals)

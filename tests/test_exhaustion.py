@@ -135,6 +135,14 @@ def test_missing_targets_entry_raises(records):
         check_exhaustion(rec, ALL8, {})
 
 
+def test_a_candidate_set_with_no_descriptor_raises(records):
+    # nothing would be checked, so the criterion may not report "pass"
+    rec = records["b2_5_n1"]
+    targets = build_targets(rec)
+    with pytest.raises(ExhaustionError, match="B2=5/n1"):
+        check_exhaustion(rec, [], targets)
+
+
 def test_reciprocal_failure_detected_on_doctored_targets(records):
     # edge phi_1(l2) is matched by l2, but l2's doctored edge set no longer
     # contains phi_2(l1): the matched pair must be reported as one-sided
