@@ -8,12 +8,16 @@ nonnegative combination coefficients inside, a separating functional
 outside.  Duals and facets come from an incremental double description
 pass with generators inserted in input order, which keeps facet lists
 reproducible across platforms.  The pass carries each ray's incidence
-(the generators it is tight on, as an int bitmask) and decides which
-pairs of rays are adjacent from those masks alone.  ``extreme_rays``
-and ``neighbours`` (the extreme rays sharing a 2-face with a given one)
-read the masks with no rank at all, and a cone's rank is read off the
-dual's lineality; ``codim2_faces`` prefilters facet pairs on the masks
-and lets one rank per remaining pair decide.
+(the generators it is tight on, as an int bitmask) and, transposed, for
+each generator the bitmask of the rays tight on it, both kept up to date
+as it runs; it decides which pairs of rays are adjacent from those masks
+alone, with one AND per common tight generator instead of a scan over
+every ray.  ``extreme_rays`` and ``neighbours`` (the extreme rays
+sharing a 2-face with a given one) read the final incidence transposed
+with no rank at all, and a cone's rank is read off the dual's lineality;
+``codim2_faces`` prefilters facet pairs on the masks and lets one rank
+per remaining pair decide.  The dual of a pointed, full-dimensional cone
+is handed its double description, which is the primal's read backwards.
 """
 
 from __future__ import annotations
@@ -131,6 +135,14 @@ class Pointedness(NamedTuple):
 # Double description
 # ---------------------------------------------------------------------------
 
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def dual_description(generators: Sequence[IVec], dim: int):
     """Minimal description (rays, lineality, incidence) of
     {w : w.g >= 0 for all g}.
@@ -143,11 +155,23 @@ def dual_description(generators: Sequence[IVec], dim: int):
     both parents are.  A pair is adjacent iff its common tight set has at
     least dim - len(lineality) - 2 bits (Fukuda and Prodon 1996) and no
     third ray is tight on all of it.
+
+    The second test reads the incidence transposed, kept up to date as
+    the insertions run.  Each ray gets an id that is never reused, and
+    ``tight[j]`` is the bitmask of the ids of the rays tight on generator
+    j (bit k for id k).  The rays tight on all of a pair's common set are
+    the AND of ``alive`` (the ids of the current rays) with ``tight[j]``
+    over its bits j, and the pair is adjacent iff that leaves just its own
+    two ids.  Dead ids stay in ``tight``; the AND with ``alive`` masks
+    them out.
     """
     lineality: list[IVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays: list[IVec] = []
     masks: list[int] = []
+    ids: list[int] = []
+    tight: list[int] = []
+    fresh = 0  # the next id
     for i, a in enumerate(generators):
         bit = 1 << i
         vals = [_ivec_dot(a, u) for u in lineality]
@@ -158,33 +182,60 @@ def dual_description(generators: Sequence[IVec], dim: int):
             sign = 1 if vals[hit] > 0 else -1
             u0 = tuple(sign * x for x in lineality[hit])
             s = abs(vals[hit])
-            new: dict[IVec, int] = {}
 
             def onto_a(v, t):
                 return canonicalize_ray(
                     tuple(s * x - t * y for x, y in zip(v, u0)))
             lineality = [onto_a(u, t) for k, (u, t)
                          in enumerate(zip(lineality, vals)) if k != hit]
-            for r, mask in zip(rays, masks):
-                new.setdefault(onto_a(r, _ivec_dot(a, r)), mask | bit)
-            new.setdefault(canonicalize_ray(u0), bit - 1)
+            new: dict[IVec, int] = {}
+            kept: list[int] = []  # the ids of new's rays, in its order
+            for r, mask, rid in zip(rays, masks, ids):
+                r = onto_a(r, _ivec_dot(a, r))
+                if r not in new:
+                    new[r] = mask | bit
+                    kept.append(rid)
+            tight.append(sum(1 << k for k in kept))
+            u0 = canonicalize_ray(u0)
+            if u0 not in new:
+                new[u0] = bit - 1
+                kept.append(fresh)
+                for j in range(i):
+                    tight[j] |= 1 << fresh
+                fresh += 1
         else:
             vals = [_ivec_dot(a, r) for r in rays]
             new = {r: mask | bit if v == 0 else mask
                    for r, mask, v in zip(rays, masks, vals) if v >= 0}
+            kept = [rid for rid, v in zip(ids, vals) if v >= 0]
+            tight.append(sum(1 << k for k, v in zip(ids, vals) if v == 0))
+            alive = sum(1 << k for k in ids)
             pos = [k for k, v in enumerate(vals) if v > 0]
             neg = [k for k, v in enumerate(vals) if v < 0]
             need = dim - len(lineality) - 2
             for p, m in product(pos, neg):
                 common = masks[p] & masks[m]
-                # p and m are tight on all of common: adjacent iff no third
-                if common.bit_count() < need or sum(
-                        common & mask == common for mask in masks) > 2:
+                if common.bit_count() < need:
                     continue
-                new.setdefault(canonicalize_ray(tuple(
-                    vals[p] * x - vals[m] * y
-                    for x, y in zip(rays[m], rays[p]))), common | bit)
-        rays, masks = list(new), list(new.values())
+                # the current rays tight on all of common: p, m and more?
+                pair = 1 << ids[p] | 1 << ids[m]
+                shared = alive
+                rest = common
+                while rest and shared != pair:
+                    low = rest & -rest
+                    shared &= tight[low.bit_length() - 1]
+                    rest ^= low
+                if shared != pair:
+                    continue
+                r = canonicalize_ray(tuple(vals[p] * x - vals[m] * y
+                                           for x, y in zip(rays[m], rays[p])))
+                if r not in new:
+                    new[r] = common | bit
+                    kept.append(fresh)
+                    for j in _bits(common | bit):
+                        tight[j] |= 1 << fresh
+                    fresh += 1
+        rays, masks, ids = list(new), list(new.values()), kept
     ordered = sorted(zip(rays, masks))
     return [r for r, _ in ordered], sorted(lineality), [m for _, m in ordered]
 
@@ -199,8 +250,9 @@ class Cone:
     The generators never change.  Four facts are memoised per instance,
     each computed on first use: the pointedness certificate, the double
     description of the dual (which ``facets``, ``extreme_rays``, ``dual``
-    and ``rank`` all read), its incidence transposed (which ``extreme_rays``
-    and ``neighbours`` read) and the extreme rays.  Concurrent first calls
+    and ``rank`` all read, and which ``dual`` seeds in its result when it
+    can), its incidence transposed (which ``extreme_rays`` and
+    ``neighbours`` read) and the extreme rays.  Concurrent first calls
     are benign: each thread computes the same deterministic value and the
     last slot write wins, so instances are safe to share across threads
     (only the identity of a memoised tuple may then differ between the
@@ -328,13 +380,14 @@ class Cone:
 
     def _cover(self) -> tuple[int, ...]:
         """The incidence transposed, memoised: for each generator, the
-        bitmask of the dual rays tight on it (bit k for ``rays[k]``)."""
+        bitmask of the dual rays tight on it (bit k for ``rays[k]``),
+        built by walking the set bits of each ray's mask once."""
         if self._covers is None:
-            incidence = self._double_description()[2]
-            self._covers = tuple(
-                sum(1 << k for k, mask in enumerate(incidence)
-                    if mask >> j & 1)
-                for j in range(len(self.generators)))
+            covers = [0] * len(self.generators)
+            for k, mask in enumerate(self._double_description()[2]):
+                for j in _bits(mask):
+                    covers[j] |= 1 << k
+            self._covers = tuple(covers)
         return self._covers
 
     def _double_description(self):
@@ -351,13 +404,25 @@ class Cone:
         For a full-dimensional input the generators of the result are
         exactly its extreme rays.  Otherwise the dual contains lines and
         both directions of a lineality basis are included as generators.
+
+        When this cone is full-dimensional and already known to be pointed,
+        the result's double description is this one read backwards: its
+        rays are these extreme rays, it has no lineality, and its incidence
+        is the transposed incidence of those rays.  It is seeded, not
+        recomputed.
         """
         rays, lineality, _ = self._double_description()
         gens = list(rays)
         for u in lineality:
             gens.append(u)
             gens.append(tuple(-x for x in u))
-        return Cone(self.ambient_dim, gens)
+        result = Cone(self.ambient_dim, gens)
+        if not lineality and self._pointed is not None \
+                and self._pointed.pointed:
+            cover = dict(zip(self.generators, self._cover()))
+            extreme = self.extreme_rays()
+            result._dd = (extreme, (), tuple(cover[g] for g in extreme))
+        return result
 
     def image(self, m: Sequence[Sequence[Rat]]) -> "Cone":
         """Image cone under a linear map, given by its rows; zero images

@@ -172,6 +172,13 @@ def test_facets_require_full_dimension():
         Cone(3, [(1, 0, 0), (0, 1, 0)]).facets()
 
 
+def test_double_description_adjacency_with_no_common_tight_generator():
+    # in dim 2 the pair (-1,-1), (-1,1) shares no tight generator: it is
+    # adjacent because no third ray is left, not because of a tight set
+    assert cone_module.dual_description([(-1, -1), (-1, 0), (-1, 1)], 2) \
+        == ([(-1, -1), (-1, 1)], [], [4, 1])
+
+
 def test_facet_memoization_returns_same_object():
     cone = Cone(2, [(1, 0), (0, 1)])
     assert cone.facets() is cone.facets()

@@ -4,17 +4,20 @@ For r = 3..7 the generators and the expected counts (the Gosset polytopes
 k_21) come from ``bench/oracle.py``, which is read, never imported as a
 file module, so this test leaves the benchmark directory untouched.  Each
 normal is rechecked with plain integer dot products and the oracle's own
-rank.  The E8 cone (r = 8, 240 generators, the 19440 facets of 4_21) needs
-the degree-6 enumerator of ``tests/oracles.py`` and about a minute, so it
-is marked slow and runs only with ``-m slow``.
+rank.  The double description's whole output (rays, lineality and
+incidence) is pinned by the sha256 of its repr.
+The E8 cone (r = 8, 240 generators, the 19440 facets of 4_21) needs the
+degree-6 enumerator of ``tests/oracles.py`` and a few seconds, so it is
+marked slow and runs only with ``-m slow``.
 """
 
+import hashlib
 import types
 from pathlib import Path
 
 import pytest
 
-from fanoray.cone import Cone
+from fanoray.cone import Cone, dual_description
 
 from oracles import minus_one_curves, rank_bruteforce
 
@@ -29,6 +32,20 @@ def _oracle():
 
 
 oracle = _oracle()
+
+# sha256 of repr(dual_description(minus_one_curves(r), r + 1))
+DD_DIGESTS = {
+    3: "bd1ca960eb2078984fdf113afb1d82885e965859d4597789042f6ad8695952d2",
+    4: "f7ff57a42c9f9630cf14580bf4642e4a56fc6d9988d475d71972227d297bdec1",
+    5: "a0757060dd33ee17ea36b281c0ac50562a0f17ad103829a4b133b6e5bfeee762",
+    6: "4001e14d2969ce4935e3dffcf74497f740a268056ac20432c964cfa0643b966b",
+    7: "0a30890a5f06514120f4e0a474d46a374287369b2b830eeec321f9dd6b8bb3d9",
+    8: "7e8675abdcf02d252aee56adc7b7df9ee001655ffdf6127b991b061a775324d5",
+}
+
+
+def _digest(description) -> str:
+    return hashlib.sha256(repr(description).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("r", sorted(oracle.GOSSET_FACETS))
@@ -45,6 +62,12 @@ def test_gosset_cone_facets(r):
         assert oracle.int_rank(tight) == d - 1
 
 
+@pytest.mark.parametrize("r", sorted(oracle.GOSSET_FACETS))
+def test_gosset_double_description_is_pinned(r):
+    gens = oracle.minus_one_curves(r)
+    assert _digest(dual_description(gens, r + 1)) == DD_DIGESTS[r]
+
+
 def test_degree_six_enumerator_extends_the_benchmark_one():
     for r in sorted(oracle.GOSSET_FACETS):
         assert minus_one_curves(r) == oracle.minus_one_curves(r)
@@ -57,6 +80,9 @@ def test_e8_cone_facets():
     cone = Cone(9, gens)
     normals = cone.facets()
     assert len(normals) == 19440
+    # the memo holds dual_description's lists as tuples
+    assert _digest(tuple(map(list, cone._double_description()))) \
+        == DD_DIGESTS[8]
     assert cone.extreme_rays() == tuple(sorted(gens))
     for n in normals[::1000]:
         assert all(oracle.dot(n, g) >= 0 for g in gens)
