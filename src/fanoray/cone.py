@@ -16,8 +16,7 @@ every ray.  ``extreme_rays`` and ``neighbours`` (the extreme rays
 sharing a 2-face with a given one) read the final incidence transposed
 with no rank at all, and a cone's rank is read off the dual's lineality;
 ``codim2_faces`` prefilters facet pairs on the masks and lets one rank
-per remaining pair decide.  The dual of a pointed, full-dimensional cone
-is handed its double description, which is the primal's read backwards.
+per remaining pair decide.
 """
 
 from __future__ import annotations
@@ -188,21 +187,17 @@ def dual_description(generators: Sequence[IVec], dim: int):
                     tuple(s * x - t * y for x, y in zip(v, u0)))
             lineality = [onto_a(u, t) for k, (u, t)
                          in enumerate(zip(lineality, vals)) if k != hit]
-            new: dict[IVec, int] = {}
-            kept: list[int] = []  # the ids of new's rays, in its order
-            for r, mask, rid in zip(rays, masks, ids):
-                r = onto_a(r, _ivec_dot(a, r))
-                if r not in new:
-                    new[r] = mask | bit
-                    kept.append(rid)
-            tight.append(sum(1 << k for k in kept))
-            u0 = canonicalize_ray(u0)
-            if u0 not in new:
-                new[u0] = bit - 1
-                kept.append(fresh)
-                for j in range(i):
-                    tight[j] |= 1 << fresh
-                fresh += 1
+            # the moved rays stay distinct (they differ modulo the lineality
+            # space, which holds the move's kernel) and are tight on a
+            rays = [onto_a(r, _ivec_dot(a, r)) for r in rays]
+            rays.append(canonicalize_ray(u0))
+            masks = [mask | bit for mask in masks]
+            masks.append(bit - 1)
+            tight.append(sum(1 << k for k in ids))
+            for j in range(i):
+                tight[j] |= 1 << fresh
+            ids.append(fresh)
+            fresh += 1
         else:
             vals = [_ivec_dot(a, r) for r in rays]
             new = {r: mask | bit if v == 0 else mask
@@ -220,11 +215,10 @@ def dual_description(generators: Sequence[IVec], dim: int):
                 # the current rays tight on all of common: p, m and more?
                 pair = 1 << ids[p] | 1 << ids[m]
                 shared = alive
-                rest = common
-                while rest and shared != pair:
-                    low = rest & -rest
-                    shared &= tight[low.bit_length() - 1]
-                    rest ^= low
+                for j in _bits(common):
+                    shared &= tight[j]
+                    if shared == pair:
+                        break
                 if shared != pair:
                     continue
                 r = canonicalize_ray(tuple(vals[p] * x - vals[m] * y
@@ -235,7 +229,7 @@ def dual_description(generators: Sequence[IVec], dim: int):
                     for j in _bits(common | bit):
                         tight[j] |= 1 << fresh
                     fresh += 1
-        rays, masks, ids = list(new), list(new.values()), kept
+            rays, masks, ids = list(new), list(new.values()), kept
     ordered = sorted(zip(rays, masks))
     return [r for r, _ in ordered], sorted(lineality), [m for _, m in ordered]
 
@@ -250,9 +244,8 @@ class Cone:
     The generators never change.  Four facts are memoised per instance,
     each computed on first use: the pointedness certificate, the double
     description of the dual (which ``facets``, ``extreme_rays``, ``dual``
-    and ``rank`` all read, and which ``dual`` seeds in its result when it
-    can), its incidence transposed (which ``extreme_rays`` and
-    ``neighbours`` read) and the extreme rays.  Concurrent first calls
+    and ``rank`` all read), its incidence transposed (which ``extreme_rays``
+    and ``neighbours`` read) and the extreme rays.  Concurrent first calls
     are benign: each thread computes the same deterministic value and the
     last slot write wins, so instances are safe to share across threads
     (only the identity of a memoised tuple may then differ between the
@@ -404,25 +397,13 @@ class Cone:
         For a full-dimensional input the generators of the result are
         exactly its extreme rays.  Otherwise the dual contains lines and
         both directions of a lineality basis are included as generators.
-
-        When this cone is full-dimensional and already known to be pointed,
-        the result's double description is this one read backwards: its
-        rays are these extreme rays, it has no lineality, and its incidence
-        is the transposed incidence of those rays.  It is seeded, not
-        recomputed.
         """
         rays, lineality, _ = self._double_description()
         gens = list(rays)
         for u in lineality:
             gens.append(u)
             gens.append(tuple(-x for x in u))
-        result = Cone(self.ambient_dim, gens)
-        if not lineality and self._pointed is not None \
-                and self._pointed.pointed:
-            cover = dict(zip(self.generators, self._cover()))
-            extreme = self.extreme_rays()
-            result._dd = (extreme, (), tuple(cover[g] for g in extreme))
-        return result
+        return Cone(self.ambient_dim, gens)
 
     def image(self, m: Sequence[Sequence[Rat]]) -> "Cone":
         """Image cone under a linear map, given by its rows; zero images

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from fanoray import datafiles
-from fanoray.chambers import facet_patch_check, nef_cone
+from fanoray.chambers import facet_patch_check
 from fanoray.cli import main
 from fanoray.cone import Cone
 from fanoray.exhaustion import build_targets, pushforward_map
@@ -164,18 +164,6 @@ def test_nef_command_runs_one_double_description(monkeypatch):
     ranks = count_calls(monkeypatch, "rational", "rank")
     assert _cli(["nef", str(path)]) == 0
     assert (len(dd_calls), len(phase1), len(ranks)) == (1, 1, 0)
-
-
-def test_nef_cone_facets_reuse_the_ray_cone_double_description(
-        monkeypatch):
-    # the dual of a pointed, full-dimensional cone is seeded with the
-    # primal's extreme rays and transposed incidence, not recomputed
-    path = datafiles.records_dir() / "b2_5_n1.json"
-    record = record_from_json(json.loads(path.read_text(encoding="utf-8")))
-    dd_calls = count_calls(monkeypatch, "cone", "dual_description")
-    nef = nef_cone(record)
-    assert len(nef.facets()) == 8
-    assert len(dd_calls) == 1
 
 
 def test_incidence_is_transposed_once_per_cone():

@@ -15,8 +15,8 @@ from fanoray.cone import Cone, canonicalize_ray, dual_description
 from fanoray.rational import rank, rat
 
 from oracles import (dual_description_reference, extreme_rays_bruteforce,
-                     in_cone_bruteforce, minus_one_curves,
-                     random_pointed_cones, rank_bruteforce)
+                     in_cone_bruteforce, random_pointed_cones,
+                     rank_bruteforce)
 
 CONES = random_pointed_cones(40, seed=11)
 
@@ -113,20 +113,22 @@ def test_dual_description_matches_reference(kind, data):
 
 @st.composite
 def staged_generators(draw):
-    """(dim, generators) inserted stage by stage: stage s draws up to four
+    """(dim, generators) inserted stage by stage: stage s draws up to three
     combinations of the first s of a random basis, each possibly followed
     by a parallel copy (its double or its negative).  So each stage's
     first generator that leaves the span so far cuts the lineality and
     moves every ray already there, later ones in the stage cut rays away,
     and the parallel copies make rays tight on several generators at
-    once; at most 12 generators in dim <= 6."""
+    once; at most 12 generators in dim <= 6.  There are at least
+    min(dim, 3) stages: from the third on, a cut can split two rays that
+    a lineality step left tight on the same generator."""
     dim = draw(st.integers(min_value=1, max_value=6))
     vec = st.tuples(*[small_ints] * dim).filter(any)
-    basis = draw(st.lists(vec, min_size=1, max_size=dim))
+    basis = draw(st.lists(vec, min_size=min(dim, 3), max_size=dim))
     gens = []
     for stage in range(1, len(basis) + 1):
         coefficients = st.lists(small_ints, min_size=stage, max_size=stage)
-        for cs in draw(st.lists(coefficients, min_size=1, max_size=4)):
+        for cs in draw(st.lists(coefficients, min_size=1, max_size=3)):
             g = tuple(sum(c * b[k] for c, b in zip(cs, basis))
                       for k in range(dim))
             gens.append(g)
@@ -156,16 +158,6 @@ FULL_DIMENSIONAL = [c for c in CONES if c.is_full_dimensional()] + [
              for a in [(-1, -1), (1, -1), (-1, 1), (1, 1)]
              for b in [(-1, -1), (2, -1), (-1, 2)]]
          + [(1, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, -1)])]
-
-
-@pytest.mark.parametrize("cone", FULL_DIMENSIONAL + [
-    Cone(r + 1, minus_one_curves(r)) for r in range(3, 8)],
-    ids=lambda c: f"d{c.ambient_dim}n{len(c.generators)}")
-def test_seeded_dual_matches_a_fresh_double_description(cone):
-    assert cone.is_pointed().pointed
-    dual = cone.dual()
-    assert dual._dd == tuple(map(tuple, dual_description(
-        dual.generators, dual.ambient_dim)))
 
 
 @pytest.mark.parametrize("cone", FULL_DIMENSIONAL, ids=lambda c: f"d{c.ambient_dim}n{len(c.generators)}")
