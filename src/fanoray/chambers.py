@@ -1,13 +1,19 @@
 """Dual-side checks: nef cones, boundary facet patching, chamber graphs.
 
 The nef cone is the dual of the ray cone; each ray supports one facet.
-The patching check re-states the exhaustion criterion on the dual side,
-by pairings on a checked chart (no LP): the facet cut out by a ray, read
-in the contraction's divisor chart, must be the dual of that ray's target
-edges.  Each distinct target edge set is dualised once per check.  There
-is no codimension-two audit: two facets of a pointed, full-dimensional
-cone have independent normals, so it could never report.  Chamber graphs
-are transcribed adjacency, validated and emitted as DOT.
+The patching check is the exhaustion criterion read on the dual side,
+from the same images and by pairings alone (no LP).  Write P for a
+contraction's pullback, phi = P^T for its pushforward, I for the images
+phi(c) of the other candidates and E for its target edges.  By
+adjointness (P w).c = w.phi(c), so the facet cut out by the contracted
+ray, read in the chart, is dual(cone(I)), and it is dual(cone(E))
+exactly when cone(I) = cone(E).  E is a set of extreme rays, so that
+holds when every edge of E is an image and every image pairs >= 0 with
+every generator of dual(E).  Each distinct edge set is dualised once per
+check.  There is no codimension-two audit: two facets of a pointed,
+full-dimensional cone have independent normals, so it could never
+report.  Chamber graphs are transcribed adjacency, validated and emitted
+as DOT.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cone import Cone
-from .exhaustion import TargetEntry, pushforward_map
+from .exhaustion import TargetEntry, candidate_images, pushforward_map
 from .model import (FLOP_TYPES, ChamberSpec, FanoRecord, Finding)
-from .rational import _left_inverse, apply, dot, rat_str
+from .rational import dot
 
 
 class ChamberError(ValueError):
@@ -42,53 +48,42 @@ def facet_patch_check(record: FanoRecord,
                       targets: Mapping[str, TargetEntry],
                       candidate_labels: Optional[Sequence[str]] = None
                       ) -> list[Finding]:
-    """Boundary-patching audit of the nef cone.
+    """Boundary-patching audit of the nef cone: exhaustion's dual half.
 
-    For each candidate ray l with a descriptor, the facet of the nef cone
-    on l's wall, read in the pullback chart P, must be the dual of l's
-    target edges.  ``pushforward_map`` checks the chart first; then P has
-    full column rank and maps it onto the wall, so one left inverse of P
-    gives every facet generator's preimage, and both containments are
-    pairings: each preimage with the edges, and P e for each dual
-    generator e with the candidate rays, each distinct edge set dualised
-    once.  Findings mirror exhaustion failures: a candidate set missing a
-    ray leaves some facet strictly larger than the dual it should match.
+    For each candidate ray l with a descriptor and a checked chart, the
+    facet of the nef cone on l's wall must be the dual of l's target
+    edges: each edge must be the image of another candidate, and every
+    image must pair >= 0 with each generator of the edges' dual.
     """
     labels = list(candidate_labels) if candidate_labels is not None \
         else record.ray_labels()
+    nef_cone(record, labels)  # ChamberError unless pointed, full-dimensional
+    vectors = {lab: record.ray(lab).vec for lab in labels}
     findings: list[Finding] = []
-    amp = nef_cone(record, labels)
-    candidates = [record.ray(lab).vec for lab in labels]
     duals: dict[tuple, tuple] = {}
 
     for lab in labels:
-        ray = record.ray(lab)
-        if ray.contraction is None or lab not in targets:
+        if record.ray(lab).contraction is None or lab not in targets:
             continue
-        pushforward_map(record, lab)  # ExhaustionError on a bad chart
-        pullback = ray.contraction.pullback
-        inverse = _left_inverse(pullback)
-        chart_wall = [apply(inverse, w) for w in amp.generators
-                      if dot(w, ray.vec) == 0]
+        phi = pushforward_map(record, lab)  # ExhaustionError on a bad chart
+        images = set(candidate_images(phi, vectors, lab).values())
         edges = targets[lab].edges
-        for w in chart_wall:
-            # the definition of the dual: w pairs >= 0 with every edge
-            if any(dot(w, e) < 0 for e in edges):
+        for e in edges:
+            if e not in images:
                 findings.append(Finding(
                     "facet-patch", f"rays.{lab}",
-                    f"facet of the nef cone on {lab}'s wall is strictly "
-                    f"larger than the dual of its target edges: witness "
-                    f"({', '.join(map(rat_str, w))})"))
-        if chart_wall:
-            if edges not in duals:
-                duals[edges] = Cone(record.rho - 1, edges).dual().generators
-            for e in duals[edges]:
-                image = apply(pullback, e)
-                if any(dot(image, c) < 0 for c in candidates):
-                    findings.append(Finding(
-                        "facet-patch", f"rays.{lab}",
-                        f"dual of target edges exceeds the facet on {lab}'s "
-                        f"wall: witness {e}"))
+                    f"facet of the nef cone on {lab}'s wall differs from "
+                    f"the dual of its target edges: no candidate maps onto "
+                    f"the edge {e}"))
+        if edges not in duals:
+            duals[edges] = Cone(record.rho - 1, edges).dual().generators
+        for e in duals[edges]:
+            # by adjointness, (P e).c = e.phi(c) for every candidate c
+            if any(dot(e, image) < 0 for image in images):
+                findings.append(Finding(
+                    "facet-patch", f"rays.{lab}",
+                    f"dual of target edges exceeds the facet on {lab}'s "
+                    f"wall: witness {e}"))
     return findings
 
 

@@ -142,6 +142,19 @@ def build_targets(record: FanoRecord,
     return targets
 
 
+def candidate_images(phi: Mat, vectors: Mapping[str, Vec],
+                     label: str) -> dict[str, IVec]:
+    """The canonical image under label's pushforward phi of every other
+    candidate, keyed by its label; a zero image is left out."""
+    images = {}
+    for other, vec in vectors.items():
+        if other != label:
+            image = apply(phi, vec)
+            if any(image):
+                images[other] = canonicalize_ray(image)
+    return images
+
+
 def check_exhaustion(record: FanoRecord,
                      candidate_labels: Sequence[str],
                      targets: Mapping[str, TargetEntry],
@@ -184,17 +197,10 @@ def check_exhaustion(record: FanoRecord,
             f"{record.record_id.render()}: no candidate carries a "
             f"contraction descriptor, so there is nothing to check")
 
-    # images[lab][other]: the canonical image of other under lab's
-    # contraction, left out when it is zero; each is computed once and
-    # read by both the edge cover and the reciprocal check
-    images: dict[str, dict[str, IVec]] = {}
-    for lab, phi in phis.items():
-        images[lab] = {}
-        for other in candidate_labels:
-            if other != lab:
-                image = apply(phi, vectors[other])
-                if any(image):
-                    images[lab][other] = canonicalize_ray(image)
+    # each image is computed once and read by both the edge cover and the
+    # reciprocal check
+    images = {lab: candidate_images(phi, vectors, lab)
+              for lab, phi in phis.items()}
 
     misses: list[Miss] = []
     reciprocal: list[ReciprocalFailure] = []

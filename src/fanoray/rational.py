@@ -5,11 +5,11 @@ A value is an ``int`` when it is integral and a ``fractions.Fraction``
 serialization is the bit-exact ``str`` round trip ("3", "-3/2").  No
 floats are accepted anywhere.  A vector is a plain tuple of values and a
 matrix a tuple of row tuples; ``dot``, ``apply`` and ``transpose`` are the
-only operations on them.  Elimination (``rank``, ``solve_linear``, whose
-kernel basis is the null space, and ``_left_inverse``) and the cone
-engine's phase-1 simplex share one fraction-free (Bareiss) pivot on int
-rows, whose division by the previous pivot is exact; a ``Fraction`` is
-built only to read out a value that is not integral.
+only operations on them.  Elimination (``rank`` and ``solve_linear``,
+whose kernel basis is the null space) and the cone engine's phase-1
+simplex share one fraction-free (Bareiss) pivot on int rows, whose
+division by the previous pivot is exact; a ``Fraction`` is built only to
+read out a value that is not integral.
 """
 
 from __future__ import annotations
@@ -171,27 +171,6 @@ def solve_linear(a: Sequence[Sequence[Rat]], b: Sequence[Rat]):
             v[col] = _quotient(-aug[row][fc], aug[row][col])
         basis.append(tuple(v))
     return tuple(solution), basis
-
-
-def _left_inverse(a: Sequence[Sequence[Rat]]) -> Mat:
-    """A left inverse L (L·A = I) of A, given by its rows, from one
-    elimination of [A | I]; A must have full column rank.
-
-    For every b in the column space of A, ``apply(L, b)`` is the unique
-    solution of A·x = b, the one ``solve_linear`` returns.
-    """
-    cols = len(a[0]) if a else 0
-    aug = [_cleared([*row, *(int(i == k) for i in range(len(a)))])
-           for k, row in enumerate(a)]
-    pivots = _eliminate(aug, cols)
-    if len(pivots) < cols:
-        raise ExactArithError(
-            f"rank {len(pivots)} < {cols} columns: no left inverse")
-    inverse = [()] * cols
-    for row, col in pivots:
-        inverse[col] = tuple(_quotient(e, aug[row][col])
-                             for e in aug[row][cols:])
-    return tuple(inverse)
 
 
 def inconsistent_rows(rows: Sequence[Sequence[Rat]],

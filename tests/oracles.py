@@ -18,10 +18,13 @@ scan, and the engine must return exactly its rays, lineality and
 incidence.
 
 ``facet_patch_reference`` is ``chambers.facet_patch_check`` as it was
-before its reverse containment became a pairing on a checked chart: it
-decides that containment by membership in the cone of the chart
-preimages, here by the Caratheodory oracle, and it never checks the
-chart.  On records with valid charts the two must agree.
+before it read the facet off the candidates' images: it solves for the
+chart preimage of every nef generator on the wall, decides the reverse
+containment by membership in their cone, here by the Caratheodory
+oracle, and it never checks the chart.  On records with valid charts the
+two fail the same rays with the same reverse-containment witnesses, and
+each wall witness of the reference pairs < 0 with an edge that the check
+names as the image of no candidate.
 
 ``derive_target_edges_reference`` is ``exhaustion.derive_target_edges``
 as it was before it read the edges off the full cone's incidence: it
@@ -392,8 +395,10 @@ def minus_one_curves(r: int) -> list[tuple[int, ...]]:
 
 
 def facet_patch_reference(record, targets, candidate_labels=None):
-    """Reference facet-patch audit; ``chambers.facet_patch_check`` must
-    return the same findings on records whose charts are valid.
+    """Reference facet-patch audit; on records whose charts are valid,
+    ``chambers.facet_patch_check`` must fail the same rays with the same
+    "exceeds the facet" findings, and name an uncovered edge for each
+    "strictly larger" witness here (an edge the witness pairs < 0 with).
 
     For each candidate ray with a descriptor: the generators of the facet
     it cuts out of the nef cone, written in the pullback chart, must

@@ -1,3 +1,6 @@
+import json
+import re
+from ast import literal_eval
 from itertools import combinations
 
 import pytest
@@ -7,9 +10,9 @@ from fanoray.chambers import (ChamberError, chamber_graph, emit_dot,
                               facet_patch_check, nef_cone)
 from fanoray.cone import ConeError
 from fanoray.exhaustion import (ExhaustionError, build_targets,
-                                check_exhaustion, pushforward_map)
+                                check_exhaustion)
 from fanoray.model import ChamberEdge, ChamberNode, ChamberSpec, parse_record
-from fanoray.rational import _left_inverse, apply, dot, rat_str, solve_linear
+from fanoray.rational import dot, rat
 
 from oracles import facet_patch_reference
 
@@ -60,8 +63,8 @@ def test_facet_patch_detects_the_dropped_ray(records):
     targets = build_targets(rec, prefer_record_tables=False)
     findings = facet_patch_check(rec, targets, rec.ray_labels()[:7])
     assert findings
-    assert any(f.key == "rays.l4" and "strictly larger" in f.message
-               for f in findings)
+    assert any(f.key == "rays.l4" and f.message.endswith(
+        "no candidate maps onto the edge (1, 1, -1, 1)") for f in findings)
 
 
 def test_patch_and_exhaustion_verdicts_agree(records):
@@ -86,10 +89,54 @@ def _outcome(check, *args):
         return type(exc), str(exc)
 
 
+def _one_ray_deletions():
+    """(name, record) for each corrected record with one ray deleted, its
+    flop table too: the records ray-audit verifies."""
+    for path in sorted((datafiles.data_root() / "records").glob("*.json")):
+        raw = json.loads(path.read_text())
+        for ray in raw["rays"]:
+            label = ray["label"]
+            truncated = {**raw, "rays": [r for r in raw["rays"]
+                                         if r["label"] != label],
+                         "flop_tables": {k: v for k, v
+                                         in raw["flop_tables"].items()
+                                         if k != label}}
+            record, _ = parse_record(json.dumps(truncated), strict=False)
+            yield f"{path.stem} - {label}", record
+
+
+def _agrees_with_the_reference(record, targets, kept, where) -> bool:
+    """Compare one case with the reference; True when it has findings.
+
+    Both raise the same exception, or fail the same rays with the same
+    reverse-containment witnesses.  Each wall witness w of the reference
+    pairs < 0 with an edge that the check names as nobody's image: w lies
+    in the dual of the images, so such an edge cannot be one of them.
+    """
+    found = _outcome(facet_patch_check, record, targets, kept)
+    expected = _outcome(facet_patch_reference, record, targets, kept)
+    if isinstance(found, tuple) or isinstance(expected, tuple):
+        assert found == expected, where
+        return False
+    assert {f.key for f in found} == {f.key for f in expected}, where
+    assert ([f for f in found if "exceeds the facet" in f.message]
+            == [f for f in expected if "exceeds the facet" in f.message]), \
+        where
+    for f in expected:
+        if "strictly larger" in f.message:
+            w = [rat(x) for x in re.search(
+                r"witness \((.*)\)$", f.message).group(1).split(", ")]
+            named = [literal_eval(re.search(r"the edge (\(.*\))$",
+                                            g.message).group(1))
+                     for g in found
+                     if g.key == f.key and "maps onto" in g.message]
+            assert any(dot(w, e) < 0 for e in named), (where, f)
+    return bool(found)
+
+
 def test_facet_patch_matches_the_reference_on_weakened_candidate_sets():
     # every fixture, every candidate set with at most two rays dropped,
-    # both target modes: the pairings on a checked chart give exactly the
-    # findings of the membership-based reference
+    # both target modes, and every one-ray deletion of a corrected record
     assert len(FIXTURES) == 13
     cases = with_findings = 0
     for path in FIXTURES:
@@ -103,13 +150,18 @@ def test_facet_patch_matches_the_reference_on_weakened_candidate_sets():
             for k in range(3):
                 for dropped in combinations(labels, k):
                     kept = [lab for lab in labels if lab not in dropped]
-                    found = _outcome(facet_patch_check, record, targets, kept)
-                    assert found == _outcome(facet_patch_reference, record,
-                                             targets, kept), (path.name,
-                                                              dropped)
+                    with_findings += _agrees_with_the_reference(
+                        record, targets, kept, (path.name, dropped))
                     cases += 1
-                    with_findings += isinstance(found, list) and bool(found)
     assert (cases, with_findings) == (338, 156)
+    deletions = with_findings = 0
+    for name, record in _one_ray_deletions():
+        targets = _outcome(build_targets, record, True)
+        if not isinstance(targets, tuple):
+            with_findings += _agrees_with_the_reference(
+                record, targets, record.ray_labels(), name)
+        deletions += 1
+    assert (deletions, with_findings) == (32, 4)
 
 
 def test_facet_patch_matches_the_reference_on_weakened_targets():
@@ -131,34 +183,6 @@ def test_facet_patch_matches_the_reference_on_weakened_targets():
                 assert any("exceeds the facet" in f.message for f in found)
                 cases += 1
     assert cases == 160
-
-
-def test_one_left_inverse_per_chart_gives_every_wall_preimage():
-    # what facet_patch_check reads off one left inverse of the pullback is,
-    # for every nef generator on a checked chart's wall, the solution that
-    # solve_linear finds, down to its witness string
-    cases = 0
-    for path in FIXTURES:
-        record, _ = parse_record(path.read_text(), strict=False)
-        try:
-            amp = nef_cone(record)
-        except ChamberError:
-            continue
-        for ray in record.rays:
-            try:
-                pushforward_map(record, ray.label)
-            except ExhaustionError:
-                continue
-            pullback = ray.contraction.pullback
-            inverse = _left_inverse(pullback)
-            for w in amp.generators:
-                if dot(w, ray.vec) == 0:
-                    got = apply(inverse, w)
-                    expected = solve_linear(pullback, w)[0]
-                    assert (list(map(rat_str, got))
-                            == list(map(rat_str, expected))), (path.name, w)
-                    cases += 1
-    assert cases == 161
 
 
 def test_pyramid_codim2_faces_lie_in_exactly_two_facets(records):

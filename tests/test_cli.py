@@ -446,6 +446,27 @@ def test_verify_flags_a_contracted_ray_that_is_not_extreme(
     assert code == 1
 
 
+def test_verify_fails_facet_patch_on_a_contracted_ray_inside_the_cone(
+        capsys, record_paths, tmp_path):
+    # l3 = l1 + l2 lies inside the candidate cone, so its wall on the nef
+    # cone is {0}: no facet there can equal the dual of its target edges
+    data = json.loads(record_paths["b2_2_n8"].read_text())
+    data["rays"].append({"label": "l3", "vec": ["0", "1"], "antiK": "2",
+                         "type": "C", "contraction": {
+                             "target": None, "pullback": [["1"], ["0"]],
+                             "target_edges": [["1"]]}})
+    (tmp_path / "b2_2_n8.json").write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
+    assert any(f.startswith("[extremality] rays.l3.contraction")
+               for f in sections["validate"]["findings"])
+    assert sections["facet-patch"] == {
+        "check": "facet-patch", "status": "fail", "findings": [
+            "[facet-patch] rays.l3: dual of target edges exceeds the facet "
+            "on l3's wall: witness (1,)"]}
+    assert code == 1
+
+
 def test_an_overlong_literal_is_echoed_short(capsys, record_paths, tmp_path):
     data = json.loads(record_paths["b2_2_n1"].read_text())
     data["rays"][0]["antiK"] = "7" * 5000

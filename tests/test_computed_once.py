@@ -123,16 +123,14 @@ def test_facet_patch_tests_each_dual_generator_once(monkeypatch, records):
     assert calls == []
 
 
-def test_facet_patch_eliminates_each_pullback_once(monkeypatch, records):
-    # one left inverse per ray serves every generator on its wall
+def test_facet_patch_runs_no_elimination(monkeypatch, records):
+    # the facet in each chart is read off the candidates' images: no
+    # preimage of a wall generator is solved for
     record = records["b2_5_n1"]
     targets = build_targets(record, prefer_record_tables=False)
-    solves = count_calls(monkeypatch, "rational", "solve_linear")
-    inverses = count_calls(monkeypatch, "rational", "_left_inverse")
+    eliminations = count_calls(monkeypatch, "rational", "_eliminate")
     assert facet_patch_check(record, targets) == []
-    assert solves == []
-    assert [args[0] for args in inverses] == [
-        ray.contraction.pullback for ray in record.rays]
+    assert eliminations == []
 
 
 def test_facet_patch_dualises_each_distinct_edge_set_once(monkeypatch,

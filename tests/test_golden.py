@@ -39,7 +39,8 @@ def _cases():
     root = datafiles.data_root()
     records = root / "records"
     cases = {"verify_json": ("verify", "{dir}"),
-             "verify_human": ("verify", "{dir}", "--human")}
+             "verify_human": ("verify", "{dir}", "--human"),
+             "verify_drop_l8": ("verify", "{drop_l8}", "--human")}
     for stem in CORRECTED:
         cases[f"nef_{stem}"] = ("nef", str(records / f"{stem}.json"))
     b2_5_n1 = str(records / "b2_5_n1.json")
@@ -78,10 +79,22 @@ def _l8_proposal(tmp: Path) -> Path:
     return path
 
 
+def _drop_l8_dir(tmp: Path) -> Path:
+    """A one-file directory: b2_5_n1 without its ray l8 or l8's flop table."""
+    record = json.loads(
+        (datafiles.records_dir() / "b2_5_n1.json").read_text())
+    record["rays"] = [r for r in record["rays"] if r["label"] != "l8"]
+    del record["flop_tables"]["l8"]
+    (tmp / "b2_5_n1.json").write_text(json.dumps(record))
+    return tmp
+
+
 def _run(argv, tmp: Path):
     """(exit code, stdout, stderr) of one CLI call; the placeholders
-    ``{dir}`` and ``{l8}`` become a fixture directory and a proposal file."""
-    fill = {"{dir}": _all_fixtures_dir, "{l8}": _l8_proposal}
+    ``{dir}``, ``{drop_l8}`` and ``{l8}`` become a fixture directory, a
+    directory holding b2_5_n1 without l8, and a proposal file."""
+    fill = {"{dir}": _all_fixtures_dir, "{drop_l8}": _drop_l8_dir,
+            "{l8}": _l8_proposal}
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):

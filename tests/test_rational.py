@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanoray.rational import (ExactArithError, _left_inverse, apply, dot,
-                              inconsistent_rows, rank, rat, rat_str,
-                              solve_linear, transpose)
+from fanoray.rational import (ExactArithError, apply, dot, inconsistent_rows,
+                              rank, rat, rat_str, solve_linear, transpose)
 
 from oracles import rank_bruteforce
 
@@ -138,23 +137,6 @@ def test_rank_nullity(rows):
     assert rank(rows) == rank_bruteforce(rows)
     kernel = solve_linear(rows, [0] * len(rows))[1]
     assert rank(rows) + len(kernel) == len(rows[0])
-
-
-@given(rows=matrices, data=st.data())
-@settings(max_examples=100)
-def test_left_inverse_gives_solve_linears_solution(rows, data):
-    # L·(A·x) is x, the one solution solve_linear finds, an int where integral
-    width = len(rows[0])
-    if rank(rows) < width:
-        with pytest.raises(ExactArithError):
-            _left_inverse(rows)
-        return
-    x = tuple(map(rat, data.draw(st.lists(rationals, min_size=width,
-                                          max_size=width))))
-    b = apply(rows, x)
-    got = apply(_left_inverse(rows), b)
-    assert got == solve_linear(rows, b)[0] == x
-    assert list(map(type, got)) == list(map(type, x))
 
 
 @given(rows=matrices, data=st.data())
