@@ -183,11 +183,25 @@ def _render_table(reports, summary) -> str:
             lines.append(f"  {section['check']:<12} {section['status']}")
             for finding in section["findings"]:
                 lines.append(f"    {finding}")
+            if (section["check"], section["status"]) == ("exhaustion",
+                                                         "fail"):
+                lines += _exhaustion_lines(section["detail"])
     lines.append(f"{summary['records']} records, "
                  f"{summary['flop_configs']} flop configs: "
                  f"{summary['status']}"
                  + (" (no records)" if "warning" in summary else ""))
     return "\n".join(lines)
+
+
+def _exhaustion_lines(detail) -> list[str]:
+    """A failed exhaustion section's misses and reciprocal failures, read
+    from its detail (the report's JSON), one line each."""
+    lines = [f"    [exhaustion] rays.{m['ray']}: {m['note']} "
+             f"{tuple(m['edge'])}" for m in detail["misses"]]
+    lines += [f"    [exhaustion] rays.{f['ray']}: the image of {f['ray']} "
+              f"under {f['other']}'s pushforward is not a target edge of "
+              f"{f['other']}" for f in detail["reciprocal_failures"]]
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,20 @@ reproducible across platforms.  The pass carries each ray's incidence
 each generator the bitmask of the rays tight on it, both kept up to date
 as it runs; it decides which pairs of rays are adjacent from those masks
 alone, with one AND per common tight generator instead of a scan over
-every ray.  ``extreme_rays`` and ``neighbours`` (the extreme rays
-sharing a 2-face with a given one) read the final incidence transposed
-with no rank at all, and a cone's rank is read off the dual's lineality;
-``codim2_faces`` prefilters facet pairs on the masks and lets one rank
-per remaining pair decide.
+every ray; the ids of the current rays are one mask, updated as rays
+are made and cut away.  A cut step sorts the rays by sign in one pass
+into plain lists and appends each new ray without a de-duplicating
+lookup: each lies in the relative interior of its own pair's 2-face, so
+none coincides with another or with a kept ray.  ``extreme_rays`` and ``neighbours`` (the
+extreme rays sharing a 2-face with a given one) read the final incidence
+transposed with no rank at all, and a cone's rank is read off the
+dual's lineality; ``codim2_faces`` prefilters facet pairs on the masks
+and lets one rank per remaining pair decide.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -162,14 +166,27 @@ def dual_description(generators: Sequence[IVec], dim: int):
     the AND of ``alive`` (the ids of the current rays) with ``tight[j]``
     over its bits j, and the pair is adjacent iff that leaves just its own
     two ids.  Dead ids stay in ``tight``; the AND with ``alive`` masks
-    them out.
+    them out.  ``alive`` is kept incrementally: a new ray's id is ORed in
+    and, after a cut step, the ids of the rays it cut away are cleared.
+
+    A cut step computes each a.r once, in the one pass that splits the
+    rays into the kept ones (value >= 0; the zero ones become tight on a)
+    and the positive and negative ones, as lists, and then appends the
+    ray of each adjacent (positive, negative) pair with no check that it
+    is new.  None can repeat: the ray of an adjacent pair lies in the
+    relative interior of that pair's 2-face (plus the lineality space),
+    distinct pairs span distinct 2-faces, and a kept zero ray lies in the
+    relative interior of its own 1-face, and the relative interiors of
+    distinct faces of a cone are disjoint.  Rays are primitive, so
+    distinct directions are distinct tuples.
     """
     lineality: list[IVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays: list[IVec] = []
     masks: list[int] = []
-    ids: list[int] = []
+    id_bits: list[int] = []  # 1 << id, per ray
     tight: list[int] = []
+    alive = 0  # the ids of the current rays
     fresh = 0  # the next id
     for i, a in enumerate(generators):
         bit = 1 << i
@@ -193,43 +210,61 @@ def dual_description(generators: Sequence[IVec], dim: int):
             rays.append(canonicalize_ray(u0))
             masks = [mask | bit for mask in masks]
             masks.append(bit - 1)
-            tight.append(sum(1 << k for k in ids))
+            tight.append(alive)
             for j in range(i):
                 tight[j] |= 1 << fresh
-            ids.append(fresh)
+            id_bits.append(1 << fresh)
+            alive |= 1 << fresh
             fresh += 1
         else:
-            vals = [_ivec_dot(a, r) for r in rays]
-            new = {r: mask | bit if v == 0 else mask
-                   for r, mask, v in zip(rays, masks, vals) if v >= 0}
-            kept = [rid for rid, v in zip(ids, vals) if v >= 0]
-            tight.append(sum(1 << k for k, v in zip(ids, vals) if v == 0))
-            alive = sum(1 << k for k in ids)
-            pos = [k for k, v in enumerate(vals) if v > 0]
-            neg = [k for k, v in enumerate(vals) if v < 0]
+            # one pass sorts the rays by the sign of a.r: the zero and
+            # positive ones are kept, the zero ones become tight on a
+            kept, kept_masks, kept_bits = [], [], []
+            pos, neg = [], []
+            zeros = dead = born = 0
+            for r, mask, id_bit in zip(rays, masks, id_bits):
+                v = sum(map(mul, a, r))
+                if v < 0:
+                    neg.append((mask, id_bit, v, r))
+                    dead |= id_bit
+                    continue
+                kept.append(r)
+                kept_bits.append(id_bit)
+                if v:
+                    kept_masks.append(mask)
+                    pos.append((mask, id_bit, v, r))
+                else:
+                    kept_masks.append(mask | bit)
+                    zeros |= id_bit
+            tight.append(zeros)
             need = dim - len(lineality) - 2
-            for p, m in product(pos, neg):
-                common = masks[p] & masks[m]
-                if common.bit_count() < need:
-                    continue
-                # the current rays tight on all of common: p, m and more?
-                pair = 1 << ids[p] | 1 << ids[m]
-                shared = alive
-                for j in _bits(common):
-                    shared &= tight[j]
-                    if shared == pair:
-                        break
-                if shared != pair:
-                    continue
-                r = canonicalize_ray(tuple(vals[p] * x - vals[m] * y
-                                           for x, y in zip(rays[m], rays[p])))
-                if r not in new:
-                    new[r] = common | bit
-                    kept.append(fresh)
+            for mask_m, bit_m, v_m, r_m in neg:
+                for common, bit_p, v_p, r_p in [
+                        (c, bit_p, v_p, r_p)
+                        for mask_p, bit_p, v_p, r_p in pos
+                        if (c := mask_p & mask_m).bit_count() >= need]:
+                    # the current rays tight on all of common: p, m and more?
+                    # (_bits inlined: this is the hottest loop)
+                    pair = bit_p | bit_m
+                    shared = alive
+                    rest = common
+                    while rest and shared != pair:
+                        low = rest & -rest
+                        shared &= tight[low.bit_length() - 1]
+                        rest ^= low
+                    if shared != pair:
+                        continue
+                    w = [v_p * x - v_m * y for x, y in zip(r_m, r_p)]
+                    content = gcd(*w)
+                    kept.append(tuple([x // content for x in w]))
+                    kept_masks.append(common | bit)
+                    kept_bits.append(1 << fresh)
                     for j in _bits(common | bit):
                         tight[j] |= 1 << fresh
+                    born |= 1 << fresh
                     fresh += 1
-            rays, masks, ids = list(new), list(new.values()), kept
+            rays, masks, id_bits = kept, kept_masks, kept_bits
+            alive = alive ^ dead | born
     ordered = sorted(zip(rays, masks))
     return [r for r, _ in ordered], sorted(lineality), [m for _, m in ordered]
 

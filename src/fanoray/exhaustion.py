@@ -6,9 +6,11 @@ cone is hit by the image of another candidate.  Edge identity is canonical
 primitive-ray equality, never approximate, so the verdict is invariant
 under positive rescaling of any candidate or edge.
 
-Target edge sets come from data: either transcribed on the contraction
-descriptor (record-table) or computed from the record's full corrected ray
-set (derived-oracle).  A derived set is the images of the 2-faces of the
+Target edge sets come from data: transcribed on the contraction
+descriptor (record-table), fixed by the target's Picard rank one (rank-one:
+on a rho = 2 record every contraction lands on a curve cone that is a
+single ray), or computed from the record's full corrected ray set
+(derived-oracle).  A derived set is the images of the 2-faces of the
 full ray cone through the contracted ray (the edges of a quotient by a
 face), read off that cone's one double description: every contraction of
 a record shares it.  Audits weaken only the candidate set, never the
@@ -31,7 +33,7 @@ class ExhaustionError(ValueError):
 
 class TargetEntry(NamedTuple):
     edges: tuple[IVec, ...]
-    provenance: str                   # "record-table" | "derived-oracle"
+    provenance: str     # "record-table" | "rank-one" | "derived-oracle"
 
 
 class Miss(NamedTuple):
@@ -124,8 +126,16 @@ def build_targets(record: FanoRecord,
                   ) -> dict[str, TargetEntry]:
     """Target edges for every descriptor-bearing ray.
 
-    Descriptor-supplied edge sets win when present (record-table
-    provenance); everything else is derived from the full corrected set.
+    With ``prefer_record_tables`` (the CLI's ``--targets auto``)
+    descriptor-supplied edge sets win when present (record-table
+    provenance), and a contraction of a rho = 2 record without one gets
+    the single edge (1,) (rank-one provenance): its target has Picard
+    rank one, and the convention assumed is that the chart's basis is the
+    target's ample generator, so the pushed cone is the ray (1,).  Such an
+    edge set depends on no ray of the record, so deleting a ray cannot
+    shrink it.  Its chart is still checked first, so a broken chart raises
+    before any target is built.  Everything else is derived from the full
+    corrected set.
     """
     full = record.ray_labels()
     targets: dict[str, TargetEntry] = {}
@@ -137,6 +147,9 @@ def build_targets(record: FanoRecord,
             targets[ray.label] = TargetEntry(
                 tuple(sorted(canonicalize_ray(e) for e in edges)),
                 "record-table")
+        elif prefer_record_tables and record.rho == 2:
+            pushforward_map(record, ray.label)
+            targets[ray.label] = TargetEntry(((1,),), "rank-one")
         else:
             targets[ray.label] = derive_target_edges(record, full, ray.label)
     return targets

@@ -109,15 +109,22 @@ def _pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
 
     Every other row becomes (p*row - row[col]*rows[r]) // prev, prev being
     the previous pivot (1 at the start); returns p, the next prev.  The
-    division is exact (each entry is a minor of the starting int rows)
-    only because *every* row is updated, zero in the pivot column or not.
+    division is exact: each entry of the result is a minor of the starting
+    int rows.  A row with a zero in the pivot column skips the product with
+    the pivot row: it becomes p*row // prev, which is exact for the same
+    reason, and it is left as it is when p == prev, since then the update
+    is the identity.
     """
     pivot = rows[r]
     p = pivot[col]
     for i, row in enumerate(rows):
-        if i != r:
-            f = row[col]
-            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot)]
+        f = row[col]
+        if f:
+            if i != r:
+                rows[i] = [(p * a - f * b) // prev
+                           for a, b in zip(row, pivot)]
+        elif p != prev:
+            rows[i] = [p * a // prev for a in row]
     return p
 
 

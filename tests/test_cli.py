@@ -84,6 +84,26 @@ def test_verify_skips_facet_patch_on_an_invalid_chart(capsys, record_paths,
         "detail": "B2=5/n1: descriptor of l4 does not annihilate its own ray"}
 
 
+def test_verify_fails_exhaustion_on_a_rank_one_record_with_a_ray_deleted(
+        capsys, record_paths, tmp_path):
+    data = json.loads(record_paths["b2_2_n1"].read_text())
+    data["rays"] = [r for r in data["rays"] if r["label"] != "l1"]
+    data["flop_tables"] = {}
+    (tmp_path / "b2_2_n1.json").write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 1
+    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
+    assert sections["exhaustion"]["status"] == "fail"
+    assert sections["exhaustion"]["detail"]["misses"] == [
+        {"ray_index": 1, "ray": "l2", "edge": [1],
+         "note": "no candidate maps onto this edge"}]
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path), "--human")
+    assert code == 1
+    assert ("  exhaustion   fail\n"
+            "    [exhaustion] rays.l2: no candidate maps onto this edge (1,)\n"
+            ) in out
+
+
 def test_verify_fails_on_a_failed_section_without_findings(capsys,
                                                           record_paths,
                                                           tmp_path):

@@ -68,6 +68,14 @@ def test_incidence_matches_dot_products(cone):
 small_ints = st.integers(min_value=-3, max_value=3)
 
 
+def _matches_reference_with_distinct_rays(dim, gens):
+    """The cut step keeps no de-duplication: the reference's ``setdefault``
+    would hide a repeated ray, so the rays are also checked distinct."""
+    description = dual_description(gens, dim)
+    assert description == dual_description_reference(gens, dim)
+    assert len(set(description[0])) == len(description[0])
+
+
 @st.composite
 def generator_lists(draw, kind):
     """(dim, generators) of one kind:
@@ -106,9 +114,7 @@ def generator_lists(draw, kind):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_dual_description_matches_reference(kind, data):
-    dim, gens = data.draw(generator_lists(kind))
-    assert dual_description(gens, dim) == dual_description_reference(
-        gens, dim)
+    _matches_reference_with_distinct_rays(*data.draw(generator_lists(kind)))
 
 
 @st.composite
@@ -142,9 +148,23 @@ def staged_generators(draw):
 @given(data=st.data())
 def test_dual_description_ids_survive_projection_and_removal(data):
     # rays keep their ids through lineality steps and die in cut steps
-    dim, gens = data.draw(staged_generators())
-    assert dual_description(gens, dim) == dual_description_reference(
-        gens, dim)
+    _matches_reference_with_distinct_rays(*data.draw(staged_generators()))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["full", "lower", "non-pointed",
+                                  "repeated-zero"])
+@settings(max_examples=2000, deadline=None)
+@given(data=st.data())
+def test_dual_description_never_repeats_a_ray(kind, data):
+    _matches_reference_with_distinct_rays(*data.draw(generator_lists(kind)))
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(data=st.data())
+def test_staged_dual_description_never_repeats_a_ray(data):
+    _matches_reference_with_distinct_rays(*data.draw(staged_generators()))
 
 
 # the last cone has a generator inside a codim-2 face that is not extreme

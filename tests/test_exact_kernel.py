@@ -111,3 +111,42 @@ def test_elimination_and_simplex_share_one_pivot(monkeypatch):
     assert after_solve > after_rank
     assert Cone(2, [(1, 0), (0, 1)]).membership([1, 1]).inside
     assert calls["pivot"] > after_solve
+
+
+def _full_bareiss(rows, r, col, prev):
+    """The textbook Bareiss pivot: every row but the pivot row updated,
+    each division checked to be exact."""
+    pivot = rows[r]
+    p = pivot[col]
+    out = []
+    for i, row in enumerate(rows):
+        if i == r:
+            out.append(list(row))
+            continue
+        terms = [p * a - row[col] * b for a, b in zip(row, pivot)]
+        assert all(t % prev == 0 for t in terms)
+        out.append([t // prev for t in terms])
+    return out
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_pivot_equals_the_full_bareiss_update(data):
+    # entries in [-2, 2] make zeros in the pivot column and p == prev common
+    width = data.draw(st.integers(min_value=1, max_value=6))
+    rows = data.draw(st.lists(st.lists(small, min_size=width,
+                                       max_size=width),
+                              min_size=1, max_size=6))
+    # one Gauss-Jordan pass: each pivot row and column used once
+    free_rows, free_cols, prev = list(range(len(rows))), set(range(width)), 1
+    while True:
+        choices = [(r, c) for r in free_rows for c in sorted(free_cols)
+                   if rows[r][c] != 0]
+        if not choices:
+            break
+        r, col = data.draw(st.sampled_from(choices))
+        expected = _full_bareiss(rows, r, col, prev)
+        prev = rational._pivot(rows, r, col, prev)
+        assert rows == expected
+        free_rows.remove(r)
+        free_cols.remove(col)

@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fanoray.cone import Cone, canonicalize_ray
-from fanoray.exhaustion import (ExhaustionError, build_targets,
-                                check_exhaustion, derive_target_edges,
-                                extend_candidates, pushforward_map)
+from fanoray.exhaustion import (ExhaustionError, TargetEntry,
+                                build_targets, check_exhaustion,
+                                derive_target_edges, extend_candidates,
+                                pushforward_map)
 from fanoray.model import record_from_json, serialize_record
 from fanoray.rational import apply, rank, solve_linear, transpose
 
@@ -66,6 +67,46 @@ def test_derived_edges_rho2_single_edge(records):
     rec = records["b2_2_n1"]
     entry = derive_target_edges(rec, ["l1", "l2"], "l1")
     assert len(entry.edges) == 1
+
+
+RHO2 = ("b2_2_n1", "b2_2_n28", "b2_2_n30", "b2_2_n8")
+
+
+@pytest.mark.parametrize("stem", RHO2)
+def test_rank_one_targets_match_the_derived_ones(records, stem):
+    rec = records[stem]
+    auto = build_targets(rec)
+    derived = build_targets(rec, prefer_record_tables=False)
+    assert set(auto) == set(derived) == {"l1", "l2"}
+    for label, entry in auto.items():
+        assert entry == TargetEntry(((1,),), "rank-one")
+        assert derived[label] == TargetEntry(((1,),), "derived-oracle")
+
+
+def test_rank_one_targets_still_check_the_chart(mistakes):
+    # l1's chart of b2_2_n8_mistake does not kill l1: no target is built
+    record, _ = mistakes["b2_2_n8_mistake"]
+    with pytest.raises(ExhaustionError,
+                       match="descriptor of l1 does not annihilate"):
+        build_targets(record)
+
+
+@pytest.mark.parametrize("label", ["l1", "l2"])
+def test_rank_one_target_survives_a_deleted_ray(records, label):
+    data = serialize_record(records["b2_2_n1"])
+    data["rays"] = [r for r in data["rays"] if r["label"] != label]
+    data["flop_tables"] = {}
+    record = record_from_json(data)
+    (kept,) = record.ray_labels()
+    targets = build_targets(record)
+    assert targets[kept].edges == ((1,),)
+    report = check_exhaustion(record, record.ray_labels(), targets)
+    assert [(m.ray_label, m.edge) for m in report.misses] == [(kept, (1,))]
+    # derived from the truncated record's own rays, the targets are empty
+    # and the check passes vacuously
+    derived = build_targets(record, prefer_record_tables=False)
+    assert derived[kept].edges == ()
+    assert check_exhaustion(record, record.ray_labels(), derived).passed
 
 
 def test_record_table_targets_match_derived_for_n12_contractions(records):

@@ -5,7 +5,9 @@ k_21) come from ``bench/oracle.py``, which is read, never imported as a
 file module, so this test leaves the benchmark directory untouched.  Each
 normal is rechecked with plain integer dot products and the oracle's own
 rank.  The double description's whole output (rays, lineality and
-incidence) is pinned by the sha256 of its repr.
+incidence) is pinned by the sha256 of its repr, and so are the simplex
+certificates: the pointedness certificate and eight fixed membership
+queries per cone.
 The E8 cone (r = 8, 240 generators, the 19440 facets of 4_21) needs the
 degree-6 enumerator of ``tests/oracles.py`` and a few seconds, so it is
 marked slow and runs only with ``-m slow``.
@@ -13,6 +15,7 @@ marked slow and runs only with ``-m slow``.
 
 import hashlib
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,34 @@ DD_DIGESTS = {
     8: "7e8675abdcf02d252aee56adc7b7df9ee001655ffdf6127b991b061a775324d5",
 }
 
+# sha256 of repr((cone.is_pointed(), [cone.membership(q) for q in
+# _queries(r)])) for cone = Cone(r + 1, minus_one_curves(r))
+CERT_DIGESTS = {
+    3: "6dd8da015afc3200dc0638fb586092db19aa2fb192dcd2f1905c7ec6331f0462",
+    4: "ccd67df6ad173e1b5ddd6910234570fe5f85b99f892f981658cb4b86fb9fbeba",
+    5: "4b07c78407767c2b04e95b5404e423133e036cd3abb0f6f26519349c2bcb7ca3",
+    6: "a9dbd2d3fc3ad54624b68f970845a4483938d1680042811975be16ac515c73db",
+    7: "8e338a198e5675c3e7cf9bda8a1fe73bc00c7cdbfec9fd5ff6c8e3c309730490",
+}
+
+
+def _queries(r):
+    """Eight fixed membership queries in dimension r + 1: two sums of
+    generators, -K, the negative of a generator, the hyperplane class L,
+    -sum E_i, a mixed int vector and a Fraction vector."""
+    gens = minus_one_curves(r)
+    mid, last = gens[len(gens) // 2], gens[-1]
+    return [
+        tuple(x + 2 * y + 3 * z for x, y, z in zip(gens[0], mid, last)),
+        tuple(map(sum, zip(*gens))),
+        (3,) + (-1,) * r,
+        tuple(-x for x in gens[0]),
+        (1,) + (0,) * r,
+        (0,) + (1,) * r,
+        tuple((3 * k + r) % 7 - 3 for k in range(r + 1)),
+        tuple(Fraction(k % 3 - 1, k + 2) for k in range(r + 1)),
+    ]
+
 
 def _digest(description) -> str:
     return hashlib.sha256(repr(description).encode()).hexdigest()
@@ -66,6 +97,16 @@ def test_gosset_cone_facets(r):
 def test_gosset_double_description_is_pinned(r):
     gens = oracle.minus_one_curves(r)
     assert _digest(dual_description(gens, r + 1)) == DD_DIGESTS[r]
+
+
+@pytest.mark.parametrize("r", sorted(CERT_DIGESTS))
+def test_gosset_simplex_certificates_are_pinned(r):
+    cone = Cone(r + 1, minus_one_curves(r))
+    answers = [cone.membership(q) for q in _queries(r)]
+    # only the mixed vector's answer depends on r
+    assert [m.inside for m in answers] == [
+        True, True, True, False, True, False, r == 6, False]
+    assert _digest((cone.is_pointed(), answers)) == CERT_DIGESTS[r]
 
 
 def test_degree_six_enumerator_extends_the_benchmark_one():
