@@ -39,6 +39,9 @@ class ConeError(ValueError):
     pass
 
 
+_ZERO_VECTOR = "zero vector has no ray direction"
+
+
 def _ivec_dot(a: Sequence, b: Sequence) -> Rat:
     return sum(map(mul, a, b))
 
@@ -47,14 +50,17 @@ def canonicalize_ray(v) -> IVec:
     """Unique primitive integer vector positively proportional to v.
 
     Clears denominators, divides by the content.  The direction is kept:
-    no sign flip, a ray and its negative stay distinct.
+    no sign flip, a ray and its negative stay distinct.  An all-int vector
+    skips ``rat`` and comes back as it is when already primitive.
     """
-    ints = list(v)
-    if not all(type(e) is int for e in ints):
-        ints = _cleared([rat(e) for e in ints])
+    ints = tuple(v)
+    if {*map(type, ints)} != {int}:
+        ints = tuple(_cleared([rat(e) for e in ints]))
     content = gcd(*ints)
+    if content == 1:
+        return ints
     if content == 0:
-        raise ConeError("zero vector has no ray direction" if ints
+        raise ConeError(_ZERO_VECTOR if ints
                         else "empty vector")
     return tuple(x // content for x in ints)
 

@@ -23,7 +23,7 @@ from itertools import count
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cone import Cone, IVec, canonicalize_ray
-from .model import FanoRecord
+from .model import FanoRecord, _require_nonzero
 from .rational import Mat, Vec, apply
 
 
@@ -144,6 +144,10 @@ def build_targets(record: FanoRecord,
             continue
         edges = ray.contraction.target_edges
         if prefer_record_tables and edges is not None:
+            for i, e in enumerate(edges):
+                _require_nonzero(
+                    record, f"rays.{ray.label}.contraction.target_edges[{i}]",
+                    e)
             targets[ray.label] = TargetEntry(
                 tuple(sorted(canonicalize_ray(e) for e in edges)),
                 "record-table")
@@ -267,7 +271,8 @@ def extend_candidates(record: FanoRecord,
     pending = [(canonicalize_ray(p), p) for p in proposals]
     reports: list[ExhaustionReport] = []
     events: list[str] = []
-    by_canon = {canonicalize_ray(r.vec): r.label for r in record.rays}
+    by_canon = {canonicalize_ray(r.vec): r.label for r in record.rays
+                if any(r.vec)}  # a zero ray is named by check_exhaustion
     labels = set(record.ray_labels())
 
     while True:

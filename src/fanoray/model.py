@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .cone import Cone, ConeError, canonicalize_ray
+from .cone import _ZERO_VECTOR, Cone, ConeError, canonicalize_ray
 from .rational import (ExactArithError, Mat, Rat, Vec, apply, dot,
                        inconsistent_rows, rat, rat_str, rank, solve_linear,
                        transpose)
@@ -139,8 +139,10 @@ class FanoRecord:
     def ray_cone(self, labels: Optional[Sequence[str]] = None) -> Cone:
         key = tuple(labels) if labels is not None else tuple(self.ray_labels())
         if key not in self._cones:
-            self._cones[key] = Cone(self.rho,
-                                    [self.ray(lab).vec for lab in key])
+            vecs = [self.ray(lab).vec for lab in key]
+            for lab, vec in zip(key, vecs):
+                _require_nonzero(self, f"rays.{lab}", vec)
+            self._cones[key] = Cone(self.rho, vecs)
         return self._cones[key]
 
     @cached_property
@@ -149,6 +151,14 @@ class FanoRecord:
         uncached, when there are fewer rays than rho)."""
         return derive_antiK_combo([(r.vec, r.antiK) for r in self.rays],
                                   self.rho)
+
+
+def _require_nonzero(record: FanoRecord, key: str, vec: Vec) -> None:
+    """Raise ``ConeError`` naming the record and the key (as in
+    ``validate_record``'s findings) when vec, which must be a ray
+    direction, is zero."""
+    if not any(vec):
+        raise ConeError(f"{record.record_id.render()}.{key}: {_ZERO_VECTOR}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,26 +429,32 @@ def validate_record(record: FanoRecord) -> list[Finding]:
                         "target-edges", f"{key}.target_edges[{i}]",
                         f"edge {e} lies in the cone of the other edges"))
 
-    try:
-        cone = record.ray_cone()
-        pointed = cone.is_pointed()
-        if not pointed.pointed:
-            findings.append(Finding(
-                "pointedness", "rays",
-                f"ray cone contains the line through {pointed.line}"))
-        elif any(ray.contraction for ray in record.rays):
-            # a contraction contracts an extremal ray; the memoised double
-            # description read here serves exhaustion and facet-patch too
-            extreme = cone.extreme_rays()
-            for ray in record.rays:
-                contracted = canonicalize_ray(ray.vec)
-                if ray.contraction and contracted not in extreme:
-                    findings.append(Finding(
-                        "extremality", f"rays.{ray.label}.contraction",
-                        f"contracted ray {ray.label} = {list(contracted)} "
-                        f"is not an extreme ray of the ray cone"))
-    except (ConeError, ExactArithError) as exc:  # e.g. a zero ray vector
-        findings.append(Finding("pointedness", "rays", str(exc)))
+    zero_rays = [ray.label for ray in record.rays if not any(ray.vec)]
+    for label in zero_rays:
+        findings.append(Finding("pointedness", f"rays.{label}", _ZERO_VECTOR))
+    if not zero_rays:
+        try:
+            cone = record.ray_cone()
+            pointed = cone.is_pointed()
+            if not pointed.pointed:
+                findings.append(Finding(
+                    "pointedness", "rays",
+                    f"ray cone contains the line through {pointed.line}"))
+            elif any(ray.contraction for ray in record.rays):
+                # a contraction contracts an extremal ray; the memoised
+                # double description read here serves exhaustion and
+                # facet-patch too
+                extreme = cone.extreme_rays()
+                for ray in record.rays:
+                    contracted = canonicalize_ray(ray.vec)
+                    if ray.contraction and contracted not in extreme:
+                        findings.append(Finding(
+                            "extremality", f"rays.{ray.label}.contraction",
+                            f"contracted ray {ray.label} = "
+                            f"{list(contracted)} is not an extreme ray of "
+                            f"the ray cone"))
+        except (ConeError, ExactArithError) as exc:
+            findings.append(Finding("pointedness", "rays", str(exc)))
 
     if len(record.rays) < record.rho:
         findings.append(Finding(

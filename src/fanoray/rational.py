@@ -2,20 +2,25 @@
 
 A value is an ``int`` when it is integral and a ``fractions.Fraction``
 (gcd-reduced, denominator > 1) otherwise; ``rat`` is the one way in, and
-serialization is the bit-exact ``str`` round trip ("3", "-3/2").  No
+serialization is the bit-exact ``str`` round trip ("3", "-3/2").  The
+parse of a serialized literal is memoised in a bounded ``lru_cache``,
+which stores no error: a bad literal raises anew on every call.  No
 floats are accepted anywhere.  A vector is a plain tuple of values and a
 matrix a tuple of row tuples; ``dot``, ``apply`` and ``transpose`` are the
-only operations on them.  Elimination (``rank`` and ``solve_linear``,
-whose kernel basis is the null space) and the cone engine's phase-1
-simplex share one fraction-free (Bareiss) pivot on int rows, whose
-division by the previous pivot is exact; a ``Fraction`` is built only to
-read out a value that is not integral.
+only operations on them.  ``apply`` checks the row lengths while it sums
+and the sums' types once, normalising only a sum that is not an int.
+Elimination (``rank`` and ``solve_linear``, whose kernel basis is the
+null space) and the cone engine's phase-1 simplex share one fraction-free
+(Bareiss) pivot on int rows, whose division by the previous pivot is
+exact; a ``Fraction`` is built only to read out a value that is not
+integral.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from operator import mul
@@ -48,18 +53,26 @@ def rat(x: RatLike) -> Rat:
     its first 40 characters and its length when longer.
     """
     if isinstance(x, str):
-        match = _LITERAL.fullmatch(x)
-        if match:
-            try:
-                return _quotient(int(match[1]), int(match[2] or 1))
-            except (ValueError, ZeroDivisionError):
-                pass  # int() refuses an overlong literal; d is zero
-        raise ExactArithError(f"bad rational literal {_shown(x)}")
+        return _literal(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int) and not isinstance(x, bool):
         return int(x)
     raise ExactArithError(f"not a rational: {_shown(x)}")
+
+
+@lru_cache(maxsize=1024)
+def _literal(x: str) -> Rat:
+    """The value of a serialized literal, memoised: a corpus repeats a few
+    literals thousands of times.  ``lru_cache`` stores no exception, so a
+    bad literal is parsed, and its error raised, again on every call."""
+    match = _LITERAL.fullmatch(x)
+    if match:
+        try:
+            return _quotient(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):
+            pass  # int() refuses an overlong literal; d is zero
+    raise ExactArithError(f"bad rational literal {_shown(x)}")
 
 
 def _shown(x) -> str:
@@ -90,8 +103,22 @@ def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
 
 
 def apply(m: Sequence[Sequence[Rat]], v: Sequence[Rat]) -> Vec:
-    """The matrix m applied to the vector v: one dot per row."""
-    return tuple(dot(row, v) for row in m)
+    """The matrix m applied to the vector v: one dot per row.
+
+    The lengths are checked and the products summed in one pass; a ragged
+    row sends the whole product through ``dot`` row by row, which raises
+    its error at the first row ``dot`` rejects.  A sum that is not an int
+    is normalised through ``rat``.
+    """
+    n = len(v)
+    try:
+        out = tuple([sum(map(mul, row, v)) if len(row) == n else dot(row, v)
+                     for row in m])
+    except ValueError:
+        return tuple(dot(row, v) for row in m)
+    if {*map(type, out)} <= {int}:
+        return out
+    return tuple(s if type(s) is int else rat(s) for s in out)
 
 
 def transpose(m: Sequence[Sequence[Rat]]) -> Mat:

@@ -32,6 +32,11 @@ builds the image cone under the pushforward and reduces it to its extreme
 rays by a double description of its own.  The two must return the same
 edges, or raise the same exception class, on every input.
 
+``canonicalize_ray_fraction`` is ``cone.canonicalize_ray`` in Fraction
+arithmetic: it divides the vector by the rational gcd of its entries
+(the gcd of the reduced numerators over the lcm of the denominators)
+instead of clearing denominators and then dividing by an int content.
+
 ``minus_one_curves`` enumerates the (-1)-curve classes of P^2 blown up at
 up to 8 points, where the largest degree is 6 (the benchmark's own
 enumerator stops at degree 3, which is enough only up to 7 points).
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from fanoray.chambers import nef_cone
@@ -137,6 +142,16 @@ def phase1_fraction(cols: list[Sequence], rhs: Sequence):
         if basis[k] < n:
             lam[basis[k]] = tab[k][total]
     return "feasible", lam
+
+
+def canonicalize_ray_fraction(v) -> IVec:
+    """The primitive int vector positively proportional to a nonzero v."""
+    entries = [Fraction(e) for e in v]
+    content = Fraction(gcd(*(e.numerator for e in entries)),
+                       lcm(*(e.denominator for e in entries)))
+    scaled = [e / content for e in entries]
+    assert all(e.denominator == 1 for e in scaled)
+    return tuple(e.numerator for e in scaled)
 
 
 def rank_bruteforce(rows) -> int:

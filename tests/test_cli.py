@@ -498,3 +498,76 @@ def test_an_overlong_literal_is_echoed_short(capsys, record_paths, tmp_path):
     assert err.startswith(f"error: {path}: record.rays[0].antiK: bad "
                           f"rational literal '7777")
     assert err.endswith("… (5002 characters)\n")
+
+
+def _b2_5_n1_with(record_paths, ray, key, value):
+    data = json.loads(record_paths["b2_5_n1"].read_text())
+    row = next(r for r in data["rays"] if r["label"] == ray)
+    if key == "vec":
+        row["vec"] = value
+    else:
+        row["contraction"][key] = value
+    return data
+
+
+ZERO_L1 = ("l1", "vec", ["0"] * 5, "B2=5/n1.rays.l1")
+ZERO_L4_EDGE = ("l4", "target_edges", [["0"] * 4],
+                "B2=5/n1.rays.l4.contraction.target_edges[0]")
+
+
+@pytest.mark.parametrize("command, zero", [
+    ("check-exhaustion", ZERO_L1), ("nef", ZERO_L1),
+    ("check-exhaustion", ZERO_L4_EDGE)], ids=["l1-exhaustion", "l1-nef",
+                                              "l4-edge-exhaustion"])
+def test_a_zero_vector_is_named_by_record_and_key(command, zero, capsys,
+                                                  record_paths, tmp_path):
+    ray, key, value, where = zero
+    path = tmp_path / "b2_5_n1.json"
+    path.write_text(json.dumps(_b2_5_n1_with(record_paths, ray, key, value)))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out, err) == (
+        2, "", f"error: {where}: zero vector has no ray direction\n")
+
+
+@pytest.mark.parametrize("zero, finding", [
+    (ZERO_L1, "[pointedness] rays.l1: zero vector has no ray direction"),
+    (ZERO_L4_EDGE, "[target-edges] rays.l4.contraction.target_edges[0]: "
+                   "zero edge vector")], ids=["l1", "l4-edge"])
+def test_verify_names_a_zero_vector_in_its_skipped_sections(
+        zero, finding, capsys, record_paths, tmp_path):
+    ray, key, value, where = zero
+    (tmp_path / "b2_5_n1.json").write_text(json.dumps(
+        _b2_5_n1_with(record_paths, ray, key, value)))
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
+    assert finding in sections["validate"]["findings"]
+    for check in ("exhaustion", "facet-patch"):
+        assert sections[check] == {
+            "check": check, "status": "skipped", "findings": [],
+            "detail": f"{where}: zero vector has no ray direction"}
+    assert code == 1
+
+
+def test_a_zero_proposal_names_its_file(capsys, record_paths, tmp_path):
+    zero = tmp_path / "zero.json"
+    zero.write_text('["0", "0", "0", "0", "0"]')
+    code, out, err = run_cli(capsys, "check-exhaustion",
+                             str(record_paths["b2_5_n1"]), "--drop-ray", "l8",
+                             "--propose", str(zero))
+    assert (code, out, err) == (
+        2, "", f"error: {zero}: zero vector has no ray direction\n")
+
+
+def test_a_zero_ray_is_named_before_a_proposal_is_matched(capsys, record_paths,
+                                                          tmp_path):
+    # rank-one targets read no ray, so the first cone built is the check's
+    data = json.loads(record_paths["b2_2_n1"].read_text())
+    data["rays"][1]["vec"] = ["0", "0"]
+    path = tmp_path / "b2_2_n1.json"
+    path.write_text(json.dumps(data))
+    proposal = tmp_path / "p.json"
+    proposal.write_text('["1", "1"]')
+    code, out, err = run_cli(capsys, "check-exhaustion", str(path),
+                             "--propose", str(proposal))
+    assert (code, out, err) == (
+        2, "", "error: B2=2/n1.rays.l2: zero vector has no ray direction\n")

@@ -3,22 +3,28 @@
 ``cone._phase1`` must return the certificate of ``oracles.phase1_fraction``
 (same Bland pivots, Fraction tableau) and ``solve_linear``/``rank`` those
 of a plain Fraction Gauss-Jordan, exactly; and elimination and the
-simplex must both run through the one pivot routine.
+simplex must both run through the one pivot routine.  The int fast paths
+at the layer's entry points (``rat``'s literal memo, the all-int
+``canonicalize_ray`` and ``apply``) must answer and raise exactly as the
+general paths do.
 """
 
 from collections import Counter
 from fractions import Fraction
 from math import prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanoray import cone as cone_module
 from fanoray import rational
-from fanoray.cone import Cone, _phase1
-from fanoray.rational import rank, solve_linear
+from fanoray.cone import Cone, ConeError, _phase1, canonicalize_ray
+from fanoray.rational import (ExactArithError, apply, dot, rank, rat,
+                              solve_linear)
 
-from oracles import phase1_fraction, rank_bruteforce, solve_linear_fraction
+from oracles import (canonicalize_ray_fraction, phase1_fraction,
+                     rank_bruteforce, solve_linear_fraction)
 
 # Entries in [-2, 2] with short columns make repeated columns, zero rhs
 # entries and equal ratios common, so Bland's tie-breaks are exercised.
@@ -150,3 +156,134 @@ def test_pivot_equals_the_full_bareiss_update(data):
         assert rows == expected
         free_rows.remove(r)
         free_cols.remove(col)
+
+
+# -- the int fast paths ----------------------------------------------------
+
+exact = st.one_of(st.integers(-30, 30),
+                  st.fractions(min_value=-30, max_value=30,
+                               max_denominator=8))
+int_or_fraction_vectors = st.one_of(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=6),
+    st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=8),
+             min_size=1, max_size=6),
+    st.lists(exact, min_size=1, max_size=6))
+CONTAINERS = {"list": list, "tuple": tuple, "generator": lambda v: iter(v)}
+
+
+@given(v=int_or_fraction_vectors, container=st.sampled_from(sorted(CONTAINERS)))
+@settings(max_examples=300, deadline=None)
+def test_canonicalize_ray_matches_the_fraction_reference(v, container):
+    if not any(v):
+        with pytest.raises(ConeError, match="^zero vector has no ray "
+                                            "direction$"):
+            canonicalize_ray(CONTAINERS[container](v))
+        return
+    ray = canonicalize_ray(CONTAINERS[container](v))
+    assert ray == canonicalize_ray_fraction(v)
+    assert type(ray) is tuple and {*map(type, ray)} == {int}
+
+
+@pytest.mark.parametrize("v, error, message", [
+    ([], ConeError, "empty vector"),
+    ((0, 0, 0), ConeError, "zero vector has no ray direction"),
+    ([Fraction(0), 0], ConeError, "zero vector has no ray direction"),
+    ((1, True), ExactArithError, "not a rational: True"),
+    ([False, 0], ExactArithError, "not a rational: False"),
+    ((2, 0.5), ExactArithError, "not a rational: 0.5"),
+    ([1.0], ExactArithError, "not a rational: 1.0"),
+], ids=repr)
+def test_canonicalize_ray_rejects_as_before(v, error, message):
+    for given_as in (list, tuple, iter):
+        with pytest.raises(error) as raised:
+            canonicalize_ray(given_as(v))
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+
+def _per_row(m, v):
+    """apply by one dot per row: the result, or the exception raised."""
+    try:
+        return tuple(dot(row, v) for row in m)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _applied(m, v):
+    try:
+        return apply(m, v)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_apply_is_one_dot_per_row(data):
+    entries = data.draw(st.sampled_from([st.integers(-30, 30), exact]))
+    width = data.draw(st.integers(min_value=0, max_value=5))
+    v = tuple(data.draw(st.lists(entries, min_size=width, max_size=width)))
+    m = tuple(tuple(row) for row in data.draw(st.lists(
+        st.lists(entries, min_size=width, max_size=width), max_size=5)))
+    result = apply(m, v)
+    assert result == _per_row(m, v)
+    for value in result:
+        assert (type(value) is int) == (Fraction(value).denominator == 1)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_apply_raises_as_the_per_row_path(data):
+    # a ragged row, and at times a float before it that dot's rat refuses
+    width = data.draw(st.integers(min_value=0, max_value=4))
+    v = tuple(data.draw(st.lists(exact, min_size=width, max_size=width)))
+    rows = [tuple(row) for row in data.draw(st.lists(
+        st.lists(exact, min_size=width, max_size=width), max_size=3))]
+    ragged = tuple(data.draw(st.lists(exact, max_size=6).filter(
+        lambda row: len(row) != width)))
+    rows.insert(data.draw(st.integers(0, len(rows))), ragged)
+    if width and data.draw(st.booleans()):
+        rows.insert(data.draw(st.integers(0, len(rows))), (0.5,) * width)
+    m = tuple(rows)
+    expected = _per_row(m, v)
+    assert isinstance(expected, tuple) and isinstance(expected[0], type)
+    assert _applied(m, v) == expected
+
+
+def test_apply_of_a_float_row_raises_the_arith_error():
+    with pytest.raises(ExactArithError, match="^not a rational: 1.5$"):
+        apply(((1, 0), (0.5, 1)), (3, 0))
+
+
+literals = st.builds(
+    lambda pad, sign, n, d: f"{pad}{sign}{n}{'' if d is None else f'/{d}'}"
+                            f"{pad}",
+    st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "+", "-"]),
+    st.integers(0, 10**6), st.one_of(st.none(), st.integers(1, 10**6)))
+
+
+@given(literal=st.one_of(literals, st.text(max_size=8)))
+@settings(max_examples=300, deadline=None)
+def test_rat_literal_memo_answers_as_the_parse(literal):
+    parse = rational._literal.__wrapped__    # the regex parse, unmemoised
+    try:
+        expected = parse(literal)
+    except ExactArithError as exc:
+        for _ in range(2):
+            with pytest.raises(ExactArithError) as raised:
+                rat(literal)
+            assert str(raised.value) == str(exc)
+        return
+    for _ in range(2):
+        value = rat(literal)
+        assert value == expected and type(value) is type(expected)
+
+
+def test_rat_literal_memo_is_bounded_and_caches_no_error():
+    assert rational._literal.cache_info().maxsize is not None
+    misses = rational._literal.cache_info().misses
+    for _ in range(3):
+        with pytest.raises(ExactArithError,
+                           match="^bad rational literal '1/0'$"):
+            rat("1/0")
+    # each call parsed again: an exception is never stored
+    assert rational._literal.cache_info().misses == misses + 3
