@@ -17,11 +17,11 @@ from pathlib import Path
 
 from . import datafiles
 from .chambers import ChamberError, chamber_graph, emit_dot, facet_patch_check, nef_cone
-from .cone import _ZERO_VECTOR, ConeError
+from .cone import ConeError
 from .exhaustion import ExhaustionError, build_targets, check_exhaustion, extend_candidates
 from .flop import FlopError, compute_flop, flop_config_from_json, parse_flop_config, verify_against_table
 from .model import (Finding, RecordError, _json_at, _vec_at, diff_records,
-                    parse_record, record_from_json)
+                    parse_record, record_from_json, require_direction)
 from .rational import ExactArithError, Vec, dot, rat_str
 
 OK, FOUND, UNUSABLE = 0, 1, 2
@@ -214,10 +214,7 @@ def _read_proposal(path: Path, rho: int) -> Vec:
         data = data.get("vec", data)
     if not isinstance(data, list):
         raise RecordError(str(path), "expected a vector or {'vec': [...]}")
-    vec = _vec_at(data, str(path), rho)
-    if not any(vec):
-        raise RecordError(str(path), _ZERO_VECTOR)
-    return vec
+    return require_direction(str(path), _vec_at(data, str(path), rho))
 
 
 def cmd_check_exhaustion(args) -> int:

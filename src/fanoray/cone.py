@@ -39,9 +39,6 @@ class ConeError(ValueError):
     pass
 
 
-_ZERO_VECTOR = "zero vector has no ray direction"
-
-
 def _ivec_dot(a: Sequence, b: Sequence) -> Rat:
     return sum(map(mul, a, b))
 
@@ -60,7 +57,7 @@ def canonicalize_ray(v) -> IVec:
     if content == 1:
         return ints
     if content == 0:
-        raise ConeError(_ZERO_VECTOR if ints
+        raise ConeError("zero vector has no ray direction" if ints
                         else "empty vector")
     return tuple(x // content for x in ints)
 

@@ -23,7 +23,7 @@ from itertools import count
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cone import Cone, IVec, canonicalize_ray
-from .model import FanoRecord, _require_nonzero
+from .model import FanoRecord, require_direction
 from .rational import Mat, Vec, apply
 
 
@@ -144,12 +144,11 @@ def build_targets(record: FanoRecord,
             continue
         edges = ray.contraction.target_edges
         if prefer_record_tables and edges is not None:
-            for i, e in enumerate(edges):
-                _require_nonzero(
-                    record, f"rays.{ray.label}.contraction.target_edges[{i}]",
-                    e)
+            where = (f"{record.record_id.render()}.rays.{ray.label}"
+                     f".contraction.target_edges")
             targets[ray.label] = TargetEntry(
-                tuple(sorted(canonicalize_ray(e) for e in edges)),
+                tuple(sorted(canonicalize_ray(require_direction(
+                    f"{where}[{i}]", e)) for i, e in enumerate(edges))),
                 "record-table")
         elif prefer_record_tables and record.rho == 2:
             pushforward_map(record, ray.label)
@@ -269,17 +268,13 @@ def extend_candidates(record: FanoRecord,
     candidates = list(candidate_labels)
     extras: dict[str, Vec] = {}
     pending = [(canonicalize_ray(p), p) for p in proposals]
-    reports: list[ExhaustionReport] = []
     events: list[str] = []
-    by_canon = {canonicalize_ray(r.vec): r.label for r in record.rays
-                if any(r.vec)}  # a zero ray is named by check_exhaustion
+    report = check_exhaustion(record, candidates, targets, extras)
+    reports = [report]
+    by_canon = {canonicalize_ray(r.vec): r.label for r in record.rays}
     labels = set(record.ray_labels())
 
-    while True:
-        report = check_exhaustion(record, candidates, targets, extras)
-        reports.append(report)
-        if report.passed or not pending:
-            break
+    while not report.passed and pending:
         consumed = None
         for miss in report.misses:
             phi = pushforward_map(record, miss.ray_label)
@@ -310,5 +305,7 @@ def extend_candidates(record: FanoRecord,
             events.append(f"added proposal {label} = {canon} for the missing "
                           f"edge {miss.edge} of {miss.ray_label}")
         candidates.append(label)
+        report = check_exhaustion(record, candidates, targets, extras)
+        reports.append(report)
 
     return ExtensionResult(tuple(candidates), tuple(reports), tuple(events))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .cone import _ZERO_VECTOR, Cone, ConeError, canonicalize_ray
+from .cone import Cone, ConeError, canonicalize_ray
 from .rational import (ExactArithError, Mat, Rat, Vec, apply, dot,
                        inconsistent_rows, rat, rat_str, rank, solve_linear,
                        transpose)
@@ -139,10 +139,10 @@ class FanoRecord:
     def ray_cone(self, labels: Optional[Sequence[str]] = None) -> Cone:
         key = tuple(labels) if labels is not None else tuple(self.ray_labels())
         if key not in self._cones:
-            vecs = [self.ray(lab).vec for lab in key]
-            for lab, vec in zip(key, vecs):
-                _require_nonzero(self, f"rays.{lab}", vec)
-            self._cones[key] = Cone(self.rho, vecs)
+            where = f"{self.record_id.render()}.rays"
+            self._cones[key] = Cone(self.rho, [
+                require_direction(f"{where}.{lab}", self.ray(lab).vec)
+                for lab in key])
         return self._cones[key]
 
     @cached_property
@@ -153,12 +153,13 @@ class FanoRecord:
                                   self.rho)
 
 
-def _require_nonzero(record: FanoRecord, key: str, vec: Vec) -> None:
-    """Raise ``ConeError`` naming the record and the key (as in
-    ``validate_record``'s findings) when vec, which must be a ray
-    direction, is zero."""
+def require_direction(where: str, vec: Vec) -> Vec:
+    """vec, which must be a ray direction; a zero vector raises
+    ``ConeError`` naming where it was read: a file, or a record id and a
+    key as in ``validate_record``'s findings ("B2=5/n1.rays.l1")."""
     if not any(vec):
-        raise ConeError(f"{record.record_id.render()}.{key}: {_ZERO_VECTOR}")
+        raise ConeError(f"{where}: zero vector has no ray direction")
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -429,32 +430,26 @@ def validate_record(record: FanoRecord) -> list[Finding]:
                         "target-edges", f"{key}.target_edges[{i}]",
                         f"edge {e} lies in the cone of the other edges"))
 
-    zero_rays = [ray.label for ray in record.rays if not any(ray.vec)]
-    for label in zero_rays:
-        findings.append(Finding("pointedness", f"rays.{label}", _ZERO_VECTOR))
-    if not zero_rays:
-        try:
-            cone = record.ray_cone()
-            pointed = cone.is_pointed()
-            if not pointed.pointed:
-                findings.append(Finding(
-                    "pointedness", "rays",
-                    f"ray cone contains the line through {pointed.line}"))
-            elif any(ray.contraction for ray in record.rays):
-                # a contraction contracts an extremal ray; the memoised
-                # double description read here serves exhaustion and
-                # facet-patch too
-                extreme = cone.extreme_rays()
-                for ray in record.rays:
-                    contracted = canonicalize_ray(ray.vec)
-                    if ray.contraction and contracted not in extreme:
-                        findings.append(Finding(
-                            "extremality", f"rays.{ray.label}.contraction",
-                            f"contracted ray {ray.label} = "
-                            f"{list(contracted)} is not an extreme ray of "
-                            f"the ray cone"))
-        except (ConeError, ExactArithError) as exc:
-            findings.append(Finding("pointedness", "rays", str(exc)))
+    try:
+        cone = record.ray_cone()
+        pointed = cone.is_pointed()
+        if not pointed.pointed:
+            findings.append(Finding(
+                "pointedness", "rays",
+                f"ray cone contains the line through {pointed.line}"))
+        elif any(ray.contraction for ray in record.rays):
+            # a contraction contracts an extremal ray; the memoised double
+            # description read here serves exhaustion and facet-patch too
+            extreme = cone.extreme_rays()
+            for ray in record.rays:
+                contracted = canonicalize_ray(ray.vec)
+                if ray.contraction and contracted not in extreme:
+                    findings.append(Finding(
+                        "extremality", f"rays.{ray.label}.contraction",
+                        f"contracted ray {ray.label} = {list(contracted)} "
+                        f"is not an extreme ray of the ray cone"))
+    except (ConeError, ExactArithError) as exc:  # e.g. a zero ray vector
+        findings.append(Finding("pointedness", "rays", str(exc)))
 
     if len(record.rays) < record.rho:
         findings.append(Finding(

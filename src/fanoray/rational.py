@@ -7,13 +7,11 @@ parse of a serialized literal is memoised in a bounded ``lru_cache``,
 which stores no error: a bad literal raises anew on every call.  No
 floats are accepted anywhere.  A vector is a plain tuple of values and a
 matrix a tuple of row tuples; ``dot``, ``apply`` and ``transpose`` are the
-only operations on them.  ``apply`` checks the row lengths while it sums
-and the sums' types once, normalising only a sum that is not an int.
-Elimination (``rank`` and ``solve_linear``, whose kernel basis is the
-null space) and the cone engine's phase-1 simplex share one fraction-free
-(Bareiss) pivot on int rows, whose division by the previous pivot is
-exact; a ``Fraction`` is built only to read out a value that is not
-integral.
+only operations on them.  Elimination (``rank`` and ``solve_linear``,
+whose kernel basis is the null space) and the cone engine's phase-1
+simplex share one fraction-free (Bareiss) pivot on int rows, whose
+division by the previous pivot is exact; a ``Fraction`` is built only to
+read out a value that is not integral.
 """
 
 from __future__ import annotations
@@ -103,22 +101,8 @@ def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Rat:
 
 
 def apply(m: Sequence[Sequence[Rat]], v: Sequence[Rat]) -> Vec:
-    """The matrix m applied to the vector v: one dot per row.
-
-    The lengths are checked and the products summed in one pass; a ragged
-    row sends the whole product through ``dot`` row by row, which raises
-    its error at the first row ``dot`` rejects.  A sum that is not an int
-    is normalised through ``rat``.
-    """
-    n = len(v)
-    try:
-        out = tuple([sum(map(mul, row, v)) if len(row) == n else dot(row, v)
-                     for row in m])
-    except ValueError:
-        return tuple(dot(row, v) for row in m)
-    if {*map(type, out)} <= {int}:
-        return out
-    return tuple(s if type(s) is int else rat(s) for s in out)
+    """The matrix m applied to the vector v: one dot per row."""
+    return tuple(dot(row, v) for row in m)
 
 
 def transpose(m: Sequence[Sequence[Rat]]) -> Mat:

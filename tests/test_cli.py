@@ -530,7 +530,8 @@ def test_a_zero_vector_is_named_by_record_and_key(command, zero, capsys,
 
 
 @pytest.mark.parametrize("zero, finding", [
-    (ZERO_L1, "[pointedness] rays.l1: zero vector has no ray direction"),
+    (ZERO_L1, "[pointedness] rays: B2=5/n1.rays.l1: zero vector has no ray "
+              "direction"),
     (ZERO_L4_EDGE, "[target-edges] rays.l4.contraction.target_edges[0]: "
                    "zero edge vector")], ids=["l1", "l4-edge"])
 def test_verify_names_a_zero_vector_in_its_skipped_sections(
