@@ -2,14 +2,14 @@
 
 The nef cone is the dual of the ray cone; each ray supports one facet.
 The patching check is the exhaustion criterion read on the dual side,
-from the same images and by pairings alone (no LP).  Write P for a
-contraction's pullback, phi = P^T for its pushforward, I for the images
-phi(c) of the other candidates and E for its target edges.  By
-adjointness (P w).c = w.phi(c), so the facet cut out by the contracted
-ray, read in the chart, is dual(cone(I)), and it is dual(cone(E))
-exactly when cone(I) = cone(E).  E is a set of extreme rays, so that
-holds when every edge of E is an image and every image pairs >= 0 with
-every generator of dual(E).  Each distinct edge set is dualised once per
+off exhaustion's report and by pairings alone (no chart, image or LP).
+Write P for a contraction's pullback, phi = P^T for its pushforward, I
+for the images phi(c) of the other candidates and E for its target
+edges.  By adjointness (P w).c = w.phi(c), so the facet cut out by the
+contracted ray, read in the chart, is dual(cone(I)), and it is
+dual(cone(E)) exactly when cone(I) = cone(E), that is when the report
+misses no edge of E and every P w, w a generator of dual(E), pairs >= 0
+with every candidate.  Each distinct edge set is dualised once per
 check.  There is no codimension-two audit: two facets of a pointed,
 full-dimensional cone have independent normals, so it could never
 report.  Chamber graphs are transcribed adjacency, validated and emitted
@@ -21,9 +21,9 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cone import Cone
-from .exhaustion import TargetEntry, candidate_images, pushforward_map
+from .exhaustion import ExhaustionReport, TargetEntry
 from .model import (FLOP_TYPES, ChamberSpec, FanoRecord, Finding)
-from .rational import dot
+from .rational import apply, dot
 
 
 class ChamberError(ValueError):
@@ -46,40 +46,38 @@ def nef_cone(record: FanoRecord,
 
 def facet_patch_check(record: FanoRecord,
                       targets: Mapping[str, TargetEntry],
-                      candidate_labels: Optional[Sequence[str]] = None
-                      ) -> list[Finding]:
+                      report: ExhaustionReport) -> list[Finding]:
     """Boundary-patching audit of the nef cone: exhaustion's dual half.
 
-    For each candidate ray l with a descriptor and a checked chart, the
-    facet of the nef cone on l's wall must be the dual of l's target
-    edges: each edge must be the image of another candidate, and every
-    image must pair >= 0 with each generator of the edges' dual.
+    ``report`` is ``check_exhaustion``'s on the same targets.  For each
+    candidate ray l with a descriptor, l's target edges must each be an
+    image (the report's misses are not), and each pulled-back generator
+    of their dual must pair >= 0 with every candidate.
     """
-    labels = list(candidate_labels) if candidate_labels is not None \
-        else record.ray_labels()
+    labels = report.candidate_labels
     nef_cone(record, labels)  # ChamberError unless pointed, full-dimensional
-    vectors = {lab: record.ray(lab).vec for lab in labels}
+    vectors = [record.ray(lab).vec for lab in labels]
     findings: list[Finding] = []
     duals: dict[tuple, tuple] = {}
 
     for lab in labels:
-        if record.ray(lab).contraction is None or lab not in targets:
+        contraction = record.ray(lab).contraction
+        if contraction is None:
             continue
-        phi = pushforward_map(record, lab)  # ExhaustionError on a bad chart
-        images = set(candidate_images(phi, vectors, lab).values())
-        edges = targets[lab].edges
-        for e in edges:
-            if e not in images:
+        for miss in report.misses:
+            if miss.ray_label == lab:
                 findings.append(Finding(
                     "facet-patch", f"rays.{lab}",
                     f"facet of the nef cone on {lab}'s wall differs from "
                     f"the dual of its target edges: no candidate maps onto "
-                    f"the edge {e}"))
+                    f"the edge {miss.edge}"))
+        edges = targets[lab].edges
         if edges not in duals:
             duals[edges] = Cone(record.rho - 1, edges).dual().generators
         for e in duals[edges]:
             # by adjointness, (P e).c = e.phi(c) for every candidate c
-            if any(dot(e, image) < 0 for image in images):
+            pulled = apply(contraction.pullback, e)
+            if any(dot(pulled, vec) < 0 for vec in vectors):
                 findings.append(Finding(
                     "facet-patch", f"rays.{lab}",
                     f"dual of target edges exceeds the facet on {lab}'s "

@@ -71,6 +71,7 @@ def cmd_verify(args) -> int:
         if record.record_id.variant is None:
             corrected.setdefault(record.record_id.base(), record)
 
+    solved = {}  # config path -> its FlopResult or FlopError, once
     reports = []
     for path, (record, load_findings) in records.items():
         sections = []
@@ -94,27 +95,30 @@ def cmd_verify(args) -> int:
             add("antik-audit", [], status="fail",
                 detail={"status": derived.status if derived else "too few rays"})
 
-        targets, skip = None, "no contraction descriptors"
-        if any(r.contraction for r in record.rays):
-            try:
+        targets = report = patch = None
+        skip = "no contraction descriptors"
+        try:
+            if any(r.contraction for r in record.rays):
                 targets = build_targets(record)
-            except (ExhaustionError, ConeError) as exc:
-                skip = str(exc)
-        if targets is None:
+                report = check_exhaustion(record, record.ray_labels(), targets)
+        except (ExhaustionError, ConeError) as exc:
+            skip = str(exc)
+        if report is None:
             add("exhaustion", [], status="skipped", detail=skip)
+        else:
+            add("exhaustion", [], status=report.verdict,
+                detail=report.to_json())
+        try:
+            if report is not None:
+                patch = facet_patch_check(record, targets, report)
+            elif targets is not None:
+                nef_cone(record)  # its message wins over exhaustion's
+        except (ChamberError, ConeError) as exc:
+            skip = str(exc)
+        if patch is None:
             add("facet-patch", [], status="skipped", detail=skip)
         else:
-            try:
-                report = check_exhaustion(record, record.ray_labels(), targets)
-                add("exhaustion", [], status=report.verdict,
-                    detail=report.to_json())
-            except (ExhaustionError, ConeError) as exc:
-                add("exhaustion", [], status="skipped", detail=str(exc))
-            try:
-                patch = facet_patch_check(record, targets)
-                add("facet-patch", patch)
-            except (ChamberError, ConeError, ExhaustionError) as exc:
-                add("facet-patch", [], status="skipped", detail=str(exc))
+            add("facet-patch", patch)
 
         flop_findings = []
         flop_ran = False
@@ -124,9 +128,16 @@ def cmd_verify(args) -> int:
             if cfg.ray not in record.flop_tables:
                 continue
             flop_ran = True
+            if cfg_path not in solved:
+                try:
+                    solved[cfg_path] = compute_flop(cfg)
+                except FlopError as exc:
+                    solved[cfg_path] = exc
             try:
-                flop_findings.extend(
-                    verify_against_table(record, cfg, compute_flop(cfg)))
+                result = solved[cfg_path]
+                if isinstance(result, FlopError):
+                    raise result
+                flop_findings.extend(verify_against_table(record, cfg, result))
             except FlopError as exc:
                 flop_findings.append(
                     Finding("flop-config", cfg_path.name, str(exc)))

@@ -158,19 +158,6 @@ def build_targets(record: FanoRecord,
     return targets
 
 
-def candidate_images(phi: Mat, vectors: Mapping[str, Vec],
-                     label: str) -> dict[str, IVec]:
-    """The canonical image under label's pushforward phi of every other
-    candidate, keyed by its label; a zero image is left out."""
-    images = {}
-    for other, vec in vectors.items():
-        if other != label:
-            image = apply(phi, vec)
-            if any(image):
-                images[other] = canonicalize_ray(image)
-    return images
-
-
 def check_exhaustion(record: FanoRecord,
                      candidate_labels: Sequence[str],
                      targets: Mapping[str, TargetEntry],
@@ -213,9 +200,10 @@ def check_exhaustion(record: FanoRecord,
             f"{record.record_id.render()}: no candidate carries a "
             f"contraction descriptor, so there is nothing to check")
 
-    # each image is computed once and read by both the edge cover and the
-    # reciprocal check
-    images = {lab: candidate_images(phi, vectors, lab)
+    # each nonzero image, once, for both the edge cover and the reciprocals
+    images = {lab: {other: canonicalize_ray(image)
+                    for other, vec in vectors.items()
+                    if other != lab and any(image := apply(phi, vec))}
               for lab, phi in phis.items()}
 
     misses: list[Miss] = []

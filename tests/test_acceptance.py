@@ -127,15 +127,15 @@ def test_criterion_6_dual_formulation_equivalence(records):
     rec = records["b2_5_n1"]
     targets = build_targets(rec, prefer_record_tables=False)
     for labels in (rec.ray_labels(), rec.ray_labels()[:7]):
-        exh = check_exhaustion(rec, labels, targets).passed
-        patch = facet_patch_check(rec, targets, labels) == []
-        agreements.append(exh == patch)
+        report = check_exhaustion(rec, labels, targets)
+        patch = facet_patch_check(rec, targets, report) == []
+        agreements.append(report.passed == patch)
     for name in ("b2_2_n1", "b2_2_n8", "b2_2_n28", "b2_2_n30"):
         rec = records[name]
         targets = build_targets(rec, prefer_record_tables=False)
-        exh = check_exhaustion(rec, rec.ray_labels(), targets).passed
-        patch = facet_patch_check(rec, targets) == []
-        agreements.append(exh == patch)
+        report = check_exhaustion(rec, rec.ray_labels(), targets)
+        patch = facet_patch_check(rec, targets, report) == []
+        agreements.append(report.passed == patch)
     _line(6, all(agreements),
           "facet-patch verdict == exhaustion verdict on B2=5 n1 (full and "
           "l8-dropped) and on all four B2=2 fixtures")

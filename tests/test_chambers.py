@@ -51,17 +51,26 @@ def test_dual_dual_of_every_fixture_ray_cone(records):
             assert cone.contains(g)
 
 
+def _facet_patch(record, targets, labels=None):
+    """facet_patch_check after its preconditions, in their order: the nef
+    cone, then exhaustion's report on the same candidates and targets."""
+    labels = record.ray_labels() if labels is None else labels
+    nef_cone(record, labels)
+    report = check_exhaustion(record, labels, targets)
+    return facet_patch_check(record, targets, report)
+
+
 def test_facet_patch_clean_on_full_data(records):
     for name in ("b2_5_n1", "b2_2_n1", "b2_2_n8", "b2_2_n28", "b2_2_n30"):
         rec = records[name]
         targets = build_targets(rec, prefer_record_tables=False)
-        assert facet_patch_check(rec, targets) == [], name
+        assert _facet_patch(rec, targets) == [], name
 
 
 def test_facet_patch_detects_the_dropped_ray(records):
     rec = records["b2_5_n1"]
     targets = build_targets(rec, prefer_record_tables=False)
-    findings = facet_patch_check(rec, targets, rec.ray_labels()[:7])
+    findings = _facet_patch(rec, targets, rec.ray_labels()[:7])
     assert findings
     assert any(f.key == "rays.l4" and f.message.endswith(
         "no candidate maps onto the edge (1, 1, -1, 1)") for f in findings)
@@ -71,15 +80,15 @@ def test_patch_and_exhaustion_verdicts_agree(records):
     rec = records["b2_5_n1"]
     targets = build_targets(rec, prefer_record_tables=False)
     for labels in (rec.ray_labels(), rec.ray_labels()[:7]):
-        exh = check_exhaustion(rec, labels, targets).passed
-        patch = facet_patch_check(rec, targets, labels) == []
-        assert exh == patch
+        report = check_exhaustion(rec, labels, targets)
+        assert report.passed == (facet_patch_check(rec, targets, report)
+                                 == [])
     for name in ("b2_2_n1", "b2_2_n8", "b2_2_n28", "b2_2_n30"):
         rec = records[name]
         targets = build_targets(rec, prefer_record_tables=False)
-        exh = check_exhaustion(rec, rec.ray_labels(), targets).passed
-        patch = facet_patch_check(rec, targets) == []
-        assert exh == patch
+        report = check_exhaustion(rec, rec.ray_labels(), targets)
+        assert report.passed == (facet_patch_check(rec, targets, report)
+                                 == [])
 
 
 def _outcome(check, *args):
@@ -113,7 +122,7 @@ def _agrees_with_the_reference(record, targets, kept, where) -> bool:
     pairs < 0 with an edge that the check names as nobody's image: w lies
     in the dual of the images, so such an edge cannot be one of them.
     """
-    found = _outcome(facet_patch_check, record, targets, kept)
+    found = _outcome(_facet_patch, record, targets, kept)
     expected = _outcome(facet_patch_reference, record, targets, kept)
     if isinstance(found, tuple) or isinstance(expected, tuple):
         assert found == expected, where
@@ -177,7 +186,7 @@ def test_facet_patch_matches_the_reference_on_weakened_targets():
             for k in range(len(entry.edges)):
                 weak = {**targets, lab: entry._replace(
                     edges=entry.edges[:k] + entry.edges[k + 1:])}
-                found = _outcome(facet_patch_check, record, weak)
+                found = _outcome(_facet_patch, record, weak)
                 assert found == _outcome(facet_patch_reference, record,
                                          weak), (path.name, lab, k)
                 assert any("exceeds the facet" in f.message for f in found)
@@ -201,7 +210,7 @@ def test_pyramid_codim2_faces_lie_in_exactly_two_facets(records):
 def test_rho2_patching_trivial(records):
     rec = records["b2_2_n30"]
     targets = build_targets(rec, prefer_record_tables=False)
-    assert facet_patch_check(rec, targets) == []
+    assert _facet_patch(rec, targets) == []
 
 
 EXPECTED_DOT = """graph {

@@ -11,7 +11,7 @@ from fanoray.chambers import nef_cone
 from fanoray.cli import build_parser, main
 from fanoray.flop import parse_flop_config
 from fanoray.model import RecordError, parse_record, record_from_json
-from fanoray.rational import rat_str
+from fanoray.rational import rat, rat_str
 
 from test_exhaustion import NOT_EXTREME, _b2_3_n31_with_an_inner_contracted_ray
 
@@ -484,6 +484,25 @@ def test_verify_fails_facet_patch_on_a_contracted_ray_inside_the_cone(
         "check": "facet-patch", "status": "fail", "findings": [
             "[facet-patch] rays.l3: dual of target edges exceeds the facet "
             "on l3's wall: witness (1,)"]}
+    assert code == 1
+
+
+def test_verify_skips_facet_patch_with_the_nef_cone_message_first(
+        capsys, record_paths, tmp_path):
+    # -l1 makes the ray cone hold a line: exhaustion skips with its own
+    # message, and facet-patch with nef_cone's, not with exhaustion's
+    data = json.loads(record_paths["b2_2_n8"].read_text())
+    l1 = next(r for r in data["rays"] if r["label"] == "l1")
+    data["rays"].append({"label": "l3", "antiK": "1", "type": "C",
+                         "vec": [rat_str(-rat(x)) for x in l1["vec"]]})
+    (tmp_path / "b2_2_n8.json").write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
+    assert sections["exhaustion"]["detail"] == \
+        "B2=2/n8: candidate set is not pointed"
+    assert sections["facet-patch"] == {
+        "check": "facet-patch", "status": "skipped", "findings": [],
+        "detail": "B2=2/n8: ray cone is not pointed"}
     assert code == 1
 
 

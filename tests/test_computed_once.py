@@ -16,21 +16,23 @@ import pytest
 from fanoray import datafiles
 from fanoray.chambers import facet_patch_check
 from fanoray.cli import main
-from fanoray.cone import Cone
-from fanoray.exhaustion import build_targets, pushforward_map
+from fanoray.cone import Cone, dual_description
+from fanoray.exhaustion import build_targets, check_exhaustion, pushforward_map
 from fanoray.model import record_from_json
 
 from oracles import minus_one_curves
 from test_cone import B2_5_N1_RAYS
 
 
-def count_calls(monkeypatch, home: str, name: str) -> list:
-    """Arguments of every call of ``fanoray.<home>.<name>`` from now on."""
+def count_calls(monkeypatch, home: str, name: str,
+                note=lambda *args, **kwargs: args) -> list:
+    """What ``note`` makes of every call of ``fanoray.<home>.<name>`` from
+    now on: by default its positional arguments."""
     original = getattr(importlib.import_module(f"fanoray.{home}"), name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(note(*args, **kwargs))
         return original(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
@@ -38,6 +40,23 @@ def count_calls(monkeypatch, home: str, name: str) -> list:
                 and getattr(module, name, None) is original):
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def callers(*args, **kwargs) -> set:
+    """A ``count_calls`` note: the code objects on the caller's stack."""
+    frame, codes = sys._getframe(2), set()
+    while frame is not None:
+        codes.add(frame.f_code)
+        frame = frame.f_back
+    return codes
+
+
+def _fixture_dir(tmp_path, *subs):
+    """tmp_path holding the packaged JSON of the given data folders, flat."""
+    for sub in subs:
+        for path in (datafiles.data_root() / sub).glob("*.json"):
+            shutil.copy(path, tmp_path / path.name)
+    return tmp_path
 
 
 def _cli(argv) -> int:
@@ -67,14 +86,34 @@ def test_single_record_commands_do_not_validate(monkeypatch, command):
 
 
 def test_verify_derives_each_antik_combination_once(monkeypatch, tmp_path):
-    root = datafiles.data_root()
-    for sub in ("records", "mistakes", "extra"):
-        for path in (root / sub).glob("*.json"):
-            shutil.copy(path, tmp_path / path.name)
+    _fixture_dir(tmp_path, "records", "mistakes", "extra")
     assert len(list(tmp_path.glob("*.json"))) == 13
     calls = count_calls(monkeypatch, "model", "derive_antiK_combo")
     assert _cli(["verify", str(tmp_path)]) == 1
     assert len(calls) == 13
+
+
+def test_verify_computes_each_contractions_images_once(monkeypatch,
+                                                       tmp_path):
+    # facet-patch reads check_exhaustion's report, so only target building
+    # and the exhaustion check fetch a chart, and facet-patch canonicalises
+    # only while it builds a cone or its dual; each flop configuration is
+    # solved once, although two records match e3_b2_2_n8
+    _fixture_dir(tmp_path, "records", "mistakes", "extra", "flops")
+    charts = count_calls(monkeypatch, "exhaustion", "pushforward_map",
+                         callers)
+    canonical = count_calls(monkeypatch, "cone", "canonicalize_ray", callers)
+    flops = count_calls(monkeypatch, "flop", "compute_flop")
+    assert _cli(["verify", str(tmp_path)]) == 1
+    patch = facet_patch_check.__code__
+    readers = {build_targets.__code__, check_exhaustion.__code__}
+    assert charts
+    assert all(stack & readers and patch not in stack for stack in charts)
+    in_patch = [stack for stack in canonical if patch in stack]
+    building = {Cone.__init__.__code__, dual_description.__code__}
+    assert in_patch
+    assert all(stack & building for stack in in_patch)
+    assert len(flops) == 4
 
 
 def test_pushforward_chart_is_ranked_once(monkeypatch):
@@ -118,8 +157,9 @@ def test_facet_patch_tests_each_dual_generator_once(monkeypatch, records):
         calls.append(v)
         return membership(self, v)
 
+    report = check_exhaustion(record, record.ray_labels(), targets)
     monkeypatch.setattr(Cone, "membership", counted)
-    assert facet_patch_check(record, targets) == []
+    assert facet_patch_check(record, targets, report) == []
     assert calls == []
 
 
@@ -128,8 +168,9 @@ def test_facet_patch_runs_no_elimination(monkeypatch, records):
     # preimage of a wall generator is solved for
     record = records["b2_5_n1"]
     targets = build_targets(record, prefer_record_tables=False)
+    report = check_exhaustion(record, record.ray_labels(), targets)
     eliminations = count_calls(monkeypatch, "rational", "_eliminate")
-    assert facet_patch_check(record, targets) == []
+    assert facet_patch_check(record, targets, report) == []
     assert eliminations == []
 
 
@@ -141,12 +182,13 @@ def test_facet_patch_dualises_each_distinct_edge_set_once(monkeypatch,
     targets = build_targets(record, prefer_record_tables=False)
     distinct = {entry.edges for entry in targets.values()}
     assert (len(targets), len(distinct)) == (8, 4)
+    report = check_exhaustion(record, record.ray_labels(), targets)
     dd_calls = count_calls(monkeypatch, "cone", "dual_description")
     ranks = count_calls(monkeypatch, "rational", "rank")
     codim2 = []
     monkeypatch.setattr(Cone, "codim2_faces",
                         lambda self: codim2.append(self))
-    assert facet_patch_check(record, targets) == []
+    assert facet_patch_check(record, targets, report) == []
     assert sorted(tuple(sorted(args[0])) for args in dd_calls) \
         == sorted(distinct)
     assert ranks == []  # nef_cone's check reads the double description

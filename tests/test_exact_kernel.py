@@ -6,7 +6,9 @@ of a plain Fraction Gauss-Jordan, exactly; and elimination and the
 simplex must both run through the one pivot routine.  The int fast paths
 at the layer's entry points (``rat``'s literal memo and the all-int
 ``canonicalize_ray``) must answer and raise exactly as the general paths
-do, and ``apply`` must equal its Fraction reference.
+do, and ``apply`` must equal its Fraction reference.  The facet-patch
+check's witness test rests on adjointness, (P e).c = e.(P^T c), pinned
+here on random matrices and on every chart of the corrected records.
 """
 
 from collections import Counter
@@ -20,7 +22,9 @@ from hypothesis import strategies as st
 from fanoray import cone as cone_module
 from fanoray import rational
 from fanoray.cone import Cone, ConeError, _phase1, canonicalize_ray
-from fanoray.rational import ExactArithError, apply, rank, rat, solve_linear
+from fanoray.exhaustion import build_targets, pushforward_map
+from fanoray.rational import (ExactArithError, apply, dot, rank, rat,
+                              solve_linear, transpose)
 
 from oracles import (canonicalize_ray_fraction, phase1_fraction,
                      rank_bruteforce, solve_linear_fraction)
@@ -213,6 +217,40 @@ def test_apply_matches_the_fraction_reference(data):
                                Fraction(0)) for row in m)
     for value in result:
         assert (type(value) is int) == (Fraction(value).denominator == 1)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_pullback_pairs_as_the_pushforward(data):
+    # (P e).c = e.(P^T c): a pulled-back functional pairs with a vector
+    # exactly as the functional pairs with the vector's pushforward
+    entries = data.draw(st.sampled_from([st.integers(-30, 30), exact]))
+    rows = data.draw(st.integers(min_value=1, max_value=5))
+    cols = data.draw(st.integers(min_value=1, max_value=5))
+    p = tuple(tuple(row) for row in data.draw(st.lists(
+        st.lists(entries, min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows)))
+    e = data.draw(st.lists(entries, min_size=cols, max_size=cols))
+    c = data.draw(st.lists(entries, min_size=rows, max_size=rows))
+    assert dot(apply(p, e), c) == dot(e, apply(transpose(p), c))
+
+
+def test_dual_generators_pull_back_as_they_pair_with_images(records):
+    # the facet-patch witness test on the fixtures: each generator of a
+    # target edge set's dual, pulled back, pairs with every ray exactly
+    # as it pairs with the ray's image in the chart
+    assert len(records) == 9
+    pairs = 0
+    for record in records.values():
+        for lab, entry in build_targets(record).items():
+            phi = pushforward_map(record, lab)
+            pullback = record.ray(lab).contraction.pullback
+            for e in Cone(record.rho - 1, entry.edges).dual().generators:
+                pulled = apply(pullback, e)
+                for ray in record.rays:
+                    assert dot(pulled, ray.vec) == dot(e, apply(phi, ray.vec))
+                    pairs += 1
+    assert pairs == 514
 
 
 literals = st.builds(
