@@ -16,11 +16,11 @@ every ray; the ids of the current rays are one mask, updated as rays
 are made and cut away.  A cut step sorts the rays by sign in one pass
 into plain lists and appends each new ray without a de-duplicating
 lookup: each lies in the relative interior of its own pair's 2-face, so
-none coincides with another or with a kept ray.  ``extreme_rays`` and ``neighbours`` (the
-extreme rays sharing a 2-face with a given one) read the final incidence
-transposed with no rank at all, and a cone's rank is read off the
-dual's lineality; ``codim2_faces`` prefilters facet pairs on the masks
-and lets one rank per remaining pair decide.
+none coincides with another or with a kept ray.  ``extreme_rays`` and
+``neighbours`` (the extreme rays sharing a 2-face with a given one) read
+the transposed incidence as the pass hands it over, with no rank; the
+rank is read off the dual's lineality; ``codim2_faces`` prefilters facet
+pairs on the masks and lets one rank per remaining pair decide.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _bits(mask: int):
 
 
 def dual_description(generators: Sequence[IVec], dim: int):
-    """Minimal description (rays, lineality, incidence) of
+    """Minimal description (rays, lineality, incidence, covers) of
     {w : w.g >= 0 for all g}.
 
     Generators are inserted in the given order; rays come back sorted.
@@ -171,6 +171,9 @@ def dual_description(generators: Sequence[IVec], dim: int):
     two ids.  Dead ids stay in ``tight``; the AND with ``alive`` masks
     them out.  ``alive`` is kept incrementally: a new ray's id is ORed in
     and, after a cut step, the ids of the rays it cut away are cleared.
+    ``covers[j]``, the final ``tight[j] & alive``, is one bitmask per
+    generator over a ray numbering shared by all generators but otherwise
+    opaque: only ANDs, containment and popcounts between covers are meaningful.
 
     A cut step computes each a.r once, in the one pass that splits the
     rays into the kept ones (value >= 0; the zero ones become tight on a)
@@ -269,7 +272,8 @@ def dual_description(generators: Sequence[IVec], dim: int):
             rays, masks, id_bits = kept, kept_masks, kept_bits
             alive = alive ^ dead | born
     ordered = sorted(zip(rays, masks))
-    return [r for r, _ in ordered], sorted(lineality), [m for _, m in ordered]
+    return ([r for r, _ in ordered], sorted(lineality),
+            [m for _, m in ordered], [t & alive for t in tight])
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +283,17 @@ def dual_description(generators: Sequence[IVec], dim: int):
 class Cone:
     """Polyhedral cone given by generators (canonical primitive rays).
 
-    The generators never change.  Four facts are memoised per instance,
+    The generators never change.  Three facts are memoised per instance,
     each computed on first use: the pointedness certificate, the double
-    description of the dual (which ``facets``, ``extreme_rays``, ``dual``
-    and ``rank`` all read), its incidence transposed (which ``extreme_rays``
-    and ``neighbours`` read) and the extreme rays.  Concurrent first calls
-    are benign: each thread computes the same deterministic value and the
-    last slot write wins, so instances are safe to share across threads
-    (only the identity of a memoised tuple may then differ between the
-    racing callers).
+    description of the dual (whose rays and lineality ``facets``, ``dual``
+    and ``rank`` read, and whose covers ``extreme_rays`` and ``neighbours``
+    read) and the extreme rays.  Concurrent first calls are benign: each
+    thread computes the same deterministic value and the last slot write
+    wins, so instances are safe to share across threads (only the identity
+    of a memoised tuple may then differ between the racing callers).
     """
 
-    __slots__ = ("ambient_dim", "generators", "_pointed", "_dd", "_covers",
-                 "_extreme")
+    __slots__ = ("ambient_dim", "generators", "_pointed", "_dd", "_extreme")
 
     def __init__(self, ambient_dim: int, generators: Iterable = ()):
         if ambient_dim <= 0:
@@ -306,8 +308,7 @@ class Cone:
         self.ambient_dim = ambient_dim
         self.generators: tuple[IVec, ...] = tuple(seen)
         self._pointed: Optional[Pointedness] = None
-        self._dd: Optional[tuple[tuple, tuple, tuple]] = None
-        self._covers: Optional[tuple[int, ...]] = None
+        self._dd: Optional[tuple[tuple, tuple, tuple, tuple]] = None
         self._extreme: Optional[tuple[IVec, ...]] = None
 
     def __repr__(self) -> str:
@@ -381,7 +382,7 @@ class Cone:
             raise ConeError(
                 f"extreme rays undefined: cone contains the line through "
                 f"{pt.line}")
-        cover = self._cover()
+        cover = self._double_description()[3]
         self._extreme = tuple(sorted(
             g for g, c in zip(self.generators, cover)
             if sum(other & c == c for other in cover) == 1))
@@ -400,7 +401,7 @@ class Cone:
         extreme = self.extreme_rays()
         if ray not in extreme:
             raise ConeError(f"{ray} is not an extreme ray of the cone")
-        cover = dict(zip(self.generators, self._cover()))
+        cover = dict(zip(self.generators, self._double_description()[3]))
         covers = [cover[g] for g in extreme]
         result = []
         for g in extreme:
@@ -409,21 +410,9 @@ class Cone:
                 result.append(g)
         return tuple(result)
 
-    def _cover(self) -> tuple[int, ...]:
-        """The incidence transposed, memoised: for each generator, the
-        bitmask of the dual rays tight on it (bit k for ``rays[k]``),
-        built by walking the set bits of each ray's mask once."""
-        if self._covers is None:
-            covers = [0] * len(self.generators)
-            for k, mask in enumerate(self._double_description()[2]):
-                for j in _bits(mask):
-                    covers[j] |= 1 << k
-            self._covers = tuple(covers)
-        return self._covers
-
     def _double_description(self):
-        """The memoised (rays, lineality, incidence) of the dual, as
-        tuples; see ``dual_description``."""
+        """The memoised (rays, lineality, incidence, covers) of the dual,
+        as tuples; see ``dual_description``."""
         if self._dd is None:
             self._dd = tuple(map(tuple, dual_description(
                 self.generators, self.ambient_dim)))
@@ -436,7 +425,7 @@ class Cone:
         exactly its extreme rays.  Otherwise the dual contains lines and
         both directions of a lineality basis are included as generators.
         """
-        rays, lineality, _ = self._double_description()
+        rays, lineality = self._double_description()[:2]
         gens = list(rays)
         for u in lineality:
             gens.append(u)
@@ -465,7 +454,7 @@ class Cone:
         pt = self.is_pointed()
         if not pt.pointed:
             raise ConeError("facet enumeration requires a pointed cone")
-        rays, lineality, _ = self._double_description()
+        rays, lineality = self._double_description()[:2]
         if lineality:
             raise ConeError(
                 f"facet enumeration requires a full-dimensional cone "

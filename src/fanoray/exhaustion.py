@@ -168,8 +168,9 @@ def check_exhaustion(record: FanoRecord,
     extra_rays lets the inductive extension add proposal vectors that are
     not record rays; they act as cover providers only (no descriptor, so
     no edge set of their own is checked).  A candidate set in which no
-    ray carries a descriptor raises ``ExhaustionError``: no edge set would
-    be checked, so a "pass" would be vacuous.
+    ray carries a descriptor, or a candidate whose target edge set is
+    empty, raises ``ExhaustionError``: an edge set would go unchecked, so
+    a "pass" would be vacuous.
     """
     extra_rays = dict(extra_rays or {})
     index_of = {lab: i + 1 for i, lab in enumerate(record.ray_labels())}
@@ -195,6 +196,10 @@ def check_exhaustion(record: FanoRecord,
             raise ExhaustionError(
                 f"{record.record_id.render()}: no target edges for "
                 f"candidate {lab}")
+        if not targets[lab].edges:
+            raise ExhaustionError(
+                f"{record.record_id.render()}: the target edge set of "
+                f"candidate {lab} is empty, so there is nothing to check")
     if not phis:
         raise ExhaustionError(
             f"{record.record_id.render()}: no candidate carries a "

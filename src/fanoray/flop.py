@@ -56,23 +56,23 @@ class FlopResult(NamedTuple):
     rows: tuple[FlopRowResult, ...]
 
 
-def flop_config_from_json(data: dict, source: str = "flop") -> FlopConfig:
-    _expect_keys(data, source,
+def flop_config_from_json(data: dict) -> FlopConfig:
+    _expect_keys(data, "flop",
                  {"record", "ray", "tracked_divisors", "exceptional_divisors",
                   "test_curves", "result_curves", "antiK_combo_tracked"})
-    record = _id_at(data["record"], f"{source}.record")
+    record = _id_at(data["record"], "flop.record")
     tracked = data["tracked_divisors"]
     exceptional = data["exceptional_divisors"]
     for key, val in (("tracked_divisors", tracked),
                      ("exceptional_divisors", exceptional)):
         if (not isinstance(val, list) or not val
                 or not all(isinstance(s, str) for s in val)):
-            raise RecordError(f"{source}.{key}", "expected array of strings")
+            raise RecordError(f"flop.{key}", "expected array of strings")
     curves = []
     labels = set()
     for i, raw in enumerate(_list_at(data["test_curves"],
-                                     f"{source}.test_curves")):
-        path = f"{source}.test_curves[{i}]"
+                                     "flop.test_curves")):
+        path = f"flop.test_curves[{i}]"
         _expect_keys(raw, path,
                      {"label", "pullback_row", "exc_row", "contracted_by_flop"})
         if not isinstance(raw["label"], str):
@@ -90,17 +90,20 @@ def flop_config_from_json(data: dict, source: str = "flop") -> FlopConfig:
     results = data["result_curves"]
     if not isinstance(results, list) or not all(
             isinstance(r, str) and r in labels for r in results):
-        raise RecordError(f"{source}.result_curves",
+        raise RecordError("flop.result_curves",
                           "every result curve must be a test curve label")
+    if not results:
+        raise RecordError("flop.result_curves",
+                          "expected at least one result curve")
     combo = _vec_at(data["antiK_combo_tracked"],
-                    f"{source}.antiK_combo_tracked", len(tracked))
+                    "flop.antiK_combo_tracked", len(tracked))
     contracted = sum(c.contracted_by_flop for c in curves)
     if contracted < len(exceptional):
-        raise RecordError(f"{source}.test_curves",
+        raise RecordError("flop.test_curves",
                           f"{contracted} contracted curves cannot pin "
                           f"{len(exceptional)} exceptional coefficients")
     if not isinstance(data["ray"], str):
-        raise RecordError(f"{source}.ray", "expected string")
+        raise RecordError("flop.ray", "expected string")
     return FlopConfig(record, data["ray"], tuple(tracked), tuple(exceptional),
                       tuple(curves), tuple(results), combo)
 

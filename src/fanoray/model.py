@@ -257,30 +257,30 @@ def _chambers_at(value, path: str) -> ChamberSpec:
     return ChamberSpec(tuple(nodes), tuple(edges))
 
 
-def record_from_json(data: dict, source: str = "record") -> FanoRecord:
+def record_from_json(data: dict) -> FanoRecord:
     """Build a FanoRecord from parsed JSON, checking only the schema.
 
     Numeric invariants (antiK agreement, pointedness, projection formula)
     live in validate_record so that mistake fixtures stay loadable.
     """
-    _expect_keys(data, source,
+    _expect_keys(data, "record",
                  {"id", "basis", "antiK_combo", "rays", "flop_tables",
                   "weyl_group", "flop_types"},
                  {"chambers"})
-    record_id = _id_at(data["id"], f"{source}.id")
+    record_id = _id_at(data["id"], "record.id")
     basis = data["basis"]
     if (not isinstance(basis, list) or not basis
             or not all(isinstance(b, str) for b in basis)):
-        raise RecordError(f"{source}.basis", "expected array of strings")
+        raise RecordError("record.basis", "expected array of strings")
     rho = len(basis)
-    combo = _vec_at(data["antiK_combo"], f"{source}.antiK_combo", rho)
+    combo = _vec_at(data["antiK_combo"], "record.antiK_combo", rho)
 
     rays = []
     labels_seen = set()
     if not isinstance(data["rays"], list) or not data["rays"]:
-        raise RecordError(f"{source}.rays", "expected non-empty array")
+        raise RecordError("record.rays", "expected non-empty array")
     for i, raw in enumerate(data["rays"]):
-        path = f"{source}.rays[{i}]"
+        path = f"record.rays[{i}]"
         _expect_keys(raw, path, {"label", "vec", "antiK", "type"},
                      {"contraction"})
         label = raw["label"]
@@ -305,9 +305,9 @@ def record_from_json(data: dict, source: str = "record") -> FanoRecord:
 
     tables: dict[str, tuple[FlopRow, ...]] = {}
     if not isinstance(data["flop_tables"], dict):
-        raise RecordError(f"{source}.flop_tables", "expected object")
+        raise RecordError("record.flop_tables", "expected object")
     for key, raw_rows in data["flop_tables"].items():
-        path = f"{source}.flop_tables.{key}"
+        path = f"record.flop_tables.{key}"
         if key not in labels_seen:
             raise RecordError(path, f"key {key!r} is not a ray label")
         rows = []
@@ -326,15 +326,15 @@ def record_from_json(data: dict, source: str = "record") -> FanoRecord:
         tables[key] = tuple(rows)
 
     if not isinstance(data["weyl_group"], str):
-        raise RecordError(f"{source}.weyl_group", "expected string")
+        raise RecordError("record.weyl_group", "expected string")
     ftypes = data["flop_types"]
     if not isinstance(ftypes, list) or not all(
             t in FLOP_TYPES for t in ftypes):
-        raise RecordError(f"{source}.flop_types",
+        raise RecordError("record.flop_types",
                           f"entries must be among {FLOP_TYPES}")
     chambers = None
     if "chambers" in data and data["chambers"] is not None:
-        chambers = _chambers_at(data["chambers"], f"{source}.chambers")
+        chambers = _chambers_at(data["chambers"], "record.chambers")
 
     return FanoRecord(record_id, rho, tuple(basis), combo, tuple(rays),
                       tables, data["weyl_group"], tuple(ftypes), chambers)

@@ -175,8 +175,9 @@ def test_facet_patch_matches_the_reference_on_weakened_candidate_sets():
 
 def test_facet_patch_matches_the_reference_on_weakened_targets():
     # a target set missing one edge has a dual larger than the facet: the
-    # reverse containment, which no weakened candidate set reaches
-    cases = 0
+    # reverse containment, which no weakened candidate set reaches; a set
+    # left empty is refused by exhaustion before facet-patch can run
+    cases = emptied = 0
     for path in FIXTURES:
         record, _ = parse_record(path.read_text(), strict=False)
         targets = _outcome(build_targets, record, True)
@@ -187,11 +188,18 @@ def test_facet_patch_matches_the_reference_on_weakened_targets():
                 weak = {**targets, lab: entry._replace(
                     edges=entry.edges[:k] + entry.edges[k + 1:])}
                 found = _outcome(_facet_patch, record, weak)
+                cases += 1
+                if not weak[lab].edges:
+                    assert found == (ExhaustionError, (
+                        f"{record.record_id.render()}: the target edge set "
+                        f"of candidate {lab} is empty, so there is nothing "
+                        f"to check")), (path.name, lab)
+                    emptied += 1
+                    continue
                 assert found == _outcome(facet_patch_reference, record,
                                          weak), (path.name, lab, k)
                 assert any("exceeds the facet" in f.message for f in found)
-                cases += 1
-    assert cases == 160
+    assert (cases, emptied) == (160, 8)
 
 
 def test_pyramid_codim2_faces_lie_in_exactly_two_facets(records):

@@ -104,6 +104,54 @@ def test_verify_fails_exhaustion_on_a_rank_one_record_with_a_ray_deleted(
             ) in out
 
 
+def _b2_5_n1_cut_to_l1(record_paths, tmp_path):
+    # one ray left: its derived target edge set is empty
+    data = json.loads(record_paths["b2_5_n1"].read_text())
+    data["rays"] = [r for r in data["rays"] if r["label"] == "l1"]
+    data["flop_tables"] = {}
+    path = tmp_path / "b2_5_n1.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+EMPTY_L1_TARGETS = ("B2=5/n1: the target edge set of candidate l1 is empty, "
+                    "so there is nothing to check")
+
+
+def test_check_exhaustion_with_an_empty_target_edge_set_exits_two(
+        capsys, record_paths, tmp_path):
+    path = _b2_5_n1_cut_to_l1(record_paths, tmp_path)
+    code, out, err = run_cli(capsys, "check-exhaustion", str(path))
+    assert (code, out, err) == (2, "", f"error: {EMPTY_L1_TARGETS}\n")
+
+
+def test_verify_skips_exhaustion_on_an_empty_target_edge_set(
+        capsys, record_paths, tmp_path):
+    _b2_5_n1_cut_to_l1(record_paths, tmp_path)
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
+    assert sections["exhaustion"] == {
+        "check": "exhaustion", "status": "skipped", "findings": [],
+        "detail": EMPTY_L1_TARGETS}
+    assert code == 1
+
+
+def test_a_flop_config_with_no_result_curves_exits_two(capsys, data_root,
+                                                       record_paths, tmp_path):
+    # no row would be compared, so "flop-tables: pass" would be vacuous
+    data = json.loads((data_root / "flops" / "e5_b2_2_n28.json").read_text())
+    data["result_curves"] = []
+    config = tmp_path / "e5_b2_2_n28.json"
+    config.write_text(json.dumps(data))
+    shutil.copy(record_paths["b2_2_n28"], tmp_path)
+    message = "flop.result_curves: expected at least one result curve\n"
+    code, out, err = run_cli(capsys, "verify", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {config}: {message}")
+    code, out, err = run_cli(capsys, "flop", str(config), "--record",
+                             str(record_paths["b2_2_n28"]))
+    assert (code, out, err) == (2, "", f"error: {message}")
+
+
 def test_verify_fails_on_a_failed_section_without_findings(capsys,
                                                           record_paths,
                                                           tmp_path):

@@ -206,12 +206,16 @@ def test_nef_command_runs_one_double_description(monkeypatch):
     assert (len(dd_calls), len(phase1), len(ranks)) == (1, 1, 0)
 
 
-def test_incidence_is_transposed_once_per_cone():
+def test_extreme_rays_and_neighbours_read_the_memoised_covers(monkeypatch):
+    # the double description hands its covers over; nothing rebuilds them
     cone = Cone(5, B2_5_N1_RAYS)
-    cover = cone._cover()
+    covers = cone._double_description()[3]
+    bits = count_calls(monkeypatch, "cone", "_bits")
+    dd_calls = count_calls(monkeypatch, "cone", "dual_description")
     for ray in cone.extreme_rays():
         assert cone.neighbours(ray)
-    assert cone._cover() is cover
+    assert cone._double_description()[3] is covers
+    assert (bits, dd_calls) == ([], [])
 
 
 @pytest.mark.parametrize("dim, generators", [

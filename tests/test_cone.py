@@ -175,7 +175,7 @@ def test_facets_require_full_dimension():
 def test_double_description_adjacency_with_no_common_tight_generator():
     # in dim 2 the pair (-1,-1), (-1,1) shares no tight generator: it is
     # adjacent because no third ray is left, not because of a tight set
-    assert cone_module.dual_description([(-1, -1), (-1, 0), (-1, 1)], 2) \
+    assert cone_module.dual_description([(-1, -1), (-1, 0), (-1, 1)], 2)[:3] \
         == ([(-1, -1), (-1, 1)], [], [4, 1])
 
 
@@ -218,10 +218,10 @@ def test_extreme_rays_and_codim2_faces_read_the_incidence(monkeypatch):
 def test_codim2_faces_raise_on_a_corrupt_incidence():
     cone = Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert len(cone.extreme_rays()) == 3
-    rays, lineality, _ = cone._double_description()
+    rays, lineality, _, covers = cone._double_description()
     # facets 0 and 1 claim the same two generators: adjacent by the
     # incidence, but they would meet in a face of rank 2, not 1
-    cone._dd = (rays, lineality, (0b011, 0b011, 0b100))
+    cone._dd = (rays, lineality, (0b011, 0b011, 0b100), covers)
     with pytest.raises(ConeError, match="rank 2"):
         cone.codim2_faces()
 

@@ -102,11 +102,12 @@ def test_rank_one_target_survives_a_deleted_ray(records, label):
     assert targets[kept].edges == ((1,),)
     report = check_exhaustion(record, record.ray_labels(), targets)
     assert [(m.ray_label, m.edge) for m in report.misses] == [(kept, (1,))]
-    # derived from the truncated record's own rays, the targets are empty
-    # and the check passes vacuously
+    # derived from the truncated record's own rays, the targets are empty,
+    # and an empty edge set may not pass vacuously
     derived = build_targets(record, prefer_record_tables=False)
     assert derived[kept].edges == ()
-    assert check_exhaustion(record, record.ray_labels(), derived).passed
+    with pytest.raises(ExhaustionError, match=f"candidate {kept} is empty"):
+        check_exhaustion(record, record.ray_labels(), derived)
 
 
 def test_record_table_targets_match_derived_for_n12_contractions(records):
@@ -182,6 +183,15 @@ def test_a_candidate_set_with_no_descriptor_raises(records):
     targets = build_targets(rec)
     with pytest.raises(ExhaustionError, match="B2=5/n1"):
         check_exhaustion(rec, [], targets)
+
+
+def test_a_candidate_with_an_empty_target_edge_set_raises(records):
+    rec = records["b2_5_n1"]
+    targets = dict(build_targets(rec))
+    targets["l4"] = TargetEntry((), "record-table")
+    with pytest.raises(ExhaustionError,
+                       match="B2=5/n1: the target edge set of candidate l4"):
+        check_exhaustion(rec, ALL8, targets)
 
 
 def test_reciprocal_failure_detected_on_doctored_targets(records):

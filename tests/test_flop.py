@@ -5,6 +5,7 @@ import pytest
 from fanoray.flop import (FlopError, compute_flop, flop_config_from_json,
                           parse_flop_config, solve_pullback_coeffs,
                           verify_against_table)
+from fanoray.model import RecordError
 from fanoray.rational import dot, rat_str
 
 
@@ -176,4 +177,12 @@ def test_config_rejects_unknown_result_curve(flop_configs):
     data = _as_json(flop_configs["e1_b2_2_n1"])
     data["result_curves"] = ["nope"]
     with pytest.raises(Exception):
+        flop_config_from_json(data)
+
+
+def test_config_rejects_an_empty_result_curve_list(flop_configs):
+    # no row would be compared, so a clean table check would be vacuous
+    data = _as_json(flop_configs["e5_b2_2_n28"])
+    data["result_curves"] = []
+    with pytest.raises(RecordError, match=r"^flop\.result_curves: "):
         flop_config_from_json(data)
