@@ -30,9 +30,9 @@ class ChamberError(ValueError):
     pass
 
 
-def nef_cone(record: FanoRecord,
-             candidate_labels: Optional[Sequence[str]] = None) -> Cone:
-    """Dual of the ray cone; requires a pointed, full-dimensional input."""
+def checked_ray_cone(record: FanoRecord,
+                     candidate_labels: Optional[Sequence[str]] = None) -> Cone:
+    """The ray cone; ChamberError unless it is pointed and full-dimensional."""
     cone = record.ray_cone(candidate_labels)
     if not cone.is_pointed().pointed:
         raise ChamberError(
@@ -41,7 +41,13 @@ def nef_cone(record: FanoRecord,
         raise ChamberError(
             f"{record.record_id.render()}: ray cone has rank {cone.rank()} "
             f"< {record.rho}, nef cone would not be pointed")
-    return cone.dual()
+    return cone
+
+
+def nef_cone(record: FanoRecord,
+             candidate_labels: Optional[Sequence[str]] = None) -> Cone:
+    """Dual of the ray cone; requires a pointed, full-dimensional input."""
+    return checked_ray_cone(record, candidate_labels).dual()
 
 
 def facet_patch_check(record: FanoRecord,
@@ -55,8 +61,7 @@ def facet_patch_check(record: FanoRecord,
     of their dual must pair >= 0 with every candidate.
     """
     labels = report.candidate_labels
-    nef_cone(record, labels)  # ChamberError unless pointed, full-dimensional
-    vectors = [record.ray(lab).vec for lab in labels]
+    vectors = checked_ray_cone(record, labels).generators
     findings: list[Finding] = []
     duals: dict[tuple, tuple] = {}
 

@@ -14,21 +14,27 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Mapping, NamedTuple, Sequence
 
 from . import datafiles
-from .chambers import ChamberError, chamber_graph, emit_dot, facet_patch_check, nef_cone
+from .chambers import (ChamberError, chamber_graph, checked_ray_cone,
+                       emit_dot, facet_patch_check)
 from .cone import ConeError
-from .exhaustion import ExhaustionError, build_targets, check_exhaustion, extend_candidates
-from .flop import FlopError, compute_flop, flop_config_from_json, parse_flop_config, verify_against_table
-from .model import (Finding, RecordError, _json_at, _vec_at, diff_records,
-                    parse_record, record_from_json, require_direction)
-from .rational import ExactArithError, Vec, dot, rat_str
+from .exhaustion import (ExhaustionError, ExhaustionReport, build_targets,
+                         check_exhaustion, extend_candidates)
+from .flop import (FlopConfig, FlopError, compute_flop, flop_config_from_json,
+                   parse_flop_config, verify_against_table)
+from .model import (FanoRecord, Finding, RecordError, RecordId, _json_at,
+                    _vec_at, antik_mismatches, diff_records, parse_record,
+                    record_from_json, require_direction)
+from .rational import ExactArithError, Vec, rat_str
 
 OK, FOUND, UNUSABLE = 0, 1, 2
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _write(payload, file=None) -> None:
+    """Report JSON with sorted keys, on stdout or into an open ``file``."""
+    print(json.dumps(payload, indent=2, sort_keys=True), file=file)
 
 
 def _read_json(path: Path):
@@ -39,61 +45,66 @@ def _read_json(path: Path):
     return _json_at(raw, str(path))
 
 
-def _findings_json(findings):
-    return [f.render() for f in findings]
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args) -> int:
-    data_dir = Path(args.data_dir or os.environ.get("MRA_DATA")
-                    or datafiles.records_dir())
-    if not data_dir.is_dir():
-        print(f"error: not a directory: {data_dir}", file=sys.stderr)
-        return UNUSABLE
-    records = {}
-    configs = []
-    for path in sorted(data_dir.glob("*.json")):
-        head = _read_json(path)
-        try:
-            if isinstance(head, dict) and "tracked_divisors" in head:
-                configs.append((path, parse_flop_config(head)))
-            else:
-                records[path] = parse_record(head, strict=False)
-        except RecordError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return UNUSABLE
+class Section(NamedTuple):
+    check: str
+    status: str                         # "pass" | "fail" | "skipped"
+    findings: tuple[Finding, ...] = ()
+    detail: object = None               # JSON-ready, or exhaustion's report
 
-    corrected = {}  # base id -> the first corrected record, in path order
-    for record, _ in records.values():
-        if record.record_id.variant is None:
-            corrected.setdefault(record.record_id.base(), record)
+    def to_json(self) -> dict:
+        out = {"check": self.check, "status": self.status,
+               "findings": [f.render() for f in self.findings]}
+        if isinstance(self.detail, ExhaustionReport):
+            out["detail"] = self.detail.to_json()
+        elif self.detail is not None:
+            out["detail"] = self.detail
+        return out
 
-    solved = {}  # config path -> its FlopResult or FlopError, once
+
+class RecordReport(NamedTuple):
+    record: RecordId
+    file: str
+    sections: tuple[Section, ...]
+
+    @property
+    def status(self) -> str:
+        passed = all(s.status in ("pass", "skipped") for s in self.sections)
+        return "pass" if passed else "fail"
+
+    def to_json(self) -> dict:
+        return {"record": self.record.render(), "file": self.file,
+                "status": self.status,
+                "sections": [s.to_json() for s in self.sections]}
+
+
+def _judged(check: str, findings: Sequence[Finding]) -> Section:
+    """A section that fails exactly when it has findings."""
+    return Section(check, "fail" if findings else "pass", tuple(findings))
+
+
+def verify_records(records: Mapping[str, tuple[FanoRecord, list[Finding]]],
+                   configs: Mapping[str, FlopConfig]) -> list[RecordReport]:
+    """Audit each record (file name -> ``parse_record(..., strict=False)``)
+    against the flop configurations (file name -> config) that match it,
+    each solved once, and each mistake variant against the first corrected
+    record of its base id; the reports keep the records' order."""
+    solved = {}  # config file -> its FlopResult, or its failure's finding
     reports = []
-    for path, (record, load_findings) in records.items():
-        sections = []
-
-        def add(name, findings, status=None, detail=None):
-            entry = {"check": name,
-                     "status": status or ("fail" if findings else "pass"),
-                     "findings": _findings_json(findings)}
-            if detail is not None:
-                entry["detail"] = detail
-            sections.append(entry)
-
-        add("validate", load_findings)
-
+    for name, (record, load_findings) in records.items():
+        rid = record.record_id
         derived = (record.derived_antiK if len(record.rays) >= record.rho
                    else None)
         if derived is not None and derived.status == "ok":
-            add("antik-audit", [], detail={
+            antik = Section("antik-audit", "pass", detail={
                 "combo": [rat_str(e) for e in derived.combo]})
         else:
-            add("antik-audit", [], status="fail",
-                detail={"status": derived.status if derived else "too few rays"})
+            antik = Section("antik-audit", "fail", detail={
+                "status": derived.status if derived else "too few rays"})
+        sections = [_judged("validate", load_findings), antik]
 
         targets = report = patch = None
         skip = "no contraction descriptors"
@@ -103,116 +114,111 @@ def cmd_verify(args) -> int:
                 report = check_exhaustion(record, record.ray_labels(), targets)
         except (ExhaustionError, ConeError) as exc:
             skip = str(exc)
-        if report is None:
-            add("exhaustion", [], status="skipped", detail=skip)
-        else:
-            add("exhaustion", [], status=report.verdict,
-                detail=report.to_json())
+        sections.append(
+            Section("exhaustion", "skipped", detail=skip) if report is None
+            else Section("exhaustion", report.verdict, detail=report))
         try:
             if report is not None:
                 patch = facet_patch_check(record, targets, report)
             elif targets is not None:
-                nef_cone(record)  # its message wins over exhaustion's
+                checked_ray_cone(record)  # its message wins over exhaustion's
         except (ChamberError, ConeError) as exc:
             skip = str(exc)
-        if patch is None:
-            add("facet-patch", [], status="skipped", detail=skip)
-        else:
-            add("facet-patch", patch)
+        sections.append(
+            Section("facet-patch", "skipped", detail=skip) if patch is None
+            else _judged("facet-patch", patch))
 
+        matching = [(file, cfg) for file, cfg in configs.items()
+                    if cfg.record.base() == rid.base()
+                    and cfg.ray in record.flop_tables]
         flop_findings = []
-        flop_ran = False
-        for cfg_path, cfg in configs:
-            if cfg.record.base() != record.record_id.base():
-                continue
-            if cfg.ray not in record.flop_tables:
-                continue
-            flop_ran = True
-            if cfg_path not in solved:
+        for file, cfg in matching:
+            if file not in solved:
                 try:
-                    solved[cfg_path] = compute_flop(cfg)
+                    solved[file] = compute_flop(cfg)
                 except FlopError as exc:
-                    solved[cfg_path] = exc
+                    solved[file] = Finding("flop-config", file, str(exc))
+            result = solved[file]
             try:
-                result = solved[cfg_path]
-                if isinstance(result, FlopError):
-                    raise result
-                flop_findings.extend(verify_against_table(record, cfg, result))
+                flop_findings += ([result] if isinstance(result, Finding) else
+                                  verify_against_table(record, cfg, result))
             except FlopError as exc:
-                flop_findings.append(
-                    Finding("flop-config", cfg_path.name, str(exc)))
-        if flop_ran:
-            add("flop-tables", flop_findings)
-        else:
-            add("flop-tables", [], status="skipped",
-                detail="no matching flop configuration")
+                flop_findings.append(Finding("flop-config", file, str(exc)))
+        sections.append(
+            _judged("flop-tables", flop_findings) if matching
+            else Section("flop-tables", "skipped",
+                         detail="no matching flop configuration"))
 
-        sibling = corrected.get(record.record_id.base())
-        if (record.record_id.variant and "mistake" in record.record_id.variant
-                and sibling is not None):
-            add("corrections", diff_records(record, sibling))
+        siblings = [other for other, _ in records.values()
+                    if other.record_id == rid.base()]  # corrected ones
+        if rid.variant and "mistake" in rid.variant and siblings:
+            sections.append(
+                _judged("corrections", diff_records(record, siblings[0])))
+        reports.append(RecordReport(rid, name, tuple(sections)))
+    return reports
 
-        status = "pass" if all(s["status"] in ("pass", "skipped")
-                               for s in sections) else "fail"
-        reports.append({"record": record.record_id.render(),
-                        "file": path.name,
-                        "status": status,
-                        "sections": sections})
 
-    failed = any(report["status"] == "fail" for report in reports)
-    summary = {"records": len(reports),
-               "flop_configs": len(configs),
+def cmd_verify(args) -> int:
+    data_dir = Path(args.data_dir or os.environ.get("MRA_DATA")
+                    or datafiles.records_dir())
+    if not data_dir.is_dir():
+        print(f"error: not a directory: {data_dir}", file=sys.stderr)
+        return UNUSABLE
+    records, configs = {}, {}
+    for path in sorted(data_dir.glob("*.json")):
+        head = _read_json(path)
+        try:
+            if isinstance(head, dict) and "tracked_divisors" in head:
+                configs[path.name] = parse_flop_config(head)
+            else:
+                records[path.name] = parse_record(head, strict=False)
+        except RecordError as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return UNUSABLE
+
+    reports = verify_records(records, configs)
+    failed = any(report.status == "fail" for report in reports)
+    summary = {"records": len(reports), "flop_configs": len(configs),
                "status": "fail" if failed else "pass"}
     if not reports:
         summary["warning"] = "no records"
-
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        for report in reports:
-            stem = Path(report["file"]).stem
-            (out / f"{stem}.audit.json").write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
-        (out / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        audits = {f"{Path(report.file).stem}.audit.json": report.to_json()
+                  for report in reports}
+        for name, payload in {**audits, "summary.json": summary}.items():
+            with open(out / name, "w", encoding="utf-8") as file:
+                _write(payload, file)
+        _write(summary)
     elif args.human:
         print(_render_table(reports, summary))
     else:
-        _emit({"reports": reports, "summary": summary})
+        _write({"reports": [r.to_json() for r in reports],
+                "summary": summary})
     return FOUND if failed else OK
 
 
-def _render_table(reports, summary) -> str:
+def _render_table(reports: Sequence[RecordReport], summary) -> str:
     lines = []
     for report in reports:
-        lines.append(f"{report['record']:<18} {report['status']:<4}  "
-                     f"({report['file']})")
-        for section in report["sections"]:
-            lines.append(f"  {section['check']:<12} {section['status']}")
-            for finding in section["findings"]:
-                lines.append(f"    {finding}")
-            if (section["check"], section["status"]) == ("exhaustion",
-                                                         "fail"):
-                lines += _exhaustion_lines(section["detail"])
+        lines.append(f"{report.record.render():<18} {report.status:<4}  "
+                     f"({report.file})")
+        for section in report.sections:
+            lines.append(f"  {section.check:<12} {section.status}")
+            lines += [f"    {f.render()}" for f in section.findings]
+            if isinstance(section.detail, ExhaustionReport):
+                lines += [f"    [exhaustion] rays.{m.ray_label}: {m.note} "
+                          f"{m.edge}" for m in section.detail.misses]
+                lines += [f"    [exhaustion] rays.{f.ray_label}: the image of "
+                          f"{f.ray_label} under {f.other_label}'s pushforward "
+                          f"is not a target edge of {f.other_label}"
+                          for f in section.detail.reciprocal_failures]
     lines.append(f"{summary['records']} records, "
                  f"{summary['flop_configs']} flop configs: "
                  f"{summary['status']}"
                  + (" (no records)" if "warning" in summary else ""))
     return "\n".join(lines)
-
-
-def _exhaustion_lines(detail) -> list[str]:
-    """A failed exhaustion section's misses and reciprocal failures, read
-    from its detail (the report's JSON), one line each."""
-    lines = [f"    [exhaustion] rays.{m['ray']}: {m['note']} "
-             f"{tuple(m['edge'])}" for m in detail["misses"]]
-    lines += [f"    [exhaustion] rays.{f['ray']}: the image of {f['ray']} "
-              f"under {f['other']}'s pushforward is not a target edge of "
-              f"{f['other']}" for f in detail["reciprocal_failures"]]
-    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +249,12 @@ def cmd_check_exhaustion(args) -> int:
         proposals = [_read_proposal(Path(p), record.rho)
                      for p in args.propose]
         result = extend_candidates(record, candidates, targets, proposals)
-        payload = {"final_candidates": list(result.final_candidates),
-                   "events": list(result.events),
-                   "trail": [r.to_json() for r in result.reports]}
-        _emit(payload)
+        _write({"final_candidates": list(result.final_candidates),
+                "events": list(result.events),
+                "trail": [r.to_json() for r in result.reports]})
         return OK if result.passed else FOUND
     report = check_exhaustion(record, candidates, targets)
-    _emit(report.to_json())
+    _write(report.to_json())
     return OK if report.passed else FOUND
 
 
@@ -274,28 +279,28 @@ def cmd_flop(args) -> int:
     if args.record:
         record = record_from_json(_read_json(Path(args.record)))
         findings = verify_against_table(record, cfg, result)
-        payload["table_findings"] = _findings_json(findings)
-    _emit(payload)
+        payload["table_findings"] = [f.render() for f in findings]
+    _write(payload)
     return FOUND if findings else OK
 
 
 def cmd_nef(args) -> int:
     record = record_from_json(_read_json(Path(args.record)))
-    cone = nef_cone(record)
-    # the dual of a pointed, full-dimensional cone has its extreme rays
-    # for facet normals, so the ray cone's one double description serves
-    normals = record.ray_cone().extreme_rays()
+    # its dual, the nef cone, has its extreme rays for facet normals and its
+    # facets for generators
+    cone = checked_ray_cone(record)
+    normals = cone.extreme_rays()
     payload = {
         "record": record.record_id.render(),
         "facets": len(normals),
         "facet_normals": [list(n) for n in normals],
-        "nef_generators": [list(g) for g in sorted(cone.generators)],
+        "nef_generators": [list(g) for g in sorted(cone.facets())],
     }
     if args.dot:
         graph = chamber_graph(record)
         Path(args.dot).write_text(emit_dot(graph), encoding="utf-8")
         payload["dot"] = args.dot
-    _emit(payload)
+    _write(payload)
     return OK
 
 
@@ -305,17 +310,14 @@ def cmd_derive_antik(args) -> int:
     payload = {"record": record.record_id.render(), "status": derived.status}
     if derived.status == "ok":
         payload["combo"] = [rat_str(e) for e in derived.combo]
-        rays_bad = [f"rays.{ray.label}" for ray in record.rays
-                    if dot(derived.combo, ray.vec) != ray.antiK]
-        rows = [(key, row) for key, table in sorted(record.flop_tables.items())
-                for row in table]
-        tables_bad = [f"flop_tables.{key}.{row.label}" for key, row in rows
-                      if dot(derived.combo, row.vec) != row.antiK]
+        bad = payload["inconsistent_rows"] = [
+            f.key for f in antik_mismatches(record, derived.combo)]
+        rays_bad = sum(key.startswith("rays.") for key in bad)
+        rows = sum(map(len, record.flop_tables.values()))
         payload["ray_rows"] = {"checked": len(record.rays),
-                               "consistent": len(record.rays) - len(rays_bad)}
-        payload["table_rows"] = {"checked": len(rows),
-                                 "consistent": len(rows) - len(tables_bad)}
-        bad = payload["inconsistent_rows"] = rays_bad + tables_bad
+                               "consistent": len(record.rays) - rays_bad}
+        payload["table_rows"] = {"checked": rows,
+                                 "consistent": rows - len(bad) + rays_bad}
     elif derived.status == "inconsistent":
         payload["witnesses"] = [record.rays[i].label
                                 for i in derived.witnesses]
@@ -323,7 +325,7 @@ def cmd_derive_antik(args) -> int:
     else:
         payload["kernel_dim"] = derived.kernel_dim
         bad = ["underdetermined"]
-    _emit(payload)
+    _write(payload)
     return FOUND if bad else OK
 
 

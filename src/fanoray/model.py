@@ -378,26 +378,13 @@ def parse_record(raw, strict: bool = True):
 
 def validate_record(record: FanoRecord) -> list[Finding]:
     """All invariant checks as row-keyed findings (empty = clean)."""
-    findings: list[Finding] = []
     combo = record.antiK_combo
-
-    def check_row(key: str, vec: Vec, antiK: Rat):
-        expected = dot(combo, vec)
-        if expected != antiK:
-            findings.append(Finding(
-                "antiK", key,
-                f"-K mismatch: row says {rat_str(antiK)}, "
-                f"combo gives {rat_str(expected)}"))
-
+    findings = antik_mismatches(record, combo)
     for ray in record.rays:
-        check_row(f"rays.{ray.label}", ray.vec, ray.antiK)
         if ray.antiK <= 0:
             findings.append(Finding(
                 "fano-positivity", f"rays.{ray.label}",
                 f"-K.{ray.label} = {rat_str(ray.antiK)} is not positive"))
-    for key, rows in sorted(record.flop_tables.items()):
-        for row in rows:
-            check_row(f"flop_tables.{key}.{row.label}", row.vec, row.antiK)
 
     for ray in record.rays:
         desc = ray.contraction
@@ -476,6 +463,18 @@ def validate_record(record: FanoRecord) -> list[Finding]:
 # ---------------------------------------------------------------------------
 # Anticanonical combination
 # ---------------------------------------------------------------------------
+
+def antik_mismatches(record: FanoRecord, combo: Vec) -> list[Finding]:
+    """The ray rows, then the flop-table rows (tables by key), whose -K
+    column disagrees with ``combo``: one "antiK" finding each."""
+    rows = [(f"rays.{r.label}", r) for r in record.rays] + [
+        (f"flop_tables.{key}.{row.label}", row)
+        for key, table in sorted(record.flop_tables.items()) for row in table]
+    return [Finding("antiK", key, f"-K mismatch: row says "
+                    f"{rat_str(row.antiK)}, combo gives {rat_str(expected)}")
+            for key, row in rows
+            if (expected := dot(combo, row.vec)) != row.antiK]
+
 
 class AntiKDerivation(NamedTuple):
     status: str                      # "ok" | "underdetermined" | "inconsistent"

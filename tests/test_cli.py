@@ -3,17 +3,22 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fanoray import datafiles
 from fanoray.chambers import nef_cone
-from fanoray.cli import build_parser, main
+from fanoray.cli import (RecordReport, Section, _render_table, build_parser,
+                         main, verify_records)
+from fanoray.exhaustion import (ExhaustionReport, Miss, ReciprocalFailure,
+                                build_targets, check_exhaustion)
 from fanoray.flop import parse_flop_config
-from fanoray.model import RecordError, parse_record, record_from_json
+from fanoray.model import RecordError, RecordId, parse_record, record_from_json
 from fanoray.rational import rat, rat_str
 
 from test_exhaustion import NOT_EXTREME, _b2_3_n31_with_an_inner_contracted_ray
+from test_golden import GOLDEN, _all_fixtures_dir
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +219,98 @@ def test_verify_out_dir(capsys, corpus_dir, tmp_path):
     assert (out_dir / "b2_5_n1.audit.json").exists()
     report = json.loads((out_dir / "b2_5_n1.audit.json").read_text())
     assert report["status"] == "pass"
+
+
+def test_verify_out_writes_every_report_and_the_summary(capsys, tmp_path):
+    # over all 13 record fixtures and the 4 flop configurations, each
+    # <stem>.audit.json is the matching entry of verify's JSON reports
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    _all_fixtures_dir(fixtures)
+    code, out, _ = run_cli(capsys, "verify", str(fixtures))
+    payload = json.loads(out)
+    out_dir = tmp_path / "reports"
+    out_code, printed, _ = run_cli(capsys, "verify", str(fixtures),
+                                   "--out", str(out_dir))
+    assert code == out_code == 1
+    assert len(payload["reports"]) == 13
+    assert json.loads(printed) == payload["summary"]
+    written = {path.name: path.read_text(encoding="utf-8")
+               for path in out_dir.iterdir()}
+    expected = {f"{Path(r['file']).stem}.audit.json": r
+                for r in payload["reports"]}
+    expected["summary.json"] = payload["summary"]
+    assert written == {name: json.dumps(entry, indent=2, sort_keys=True)
+                       + "\n" for name, entry in expected.items()}
+
+
+def _parsed_fixtures(data_root):
+    """All 13 record fixtures and the 4 flop configurations, keyed by file
+    name in name order and parsed as ``verify`` parses them."""
+    paths = [path for sub in ("records", "mistakes", "extra", "flops")
+             for path in (data_root / sub).glob("*.json")]
+    records, configs = {}, {}
+    for path in sorted(paths, key=lambda path: path.name):
+        if path.parent.name == "flops":
+            configs[path.name] = parse_flop_config(path.read_text())
+        else:
+            records[path.name] = parse_record(path.read_text(), strict=False)
+    return records, configs
+
+
+def test_verify_records_in_process_matches_the_verify_golden(data_root):
+    records, configs = _parsed_fixtures(data_root)
+    assert (len(records), len(configs)) == (13, 4)
+    reports = verify_records(records, configs)
+    golden = json.loads((GOLDEN / "verify_json.out").read_text())
+    assert [report.to_json() for report in reports] == golden["reports"]
+    # a report fails exactly when one of its sections does
+    for report in reports:
+        assert (report.status == "fail") == any(
+            section.status == "fail" for section in report.sections)
+    failed = any(report.status == "fail" for report in reports)
+    assert golden["summary"] == {"records": 13, "flop_configs": 4,
+                                 "status": "fail" if failed else "pass"}
+    # and verify exits 1 exactly when some report fails
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert codes["verify_json"] == (1 if failed else 0) == 1
+
+
+def test_verify_records_hands_exhaustions_misses_over_typed(record_paths):
+    # b2_5_n1 without l8 (the verify_drop_l8 golden): the exhaustion
+    # section holds check_exhaustion's report itself, no stdout is read
+    data = json.loads(record_paths["b2_5_n1"].read_text())
+    data["rays"] = [r for r in data["rays"] if r["label"] != "l8"]
+    del data["flop_tables"]["l8"]
+    record, findings = parse_record(json.dumps(data), strict=False)
+    [report] = verify_records({"b2_5_n1.json": (record, findings)}, {})
+    section = next(s for s in report.sections if s.check == "exhaustion")
+    expected = check_exhaustion(record, record.ray_labels(),
+                                build_targets(record))
+    assert (report.status, section.status) == ("fail", "fail")
+    assert section.findings == ()
+    assert section.detail.misses == expected.misses
+    assert [miss.ray_label for miss in expected.misses] == ["l4", "l5", "l6"]
+
+
+def test_verify_human_prints_the_exhaustion_report_it_holds():
+    # no fixture has a reciprocal failure; the table prints them off the
+    # section's typed report, one line each, after the misses
+    report = ExhaustionReport(
+        "B2=2/n5", ("l1", "l2"),
+        (Miss(1, "l1", (1, 0), "no candidate maps onto this edge"),),
+        (ReciprocalFailure("l1", "l2"),))
+    section = Section("exhaustion", report.verdict, detail=report)
+    table = _render_table(
+        [RecordReport(RecordId(2, 5), "b2_2_n5.json", (section,))],
+        {"records": 1, "flop_configs": 0, "status": "fail"})
+    assert table.splitlines() == [
+        "B2=2/n5            fail  (b2_2_n5.json)",
+        "  exhaustion   fail",
+        "    [exhaustion] rays.l1: no candidate maps onto this edge (1, 0)",
+        "    [exhaustion] rays.l1: the image of l1 under l2's pushforward is "
+        "not a target edge of l2",
+        "1 records, 0 flop configs: fail"]
 
 
 def test_check_exhaustion_drop_l8(capsys, record_paths):

@@ -116,6 +116,29 @@ def test_verify_computes_each_contractions_images_once(monkeypatch,
     assert len(flops) == 4
 
 
+def test_verify_dualises_only_facet_patch_target_edges(monkeypatch,
+                                                       tmp_path):
+    # facet-patch and verify check the nef cone's precondition on the
+    # checked ray cone, so no nef cone is built: every Cone.dual is one of
+    # facet-patch's target edge sets, and each flop configuration is
+    # solved once
+    _fixture_dir(tmp_path, "records", "mistakes", "extra", "flops")
+    duals = []
+    dual = Cone.dual
+
+    def counted(self):
+        duals.append(callers())
+        return dual(self)
+
+    monkeypatch.setattr(Cone, "dual", counted)
+    nefs = count_calls(monkeypatch, "chambers", "nef_cone")
+    flops = count_calls(monkeypatch, "flop", "compute_flop")
+    assert _cli(["verify", str(tmp_path)]) == 1
+    assert len(duals) == 28
+    assert all(facet_patch_check.__code__ in stack for stack in duals)
+    assert (nefs, len(flops)) == ([], 4)
+
+
 def test_pushforward_chart_is_ranked_once(monkeypatch):
     path = datafiles.records_dir() / "b2_5_n1.json"
     record = record_from_json(json.loads(path.read_text(encoding="utf-8")))

@@ -12,6 +12,7 @@ import pytest
 
 from fanoray import flop  # not TestCurve itself, which pytest would collect
 from fanoray.chambers import ChamberGraph
+from fanoray.cli import RecordReport, Section
 from fanoray.cone import Membership, Pointedness
 from fanoray.exhaustion import (ExhaustionReport, ExtensionResult, Miss,
                                 ReciprocalFailure, TargetEntry)
@@ -31,6 +32,9 @@ _CURVE = flop.TestCurve("C1", (1, Fraction(-1, 2)), (0, 1), True)
 _NODE = ChamberNode("T", "X")
 _EDGE = ChamberEdge("T", "F1", "E1")
 _ROW = flop.FlopRowResult("C1", (1, 0), 2)
+# a skipped section's detail is a string; a dict detail (antik-audit's) is
+# JSON-ready but unhashable, so it is not sampled here
+_SECTION = Section("facet-patch", "skipped", (), "ray cone is not pointed")
 
 # one sample of every value record and its repr as a frozen dataclass
 SAMPLES = [
@@ -96,6 +100,13 @@ SAMPLES = [
      "label='C1', row=(1, 0), antiK=2),))"),
     (ChamberGraph((("T", "X"),), (("T", "F1", "E1"),)),
      "ChamberGraph(nodes=(('T', 'X'),), edges=(('T', 'F1', 'E1'),))"),
+    (_SECTION,
+     "Section(check='facet-patch', status='skipped', findings=(), "
+     "detail='ray cone is not pointed')"),
+    (RecordReport(_ID, "b2_2_n5.json", (_SECTION,)),
+     "RecordReport(record=RecordId(b2=2, number=5, variant=None), "
+     "file='b2_2_n5.json', sections=(Section(check='facet-patch', "
+     "status='skipped', findings=(), detail='ray cone is not pointed'),))"),
 ]
 IDS = [f"{type(value).__name__}{i}" for i, (value, _) in enumerate(SAMPLES)]
 
@@ -118,7 +129,7 @@ def test_every_value_record_is_sampled():
     sampled = {type(value) for value, _ in SAMPLES}
     records = {cls for cls in _classes()
                if issubclass(cls, tuple) and hasattr(cls, "_fields")}
-    assert sampled == records and len(records) == 20
+    assert sampled == records and len(records) == 22
 
 
 @pytest.mark.parametrize("value, text", SAMPLES, ids=IDS)
