@@ -6,7 +6,7 @@ simplex (Bland's rule) on an int tableau by ``rational``'s fraction-free
 pivot and return a certificate, read out as ints or Fractions:
 nonnegative combination coefficients inside, a separating functional
 outside.  Duals and facets come from an incremental double description
-pass with generators inserted in input order, which keeps facet lists
+pass on a schedule fixed by input order alone, which keeps facet lists
 reproducible across platforms.  The pass carries each ray's incidence
 (the generators it is tight on, as an int bitmask) and, transposed, for
 each generator the bitmask of the rays tight on it, both kept up to date
@@ -82,13 +82,15 @@ def _phase1(cols: list[Sequence[int]], rhs: Sequence):
     n = len(cols)
     b = _cleared(rhs)
     flip = [-1 if e < 0 else 1 for e in b]
-    tab = [[flip[k] * c[k] for c in cols]
-           + [1 if t == k else 0 for t in range(d)] + [abs(b[k])]
-           for k in range(d)]
+    # the rows, built by columns, each flipped where its rhs is negative
+    tab = [[*([-x for x in row] if e < 0 else row), *[0] * k, 1,
+            *[0] * (d - 1 - k), abs(e)]
+           for k, (row, e) in enumerate(zip(zip(*cols), b))]
     basis = [n + k for k in range(d)]
     total = n + d
-    tab.append([(1 if n <= j < total else 0) - sum(row[j] for row in tab)
-                for j in range(total + 1)])
+    cost = [-s for s in map(sum, zip(*tab))]
+    cost[n:total] = [0] * d  # each artificial column sums to its cost 1
+    tab.append(cost)
     det = 1
     while True:
         enter = next((j for j in range(total) if tab[d][j] < 0), None)
@@ -153,7 +155,14 @@ def dual_description(generators: Sequence[IVec], dim: int):
     """Minimal description (rays, lineality, incidence, covers) of
     {w : w.g >= 0 for all g}.
 
-    Generators are inserted in the given order; rays come back sorted.
+    A first pass in input order makes the lineality steps only, for the
+    generators that leave the span so far; the rest follow as cut steps,
+    deferred position k ranked by (k * 2654435769) mod 2**32, a bijection:
+    grouped inputs such as the sorted (-1)-curves make large intermediate
+    cones in input order (Avis, Bremner and Seidel 1997).  No output
+    depends on this: the spanning set is input order's greedy basis, which
+    fixes the lineality and the subspace of every ray's representative;
+    rays come back sorted, incidence bits are input positions, covers opaque.
     The lineality basis is empty exactly when the generators span R^dim.
     ``incidence[k]`` is the int bitmask of the generators that ``rays[k]``
     is tight on (bit i for ``generators[i]``), carried through the
@@ -169,8 +178,9 @@ def dual_description(generators: Sequence[IVec], dim: int):
     the AND of ``alive`` (the ids of the current rays) with ``tight[j]``
     over its bits j, and the pair is adjacent iff that leaves just its own
     two ids.  Dead ids stay in ``tight``; the AND with ``alive`` masks
-    them out.  ``alive`` is kept incrementally: a new ray's id is ORed in
-    and, after a cut step, the ids of the rays it cut away are cleared.
+    them out.  A cut step records its new ids per generator in a mask local
+    to the step and, as it ends, ORs them into ``tight`` and ``alive`` and
+    clears the ids it cut away: no adjacency test needs a new id sooner.
     ``covers[j]``, the final ``tight[j] & alive``, is one bitmask per
     generator over a ray numbering shared by all generators but otherwise
     opaque: only ANDs, containment and popcounts between covers are meaningful.
@@ -191,86 +201,100 @@ def dual_description(generators: Sequence[IVec], dim: int):
     rays: list[IVec] = []
     masks: list[int] = []
     id_bits: list[int] = []  # 1 << id, per ray
-    tight: list[int] = []
+    tight = [0] * len(generators)
     alive = 0  # the ids of the current rays
     fresh = 0  # the next id
+    inserted = 0  # the generators inserted so far
+    deferred = []
     for i, a in enumerate(generators):
-        bit = 1 << i
         vals = [_ivec_dot(a, u) for u in lineality]
         hit = next((k for k, s in enumerate(vals) if s != 0), None)
-        if hit is not None:
-            # a cuts the lineality space: every other vector moves along u0
-            # onto a.w = 0; u0 becomes a ray, tight on every earlier generator
-            sign = 1 if vals[hit] > 0 else -1
-            u0 = tuple(sign * x for x in lineality[hit])
-            s = abs(vals[hit])
+        if hit is None:
+            deferred.append(i)
+            continue
+        # a cuts the lineality space: every other vector moves along u0
+        # onto a.w = 0; u0 becomes a ray, tight on every inserted generator
+        sign = 1 if vals[hit] > 0 else -1
+        u0 = tuple(sign * x for x in lineality[hit])
+        s = abs(vals[hit])
 
-            def onto_a(v, t):
-                return canonicalize_ray(
-                    tuple(s * x - t * y for x, y in zip(v, u0)))
-            lineality = [onto_a(u, t) for k, (u, t)
-                         in enumerate(zip(lineality, vals)) if k != hit]
-            # the moved rays stay distinct (they differ modulo the lineality
-            # space, which holds the move's kernel) and are tight on a
-            rays = [onto_a(r, _ivec_dot(a, r)) for r in rays]
-            rays.append(canonicalize_ray(u0))
-            masks = [mask | bit for mask in masks]
-            masks.append(bit - 1)
-            tight.append(alive)
-            for j in range(i):
-                tight[j] |= 1 << fresh
-            id_bits.append(1 << fresh)
-            alive |= 1 << fresh
-            fresh += 1
-        else:
-            # one pass sorts the rays by the sign of a.r: the zero and
-            # positive ones are kept, the zero ones become tight on a
-            kept, kept_masks, kept_bits = [], [], []
-            pos, neg = [], []
-            zeros = dead = born = 0
-            for r, mask, id_bit in zip(rays, masks, id_bits):
-                v = sum(map(mul, a, r))
-                if v < 0:
-                    neg.append((mask, id_bit, v, r))
-                    dead |= id_bit
+        def onto_a(v, t):
+            return canonicalize_ray(
+                tuple(s * x - t * y for x, y in zip(v, u0)))
+        lineality = [onto_a(u, t) for k, (u, t)
+                     in enumerate(zip(lineality, vals)) if k != hit]
+        # the moved rays stay distinct (they differ modulo the lineality
+        # space, which holds the move's kernel) and are tight on a
+        rays = [onto_a(r, _ivec_dot(a, r)) for r in rays]
+        rays.append(canonicalize_ray(u0))
+        masks = [mask | 1 << i for mask in masks]
+        masks.append(inserted)
+        tight[i] = alive
+        for j in _bits(inserted):
+            tight[j] |= 1 << fresh
+        id_bits.append(1 << fresh)
+        alive |= 1 << fresh
+        fresh += 1
+        inserted |= 1 << i
+    need = dim - len(lineality) - 2
+    for _, i in sorted(enumerate(deferred),
+                       key=lambda e: (e[0] * 2654435769) % 2**32):
+        a, bit = generators[i], 1 << i
+        # one pass sorts the rays by the sign of a.r: the zero and
+        # positive ones are kept, the zero ones become tight on a
+        kept, kept_masks, kept_bits = [], [], []
+        pos, neg = [], []
+        zeros = dead = 0
+        for r, mask, id_bit in zip(rays, masks, id_bits):
+            v = sum(map(mul, a, r))
+            if v < 0:
+                neg.append((mask, id_bit, v, r))
+                dead |= id_bit
+                continue
+            kept.append(r)
+            kept_bits.append(id_bit)
+            if v:
+                kept_masks.append(mask)
+                pos.append((mask, id_bit, v, r))
+            else:
+                kept_masks.append(mask | bit)
+                zeros |= id_bit
+        # step[j]: the new rays tight on generator j, by id less base
+        base, step = fresh, [0] * len(generators)
+        for mask_m, bit_m, v_m, r_m in neg:
+            for common, bit_p, v_p, r_p in [
+                    (c, bit_p, v_p, r_p)
+                    for mask_p, bit_p, v_p, r_p in pos
+                    if (c := mask_p & mask_m).bit_count() >= need]:
+                # the current rays tight on all of common: p, m and more?
+                # (_bits inlined: this is the hottest loop)
+                pair = bit_p | bit_m
+                shared = alive
+                rest = common
+                while rest and shared != pair:
+                    low = rest & -rest
+                    shared &= tight[low.bit_length() - 1]
+                    rest ^= low
+                if shared != pair:
                     continue
-                kept.append(r)
-                kept_bits.append(id_bit)
-                if v:
-                    kept_masks.append(mask)
-                    pos.append((mask, id_bit, v, r))
-                else:
-                    kept_masks.append(mask | bit)
-                    zeros |= id_bit
-            tight.append(zeros)
-            need = dim - len(lineality) - 2
-            for mask_m, bit_m, v_m, r_m in neg:
-                for common, bit_p, v_p, r_p in [
-                        (c, bit_p, v_p, r_p)
-                        for mask_p, bit_p, v_p, r_p in pos
-                        if (c := mask_p & mask_m).bit_count() >= need]:
-                    # the current rays tight on all of common: p, m and more?
-                    # (_bits inlined: this is the hottest loop)
-                    pair = bit_p | bit_m
-                    shared = alive
-                    rest = common
-                    while rest and shared != pair:
-                        low = rest & -rest
-                        shared &= tight[low.bit_length() - 1]
-                        rest ^= low
-                    if shared != pair:
-                        continue
-                    w = [v_p * x - v_m * y for x, y in zip(r_m, r_p)]
-                    content = gcd(*w)
-                    kept.append(tuple([x // content for x in w]))
-                    kept_masks.append(common | bit)
-                    kept_bits.append(1 << fresh)
-                    for j in _bits(common | bit):
-                        tight[j] |= 1 << fresh
-                    born |= 1 << fresh
-                    fresh += 1
-            rays, masks, id_bits = kept, kept_masks, kept_bits
-            alive = alive ^ dead | born
+                w = [v_p * x - v_m * y for x, y in zip(r_m, r_p)]
+                content = gcd(*w)
+                kept.append(tuple([x // content for x in w]))
+                kept_masks.append(common | bit)
+                kept_bits.append(1 << fresh)
+                one = 1 << (fresh - base)
+                while common:
+                    low = common & -common
+                    step[low.bit_length() - 1] |= one
+                    common ^= low
+                fresh += 1
+        born = (1 << fresh) - (1 << base)
+        tight[i] = zeros | born
+        for j, new in enumerate(step):
+            if new:
+                tight[j] |= new << base
+        rays, masks, id_bits = kept, kept_masks, kept_bits
+        alive = alive ^ dead | born
     ordered = sorted(zip(rays, masks))
     return ([r for r, _ in ordered], sorted(lineality),
             [m for _, m in ordered], [t & alive for t in tight])
@@ -287,10 +311,11 @@ class Cone:
     each computed on first use: the pointedness certificate, the double
     description of the dual (whose rays and lineality ``facets``, ``dual``
     and ``rank`` read, and whose covers ``extreme_rays`` and ``neighbours``
-    read) and the extreme rays.  Concurrent first calls are benign: each
-    thread computes the same deterministic value and the last slot write
-    wins, so instances are safe to share across threads (only the identity
-    of a memoised tuple may then differ between the racing callers).
+    read) and the extreme rays; none depends on the double description's
+    insertion schedule.  Concurrent first calls are benign: each thread
+    computes the same deterministic value and the last slot write wins, so
+    instances are safe to share across threads (only the identity of a
+    memoised tuple may then differ between the racing callers).
     """
 
     __slots__ = ("ambient_dim", "generators", "_pointed", "_dd", "_extreme")

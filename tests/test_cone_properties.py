@@ -5,6 +5,7 @@ The cone stream is seeded and filtered to pointed instances (dim <= 5,
 either by the Caratheodory oracle or by direct certificate arithmetic.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from fanoray.cone import Cone, canonicalize_ray, dual_description
 from fanoray.rational import rank, rat
 
 from oracles import (dual_description_reference, extreme_rays_bruteforce,
-                     in_cone_bruteforce, random_pointed_cones,
-                     rank_bruteforce)
+                     in_cone_bruteforce, minus_one_curves,
+                     random_pointed_cones, rank_bruteforce)
 
 CONES = random_pointed_cones(40, seed=11)
 
@@ -219,6 +220,29 @@ def test_codim2_faces_match_bruteforce(cone):
     assert cone.codim2_faces() == expected
 
 
+ORDER_CASES = [
+    pytest.param(c.ambient_dim, c.generators,
+                 id=f"d{c.ambient_dim}n{len(c.generators)}")
+    for c in FULL_DIMENSIONAL] + [
+    pytest.param(r + 1, tuple(minus_one_curves(r)), id=f"curves{r}")
+    for r in range(3, 7)]
+
+
+@pytest.mark.parametrize("dim, gens", ORDER_CASES)
+def test_dual_description_is_independent_of_insertion_order(dim, gens):
+    # for a full-dimensional input the insertion schedule is a cost choice:
+    # permuted generators give the same rays and the incidence permuted
+    order = list(range(len(gens)))
+    random.Random(1000 * dim + len(gens)).shuffle(order)
+    rays, lineality, incidence, _ = dual_description(gens, dim)
+    p_rays, p_lineality, p_incidence, _ = dual_description(
+        [gens[i] for i in order], dim)
+    assert lineality == p_lineality == []
+    assert p_rays == rays
+    assert [sum(1 << i for k, i in enumerate(order) if mask >> k & 1)
+            for mask in p_incidence] == incidence
+
+
 def test_degenerate_cones():
     empty = Cone(3, [])
     assert empty.is_pointed().pointed
@@ -237,7 +261,6 @@ def test_degenerate_cones():
 
 @pytest.mark.parametrize("cone", CONES[:20], ids=lambda c: f"d{c.ambient_dim}n{len(c.generators)}")
 def test_membership_certificates_reverify(cone):
-    import random
     rng = random.Random(hash(cone.generators) & 0xFFFF)
     d = cone.ambient_dim
     probes = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(4)]

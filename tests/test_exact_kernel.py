@@ -14,6 +14,7 @@ here on random matrices and on every chart of the corrected records.
 from collections import Counter
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,34 @@ def test_phase1_degenerate_tie_break():
     cols, rhs = [[0, 0, 1], [1, 0, 2]], [0, 2, 0]
     assert _phase1(cols, rhs) == phase1_fraction(cols, rhs) == (
         "infeasible", [1, 1, Fraction(-1, 2)])
+
+
+@pytest.mark.parametrize("cols, rhs, expected", [
+    # a negative rhs entry: its tableau row is flipped
+    ([(1, -1, 0), (0, 1, 2), (1, 0, 1)], (2, -1, 1),
+     ("feasible", [1, 0, 1])),
+    # a Fraction rhs: the tableau's rhs is scaled by the lcm 12
+    ([(2, 1, 0), (1, 3, 1), (0, 1, 4)],
+     (Fraction(1, 2), Fraction(2, 3), Fraction(5, 4)),
+     ("feasible", [Fraction(49, 216), Fraction(5, 108), Fraction(65, 216)])),
+    # infeasible: y separates rhs from the columns
+    ([(1, 1, 0), (0, 1, 1), (1, 0, 1)], (1, -1, 1),
+     ("infeasible", [-1, -1, 1])),
+], ids=["flipped-row", "fraction-rhs", "infeasible"])
+def test_phase1_pinned_certificates(cols, rhs, expected):
+    status, cert = _phase1(cols, rhs)
+    assert (status, cert) == expected
+    # recheck in ints: scale every Fraction by the common denominator
+    scale = prod({Fraction(e).denominator for e in (*cert, *rhs)})
+    cert_i = [int(Fraction(e) * scale) for e in cert]
+    rhs_i = [int(Fraction(e) * scale) for e in rhs]
+    if status == "feasible":
+        assert min(cert_i) >= 0
+        assert [sum(lam * c[k] for lam, c in zip(cert_i, cols))
+                for k in range(len(rhs))] == rhs_i
+    else:
+        assert all(sum(map(mul, cert_i, c)) <= 0 for c in cols)
+        assert sum(map(mul, cert_i, rhs_i)) > 0
 
 
 @st.composite
