@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cone import Cone
 from .exhaustion import ExhaustionReport, TargetEntry
-from .model import (FLOP_TYPES, ChamberSpec, FanoRecord, Finding)
+from .model import FLOP_TYPES, FanoRecord, Finding
 from .rational import apply, dot
 
 
@@ -99,10 +99,9 @@ class ChamberGraph(NamedTuple):
     edges: tuple[tuple[str, str, str], ...]   # (from, to, flop_type)
 
 
-def chamber_graph(record: FanoRecord,
-                  adjacency: Optional[ChamberSpec] = None) -> ChamberGraph:
-    """Validated chamber graph from transcribed adjacency data."""
-    spec = adjacency if adjacency is not None else record.chambers
+def chamber_graph(record: FanoRecord) -> ChamberGraph:
+    """Validated chamber graph from the record's transcribed adjacency."""
+    spec = record.chambers
     if spec is None:
         raise ChamberError(
             f"{record.record_id.render()} carries no chamber data")

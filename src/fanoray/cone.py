@@ -7,16 +7,18 @@ pivot and return a certificate, read out as ints or Fractions:
 nonnegative combination coefficients inside, a separating functional
 outside.  Duals and facets come from an incremental double description
 pass on a schedule fixed by input order alone, which keeps facet lists
-reproducible across platforms.  The pass carries each ray's incidence
-(the generators it is tight on, as an int bitmask) and, transposed, for
-each generator the bitmask of the rays tight on it, both kept up to date
-as it runs; it decides which pairs of rays are adjacent from those masks
-alone, with one AND per common tight generator instead of a scan over
-every ray; the ids of the current rays are one mask, updated as rays
-are made and cut away.  A cut step sorts the rays by sign in one pass
-into plain lists and appends each new ray without a de-duplicating
-lookup: each lies in the relative interior of its own pair's 2-face, so
-none coincides with another or with a kept ray.  ``extreme_rays`` and
+reproducible across platforms.  The pass writes its simplicial start
+cone down in closed form and then carries each ray as one record: its
+incidence (the generators it is tight on, as an int bitmask), its id
+bit and its vector; transposed, each generator has the bitmask of the
+ids of the rays tight on it.  It decides which pairs of rays are
+adjacent from those masks alone, with one AND per common tight
+generator instead of a scan over every ray; the ids of the current rays
+are one mask, which gains a cut step's new ids as the step ends.  A cut
+step sorts the records by sign in one pass, keeps the positive ones as
+they are, and appends each new ray without a de-duplicating lookup:
+each lies in the relative interior of its own pair's 2-face, so none
+coincides with another or with a kept ray.  ``extreme_rays`` and
 ``neighbours`` (the extreme rays sharing a 2-face with a given one) read
 the transposed incidence as the pass hands it over, with no rank; the
 rank is read off the dual's lineality; ``codim2_faces`` prefilters facet
@@ -143,14 +145,6 @@ class Pointedness(NamedTuple):
 # Double description
 # ---------------------------------------------------------------------------
 
-def _bits(mask: int):
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def dual_description(generators: Sequence[IVec], dim: int):
     """Minimal description (rays, lineality, incidence, covers) of
     {w : w.g >= 0 for all g}.
@@ -171,40 +165,44 @@ def dual_description(generators: Sequence[IVec], dim: int):
     least dim - len(lineality) - 2 bits (Fukuda and Prodon 1996) and no
     third ray is tight on all of it.
 
-    The second test reads the incidence transposed, kept up to date as
-    the insertions run.  Each ray gets an id that is never reused, and
-    ``tight[j]`` is the bitmask of the ids of the rays tight on generator
-    j (bit k for id k).  The rays tight on all of a pair's common set are
-    the AND of ``alive`` (the ids of the current rays) with ``tight[j]``
-    over its bits j, and the pair is adjacent iff that leaves just its own
-    two ids.  Dead ids stay in ``tight``; the AND with ``alive`` masks
-    them out.  A cut step records its new ids per generator in a mask local
-    to the step and, as it ends, ORs them into ``tight`` and ``alive`` and
-    clears the ids it cut away: no adjacency test needs a new id sooner.
-    ``covers[j]``, the final ``tight[j] & alive``, is one bitmask per
-    generator over a ray numbering shared by all generators but otherwise
-    opaque: only ANDs, containment and popcounts between covers are meaningful.
+    The spanning pass only projects the rays and records which generators
+    made lineality steps.  The cone it leaves is simplicial, so its
+    description is written down once the pass ends: the ray made by the
+    t-th spanning generator has id t and is tight on every spanning
+    generator but its own.  The rays are then one list of (incidence,
+    id bit, ray) records.
+
+    The second adjacency test reads the incidence transposed.  Each ray
+    gets an id that is never reused, and ``tight[j]`` is the bitmask of
+    the ids of the rays tight on generator j (bit k for id k).  The rays
+    tight on all of a pair's common set are the AND of ``alive`` (the ids
+    of the current rays) with ``tight[j]`` over its bits j, and the pair
+    is adjacent iff that leaves just its own two ids.  Dead ids stay in
+    ``tight``; the AND with ``alive`` masks them out.  A cut step ORs each
+    new ray's id into ``tight[j]`` for the j in its common set at once,
+    and into ``alive`` only as the step ends, when it also clears the ids
+    it cut away: every adjacency test starts from ``alive``, so none sees
+    a new id sooner.  ``covers[j]``, the final ``tight[j] & alive``, is
+    one bitmask per generator over a ray numbering shared by all
+    generators but otherwise opaque: only ANDs, containment and popcounts
+    between covers are meaningful.
 
     A cut step computes each a.r once, in the one pass that splits the
-    rays into the kept ones (value >= 0; the zero ones become tight on a)
-    and the positive and negative ones, as lists, and then appends the
-    ray of each adjacent (positive, negative) pair with no check that it
-    is new.  None can repeat: the ray of an adjacent pair lies in the
-    relative interior of that pair's 2-face (plus the lineality space),
-    distinct pairs span distinct 2-faces, and a kept zero ray lies in the
-    relative interior of its own 1-face, and the relative interiors of
-    distinct faces of a cone are disjoint.  Rays are primitive, so
-    distinct directions are distinct tuples.
+    records into the kept ones (value >= 0: a positive ray keeps its
+    record, a zero one becomes tight on a) and the positive and negative
+    ones, as lists, and then appends the ray of each adjacent (positive,
+    negative) pair with no check that it is new.  None can repeat: the ray
+    of an adjacent pair lies in the relative interior of that pair's
+    2-face (plus the lineality space), distinct pairs span distinct
+    2-faces, and a kept zero ray lies in the relative interior of its own
+    1-face, and the relative interiors of distinct faces of a cone are
+    disjoint.  Rays are primitive, so distinct directions are distinct
+    tuples.
     """
     lineality: list[IVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays: list[IVec] = []
-    masks: list[int] = []
-    id_bits: list[int] = []  # 1 << id, per ray
-    tight = [0] * len(generators)
-    alive = 0  # the ids of the current rays
-    fresh = 0  # the next id
-    inserted = 0  # the generators inserted so far
+    spanning: list[int] = []  # the generators of the lineality steps
     deferred = []
     for i, a in enumerate(generators):
         vals = [_ivec_dot(a, u) for u in lineality]
@@ -213,7 +211,7 @@ def dual_description(generators: Sequence[IVec], dim: int):
             deferred.append(i)
             continue
         # a cuts the lineality space: every other vector moves along u0
-        # onto a.w = 0; u0 becomes a ray, tight on every inserted generator
+        # onto a.w = 0 and u0 becomes a ray
         sign = 1 if vals[hit] > 0 else -1
         u0 = tuple(sign * x for x in lineality[hit])
         s = abs(vals[hit])
@@ -227,47 +225,43 @@ def dual_description(generators: Sequence[IVec], dim: int):
         # space, which holds the move's kernel) and are tight on a
         rays = [onto_a(r, _ivec_dot(a, r)) for r in rays]
         rays.append(canonicalize_ray(u0))
-        masks = [mask | 1 << i for mask in masks]
-        masks.append(inserted)
-        tight[i] = alive
-        for j in _bits(inserted):
-            tight[j] |= 1 << fresh
-        id_bits.append(1 << fresh)
-        alive |= 1 << fresh
-        fresh += 1
-        inserted |= 1 << i
+        spanning.append(i)
+    # the start cone is simplicial: ray t, made by spanning[t], has id t
+    # and is tight on every spanning generator but its own
+    fresh = len(spanning)  # the next id
+    alive = (1 << fresh) - 1  # the ids of the current rays
+    span = sum(1 << i for i in spanning)
+    tight = [0] * len(generators)
+    records = []  # (mask, id bit, ray) per current ray
+    for t, (i, r) in enumerate(zip(spanning, rays)):
+        records.append((span ^ 1 << i, 1 << t, r))
+        tight[i] = alive ^ 1 << t
     need = dim - len(lineality) - 2
     for _, i in sorted(enumerate(deferred),
                        key=lambda e: (e[0] * 2654435769) % 2**32):
         a, bit = generators[i], 1 << i
         # one pass sorts the rays by the sign of a.r: the zero and
         # positive ones are kept, the zero ones become tight on a
-        kept, kept_masks, kept_bits = [], [], []
-        pos, neg = [], []
-        zeros = dead = 0
-        for r, mask, id_bit in zip(rays, masks, id_bits):
+        kept, pos, neg = [], [], []
+        zeros = dead = born = 0
+        for record in records:
+            mask, id_bit, r = record
             v = sum(map(mul, a, r))
             if v < 0:
                 neg.append((mask, id_bit, v, r))
                 dead |= id_bit
-                continue
-            kept.append(r)
-            kept_bits.append(id_bit)
-            if v:
-                kept_masks.append(mask)
+            elif v:
+                kept.append(record)
                 pos.append((mask, id_bit, v, r))
             else:
-                kept_masks.append(mask | bit)
+                kept.append((mask | bit, id_bit, r))
                 zeros |= id_bit
-        # step[j]: the new rays tight on generator j, by id less base
-        base, step = fresh, [0] * len(generators)
         for mask_m, bit_m, v_m, r_m in neg:
             for common, bit_p, v_p, r_p in [
                     (c, bit_p, v_p, r_p)
                     for mask_p, bit_p, v_p, r_p in pos
                     if (c := mask_p & mask_m).bit_count() >= need]:
                 # the current rays tight on all of common: p, m and more?
-                # (_bits inlined: this is the hottest loop)
                 pair = bit_p | bit_m
                 shared = alive
                 rest = common
@@ -279,25 +273,22 @@ def dual_description(generators: Sequence[IVec], dim: int):
                     continue
                 w = [v_p * x - v_m * y for x, y in zip(r_m, r_p)]
                 content = gcd(*w)
-                kept.append(tuple([x // content for x in w]))
-                kept_masks.append(common | bit)
-                kept_bits.append(1 << fresh)
-                one = 1 << (fresh - base)
+                one = 1 << fresh
+                fresh += 1
+                born |= one
+                kept.append(
+                    (common | bit, one, tuple([x // content for x in w])))
+                # alive gains the new id only as the step ends
                 while common:
                     low = common & -common
-                    step[low.bit_length() - 1] |= one
+                    tight[low.bit_length() - 1] |= one
                     common ^= low
-                fresh += 1
-        born = (1 << fresh) - (1 << base)
         tight[i] = zeros | born
-        for j, new in enumerate(step):
-            if new:
-                tight[j] |= new << base
-        rays, masks, id_bits = kept, kept_masks, kept_bits
+        records = kept
         alive = alive ^ dead | born
-    ordered = sorted(zip(rays, masks))
-    return ([r for r, _ in ordered], sorted(lineality),
-            [m for _, m in ordered], [t & alive for t in tight])
+    records.sort(key=lambda record: record[2])
+    return ([r for _, _, r in records], sorted(lineality),
+            [m for m, _, _ in records], [t & alive for t in tight])
 
 
 # ---------------------------------------------------------------------------

@@ -380,11 +380,18 @@ def validate_record(record: FanoRecord) -> list[Finding]:
     """All invariant checks as row-keyed findings (empty = clean)."""
     combo = record.antiK_combo
     findings = antik_mismatches(record, combo)
+    first_label: dict[tuple, str] = {}  # canonical direction -> label
     for ray in record.rays:
         if ray.antiK <= 0:
             findings.append(Finding(
                 "fano-positivity", f"rays.{ray.label}",
                 f"-K.{ray.label} = {rat_str(ray.antiK)} is not positive"))
+        if any(ray.vec):  # a zero vector is the pointedness finding's
+            first = first_label.setdefault(canonicalize_ray(ray.vec),
+                                           ray.label)
+            if first != ray.label:
+                findings.append(Finding("duplicate-ray", f"rays.{ray.label}",
+                                        f"same ray as {first}"))
 
     for ray in record.rays:
         desc = ray.contraction

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from ast import literal_eval
@@ -254,7 +255,8 @@ def test_b2_5_n1_has_an_F_edge_between_the_two_flopped_models(records):
 
 def test_single_chamber_graph_is_valid(records):
     spec = ChamberSpec((ChamberNode("T", "T"),), ())
-    graph = chamber_graph(records["b2_2_n1"], adjacency=spec)
+    graph = chamber_graph(
+        dataclasses.replace(records["b2_2_n1"], chambers=spec))
     assert graph.edges == ()
     assert emit_dot(graph) == 'graph {\n  "T" [label="T"];\n}\n'
 
@@ -263,14 +265,14 @@ def test_illegal_flop_type_rejected(records):
     spec = ChamberSpec((ChamberNode("A", "A"), ChamberNode("B", "B")),
                        (ChamberEdge("A", "B", "E9"),))
     with pytest.raises(ChamberError):
-        chamber_graph(records["b2_2_n1"], adjacency=spec)
+        chamber_graph(dataclasses.replace(records["b2_2_n1"], chambers=spec))
 
 
 def test_self_loop_rejected(records):
     spec = ChamberSpec((ChamberNode("A", "A"),),
                        (ChamberEdge("A", "A", "F"),))
     with pytest.raises(ChamberError):
-        chamber_graph(records["b2_2_n1"], adjacency=spec)
+        chamber_graph(dataclasses.replace(records["b2_2_n1"], chambers=spec))
 
 
 def test_record_without_chambers_raises(records):

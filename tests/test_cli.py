@@ -89,6 +89,21 @@ def test_verify_skips_facet_patch_on_an_invalid_chart(capsys, record_paths,
         "detail": "B2=5/n1: descriptor of l4 does not annihilate its own ray"}
 
 
+def test_verify_fails_a_record_that_lists_one_ray_twice(capsys, record_paths,
+                                                      tmp_path):
+    # the ray cone drops the repeat, so only validate can see it
+    data = json.loads(record_paths["b2_5_n1"].read_text())
+    l1 = next(r for r in data["rays"] if r["label"] == "l1")
+    data["rays"].append(dict(l1, label="l9"))
+    (tmp_path / "b2_5_n1.json").write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 1
+    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
+    assert sections["validate"] == {
+        "check": "validate", "status": "fail",
+        "findings": ["[duplicate-ray] rays.l9: same ray as l1"]}
+
+
 def test_verify_fails_exhaustion_on_a_rank_one_record_with_a_ray_deleted(
         capsys, record_paths, tmp_path):
     data = json.loads(record_paths["b2_2_n1"].read_text())

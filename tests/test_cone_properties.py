@@ -152,6 +152,26 @@ def test_dual_description_ids_survive_projection_and_removal(data):
     _matches_reference_with_distinct_rays(*data.draw(staged_generators()))
 
 
+@pytest.mark.parametrize("gens", [
+    [(2, -1, 0, 3)],
+    [(1, 0, 0, 0), (1, 1, 0, 0)],
+    [(0, 1, 2, -1), (3, 0, 0, 1), (1, -1, 1, 0)],
+    [(1, 2, 0, 0), (0, 1, 0, 3), (-1, 0, 1, 0), (0, 0, 1, 1)]],
+    ids=lambda gens: f"k{len(gens)}")
+def test_dual_description_with_no_cut_step_is_simplicial(gens):
+    # k independent generators make k lineality steps and no cut step:
+    # the start cone's ray t is tight on every generator but the t-th
+    rays, lineality, incidence, covers = dual_description(gens, 4)
+    assert (rays, lineality, incidence) == dual_description_reference(gens, 4)
+    k = len(gens)
+    assert len(lineality) == 4 - k
+    assert sorted(incidence) == sorted((1 << k) - 1 ^ 1 << t
+                                       for t in range(k))
+    for j, cover in enumerate(covers):
+        for m, other in enumerate(covers):
+            assert (cover & other).bit_count() == k - 1 - (j != m)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_covers_count_the_rays_tight_on_both_generators(data):

@@ -166,6 +166,21 @@ def test_validate_flags_rank_deficient_pullback(records):
                for f in findings)
 
 
+def test_validate_flags_a_repeated_ray_direction(records):
+    # l9 copies l1 and l10 is a positive multiple of l2: both are findings,
+    # keyed by the later label and naming the earlier one
+    data = serialize_record(records["b2_5_n1"])
+    l1, l2 = data["rays"][0], data["rays"][1]
+    data["rays"].append(dict(l1, label="l9"))
+    data["rays"].append(dict(l2, label="l10",
+                             vec=[str(2 * rat(x)) for x in l2["vec"]],
+                             antiK=str(2 * rat(l2["antiK"]))))
+    findings = validate_record(record_from_json(data))
+    assert [(f.key, f.message) for f in findings
+            if f.check == "duplicate-ray"] == [
+        ("rays.l9", "same ray as l1"), ("rays.l10", "same ray as l2")]
+
+
 def test_derive_antiK_b2_5_n1(records):
     rec = records["b2_5_n1"]
     derived = derive_antiK_combo([(r.vec, r.antiK) for r in rec.rays], 5)
