@@ -12,8 +12,8 @@ misses no edge of E and every P w, w a generator of dual(E), pairs >= 0
 with every candidate.  Each distinct edge set is dualised once per
 check.  There is no codimension-two audit: two facets of a pointed,
 full-dimensional cone have independent normals, so it could never
-report.  Chamber graphs are transcribed adjacency, validated and emitted
-as DOT.
+report.  Chamber graphs are transcribed adjacency, whose shape the
+loader checks, sorted and emitted as DOT.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cone import Cone
 from .exhaustion import ExhaustionReport, TargetEntry
-from .model import FLOP_TYPES, FanoRecord, Finding
+from .model import ChamberEdge, ChamberNode, FanoRecord, Finding
 from .rational import apply, dot
 
 
@@ -95,31 +95,17 @@ def facet_patch_check(record: FanoRecord,
 # ---------------------------------------------------------------------------
 
 class ChamberGraph(NamedTuple):
-    nodes: tuple[tuple[str, str], ...]        # (id, label), sorted by id
-    edges: tuple[tuple[str, str, str], ...]   # (from, to, flop_type)
+    nodes: tuple[ChamberNode, ...]        # (id, label), sorted by id
+    edges: tuple[ChamberEdge, ...]        # (from, to, flop_type), sorted
 
 
 def chamber_graph(record: FanoRecord) -> ChamberGraph:
-    """Validated chamber graph from the record's transcribed adjacency."""
+    """The record's chamber graph, sorted; the loader checked its shape."""
     spec = record.chambers
     if spec is None:
         raise ChamberError(
             f"{record.record_id.render()} carries no chamber data")
-    ids = [n.node_id for n in spec.nodes]
-    if len(set(ids)) != len(ids):
-        raise ChamberError("duplicate chamber ids")
-    known = set(ids)
-    for e in spec.edges:
-        if e.flop_type not in FLOP_TYPES:
-            raise ChamberError(f"illegal flop type {e.flop_type!r}")
-        if e.src not in known or e.dst not in known:
-            raise ChamberError(f"edge {e.src}--{e.dst} references unknown "
-                               f"chamber")
-        if e.src == e.dst:
-            raise ChamberError(f"self-loop at {e.src}")
-    nodes = tuple(sorted((n.node_id, n.label) for n in spec.nodes))
-    edges = tuple(sorted((e.src, e.dst, e.flop_type) for e in spec.edges))
-    return ChamberGraph(nodes, edges)
+    return ChamberGraph(tuple(sorted(spec.nodes)), tuple(sorted(spec.edges)))
 
 
 def emit_dot(graph: ChamberGraph) -> str:

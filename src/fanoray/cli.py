@@ -175,13 +175,14 @@ def cmd_verify(args) -> int:
         except RecordError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return UNUSABLE
+    if not records:  # nothing would be checked, so a pass would be vacuous
+        print(f"error: {data_dir}: no record files", file=sys.stderr)
+        return UNUSABLE
 
     reports = verify_records(records, configs)
     failed = any(report.status == "fail" for report in reports)
     summary = {"records": len(reports), "flop_configs": len(configs),
                "status": "fail" if failed else "pass"}
-    if not reports:
-        summary["warning"] = "no records"
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -216,8 +217,7 @@ def _render_table(reports: Sequence[RecordReport], summary) -> str:
                           for f in section.detail.reciprocal_failures]
     lines.append(f"{summary['records']} records, "
                  f"{summary['flop_configs']} flop configs: "
-                 f"{summary['status']}"
-                 + (" (no records)" if "warning" in summary else ""))
+                 f"{summary['status']}")
     return "\n".join(lines)
 
 

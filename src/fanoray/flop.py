@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .model import FanoRecord, Finding, RecordError, RecordId, _expect_keys, \
-    _id_at, _json_at, _list_at, _vec_at
+    _id_at, _json_at, _list_at, _names_at, _vec_at
 from .rational import (Mat, Rat, Vec, dot, inconsistent_rows, rat, rat_str,
                        solve_linear)
 
@@ -61,15 +61,10 @@ def flop_config_from_json(data: dict) -> FlopConfig:
                  {"record", "ray", "tracked_divisors", "exceptional_divisors",
                   "test_curves", "result_curves", "antiK_combo_tracked"})
     record = _id_at(data["record"], "flop.record")
-    tracked = data["tracked_divisors"]
-    exceptional = data["exceptional_divisors"]
-    for key, val in (("tracked_divisors", tracked),
-                     ("exceptional_divisors", exceptional)):
-        if (not isinstance(val, list) or not val
-                or not all(isinstance(s, str) for s in val)):
-            raise RecordError(f"flop.{key}", "expected array of strings")
-    curves = []
-    labels = set()
+    tracked = _names_at(data["tracked_divisors"], "flop.tracked_divisors")
+    exceptional = _names_at(data["exceptional_divisors"],
+                            "flop.exceptional_divisors")
+    curves: dict[str, TestCurve] = {}
     for i, raw in enumerate(_list_at(data["test_curves"],
                                      "flop.test_curves")):
         path = f"flop.test_curves[{i}]"
@@ -77,19 +72,18 @@ def flop_config_from_json(data: dict) -> FlopConfig:
                      {"label", "pullback_row", "exc_row", "contracted_by_flop"})
         if not isinstance(raw["label"], str):
             raise RecordError(f"{path}.label", "expected string")
-        if raw["label"] in labels:
+        if raw["label"] in curves:
             raise RecordError(path, f"duplicate curve label {raw['label']!r}")
-        labels.add(raw["label"])
         if not isinstance(raw["contracted_by_flop"], bool):
             raise RecordError(f"{path}.contracted_by_flop", "expected boolean")
-        curves.append(TestCurve(
+        curves[raw["label"]] = TestCurve(
             raw["label"],
             _vec_at(raw["pullback_row"], f"{path}.pullback_row", len(tracked)),
             _vec_at(raw["exc_row"], f"{path}.exc_row", len(exceptional)),
-            raw["contracted_by_flop"]))
+            raw["contracted_by_flop"])
     results = data["result_curves"]
     if not isinstance(results, list) or not all(
-            isinstance(r, str) and r in labels for r in results):
+            isinstance(r, str) and r in curves for r in results):
         raise RecordError("flop.result_curves",
                           "every result curve must be a test curve label")
     if not results:
@@ -97,15 +91,15 @@ def flop_config_from_json(data: dict) -> FlopConfig:
                           "expected at least one result curve")
     combo = _vec_at(data["antiK_combo_tracked"],
                     "flop.antiK_combo_tracked", len(tracked))
-    contracted = sum(c.contracted_by_flop for c in curves)
+    contracted = sum(c.contracted_by_flop for c in curves.values())
     if contracted < len(exceptional):
         raise RecordError("flop.test_curves",
                           f"{contracted} contracted curves cannot pin "
                           f"{len(exceptional)} exceptional coefficients")
     if not isinstance(data["ray"], str):
         raise RecordError("flop.ray", "expected string")
-    return FlopConfig(record, data["ray"], tuple(tracked), tuple(exceptional),
-                      tuple(curves), tuple(results), combo)
+    return FlopConfig(record, data["ray"], tracked, exceptional,
+                      tuple(curves.values()), tuple(results), combo)
 
 
 def parse_flop_config(raw) -> FlopConfig:

@@ -123,7 +123,7 @@ class FanoRecord:
     weyl_group: str
     flop_types: tuple[str, ...]
     chambers: Optional[ChamberSpec] = None
-    # one Cone per ray-label tuple, so its memoised facts are shared
+    # one Cone per ray set, so its memoised facts are shared
     _cones: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -137,7 +137,11 @@ class FanoRecord:
         raise KeyError(f"{self.record_id.render()}: no ray {label!r}")
 
     def ray_cone(self, labels: Optional[Sequence[str]] = None) -> Cone:
-        key = tuple(labels) if labels is not None else tuple(self.ray_labels())
+        """The cone of the named rays (all by default), one per ray set."""
+        chosen = set(self.ray_labels() if labels is None else labels)
+        key = tuple(lab for lab in self.ray_labels() if lab in chosen)
+        if len(key) < len(chosen):  # a KeyError naming an unknown label
+            self.ray(next(lab for lab in labels if lab not in key))
         if key not in self._cones:
             where = f"{self.record_id.render()}.rays"
             self._cones[key] = Cone(self.rho, [
@@ -239,22 +243,45 @@ def _contraction_at(value, path: str, rho: int) -> ContractionDescriptor:
     return ContractionDescriptor(target, pullback, edges)
 
 
+def _names_at(value, path: str) -> tuple[str, ...]:
+    """A non-empty array of distinct strings: a basis or a divisor list."""
+    if (not isinstance(value, list) or not value
+            or not all(isinstance(s, str) for s in value)):
+        raise RecordError(path, "expected array of strings")
+    for i, name in enumerate(value):
+        if value.index(name) < i:
+            raise RecordError(f"{path}[{i}]", f"duplicate name {name!r}")
+    return tuple(value)
+
+
 def _chambers_at(value, path: str) -> ChamberSpec:
+    """Distinct node ids; edges of a flop type join two distinct known ids."""
     _expect_keys(value, path, {"nodes", "edges"})
-    nodes = []
+    nodes: dict[str, ChamberNode] = {}
     for i, n in enumerate(_list_at(value["nodes"], f"{path}.nodes")):
-        _expect_keys(n, f"{path}.nodes[{i}]", {"id", "label"})
+        npath = f"{path}.nodes[{i}]"
+        _expect_keys(n, npath, {"id", "label"})
         if not isinstance(n["id"], str) or not isinstance(n["label"], str):
-            raise RecordError(f"{path}.nodes[{i}]", "id and label must be strings")
-        nodes.append(ChamberNode(n["id"], n["label"]))
+            raise RecordError(npath, "id and label must be strings")
+        if n["id"] in nodes:
+            raise RecordError(npath, f"duplicate chamber id {n['id']!r}")
+        nodes[n["id"]] = ChamberNode(n["id"], n["label"])
     edges = []
     for i, e in enumerate(_list_at(value["edges"], f"{path}.edges")):
-        _expect_keys(e, f"{path}.edges[{i}]", {"from", "to", "type"})
-        if not all(isinstance(e[k], str) for k in ("from", "to", "type")):
-            raise RecordError(f"{path}.edges[{i}]",
-                              "from, to and type must be strings")
-        edges.append(ChamberEdge(e["from"], e["to"], e["type"]))
-    return ChamberSpec(tuple(nodes), tuple(edges))
+        epath = f"{path}.edges[{i}]"
+        _expect_keys(e, epath, {"from", "to", "type"})
+        edge = ChamberEdge(e["from"], e["to"], e["type"])
+        if not all(isinstance(x, str) for x in edge):
+            raise RecordError(epath, "from, to and type must be strings")
+        if edge.flop_type not in FLOP_TYPES:
+            raise RecordError(epath, f"illegal flop type {edge.flop_type!r}")
+        for end in (edge.src, edge.dst):
+            if end not in nodes:
+                raise RecordError(epath, f"unknown chamber {end!r}")
+        if edge.src == edge.dst:
+            raise RecordError(epath, f"self-loop at {edge.src!r}")
+        edges.append(edge)
+    return ChamberSpec(tuple(nodes.values()), tuple(edges))
 
 
 def record_from_json(data: dict) -> FanoRecord:
@@ -268,15 +295,11 @@ def record_from_json(data: dict) -> FanoRecord:
                   "weyl_group", "flop_types"},
                  {"chambers"})
     record_id = _id_at(data["id"], "record.id")
-    basis = data["basis"]
-    if (not isinstance(basis, list) or not basis
-            or not all(isinstance(b, str) for b in basis)):
-        raise RecordError("record.basis", "expected array of strings")
+    basis = _names_at(data["basis"], "record.basis")
     rho = len(basis)
     combo = _vec_at(data["antiK_combo"], "record.antiK_combo", rho)
 
-    rays = []
-    labels_seen = set()
+    rays: dict[str, RayRecord] = {}
     if not isinstance(data["rays"], list) or not data["rays"]:
         raise RecordError("record.rays", "expected non-empty array")
     for i, raw in enumerate(data["rays"]):
@@ -286,9 +309,8 @@ def record_from_json(data: dict) -> FanoRecord:
         label = raw["label"]
         if not isinstance(label, str) or not label:
             raise RecordError(f"{path}.label", "expected non-empty string")
-        if label in labels_seen:
+        if label in rays:
             raise RecordError(f"{path}.label", f"duplicate ray label {label!r}")
-        labels_seen.add(label)
         if raw["type"] not in RAY_TYPES:
             raise RecordError(f"{path}.type",
                               f"unknown ray type {raw['type']!r}")
@@ -299,31 +321,29 @@ def record_from_json(data: dict) -> FanoRecord:
         if raw["type"] in DIVISORIAL_TYPES and contraction is None:
             raise RecordError(path,
                               f"divisorial ray {label!r} needs a contraction")
-        rays.append(RayRecord(label, _vec_at(raw["vec"], f"{path}.vec", rho),
-                              _rat_at(raw["antiK"], f"{path}.antiK"),
-                              raw["type"], contraction))
+        rays[label] = RayRecord(
+            label, _vec_at(raw["vec"], f"{path}.vec", rho),
+            _rat_at(raw["antiK"], f"{path}.antiK"), raw["type"], contraction)
 
     tables: dict[str, tuple[FlopRow, ...]] = {}
     if not isinstance(data["flop_tables"], dict):
         raise RecordError("record.flop_tables", "expected object")
     for key, raw_rows in data["flop_tables"].items():
         path = f"record.flop_tables.{key}"
-        if key not in labels_seen:
+        if key not in rays:
             raise RecordError(path, f"key {key!r} is not a ray label")
-        rows = []
-        row_labels = set()
+        rows: dict[str, FlopRow] = {}
         for i, raw in enumerate(_list_at(raw_rows, path)):
             rpath = f"{path}[{i}]"
             _expect_keys(raw, rpath, {"label", "vec", "antiK"})
             if not isinstance(raw["label"], str):
                 raise RecordError(f"{rpath}.label", "expected string")
-            if raw["label"] in row_labels:
+            if raw["label"] in rows:
                 raise RecordError(rpath, f"duplicate row label {raw['label']!r}")
-            row_labels.add(raw["label"])
-            rows.append(FlopRow(raw["label"],
-                                _vec_at(raw["vec"], f"{rpath}.vec", rho),
-                                _rat_at(raw["antiK"], f"{rpath}.antiK")))
-        tables[key] = tuple(rows)
+            rows[raw["label"]] = FlopRow(
+                raw["label"], _vec_at(raw["vec"], f"{rpath}.vec", rho),
+                _rat_at(raw["antiK"], f"{rpath}.antiK"))
+        tables[key] = tuple(rows.values())
 
     if not isinstance(data["weyl_group"], str):
         raise RecordError("record.weyl_group", "expected string")
@@ -336,7 +356,7 @@ def record_from_json(data: dict) -> FanoRecord:
     if "chambers" in data and data["chambers"] is not None:
         chambers = _chambers_at(data["chambers"], "record.chambers")
 
-    return FanoRecord(record_id, rho, tuple(basis), combo, tuple(rays),
+    return FanoRecord(record_id, rho, basis, combo, tuple(rays.values()),
                       tables, data["weyl_group"], tuple(ftypes), chambers)
 
 

@@ -12,7 +12,8 @@ from fanoray.chambers import (ChamberError, chamber_graph, emit_dot,
 from fanoray.cone import ConeError
 from fanoray.exhaustion import (ExhaustionError, build_targets,
                                 check_exhaustion)
-from fanoray.model import ChamberEdge, ChamberNode, ChamberSpec, parse_record
+from fanoray.model import (ChamberNode, ChamberSpec, RecordError,
+                           parse_record, record_from_json, serialize_record)
 from fanoray.rational import dot, rat
 
 from oracles import facet_patch_reference
@@ -261,18 +262,36 @@ def test_single_chamber_graph_is_valid(records):
     assert emit_dot(graph) == 'graph {\n  "T" [label="T"];\n}\n'
 
 
+def _load_with_chambers(records, node_ids, edges):
+    """The loader's error on b2_2_n1 carrying the given chamber graph."""
+    data = serialize_record(records["b2_2_n1"])
+    data["chambers"] = {
+        "nodes": [{"id": n, "label": n} for n in node_ids],
+        "edges": [{"from": a, "to": b, "type": t} for a, b, t in edges]}
+    with pytest.raises(RecordError) as err:
+        record_from_json(data)
+    return str(err.value)
+
+
+def test_duplicate_chamber_id_rejected(records):
+    assert _load_with_chambers(records, ["A", "B", "A"], []) \
+        == "record.chambers.nodes[2]: duplicate chamber id 'A'"
+
+
 def test_illegal_flop_type_rejected(records):
-    spec = ChamberSpec((ChamberNode("A", "A"), ChamberNode("B", "B")),
-                       (ChamberEdge("A", "B", "E9"),))
-    with pytest.raises(ChamberError):
-        chamber_graph(dataclasses.replace(records["b2_2_n1"], chambers=spec))
+    assert _load_with_chambers(records, ["A", "B"], [("A", "B", "E9")]) \
+        == "record.chambers.edges[0]: illegal flop type 'E9'"
+
+
+def test_edge_to_an_unknown_chamber_rejected(records):
+    assert _load_with_chambers(records, ["A", "B"],
+                               [("A", "B", "F"), ("B", "C", "F")]) \
+        == "record.chambers.edges[1]: unknown chamber 'C'"
 
 
 def test_self_loop_rejected(records):
-    spec = ChamberSpec((ChamberNode("A", "A"),),
-                       (ChamberEdge("A", "A", "F"),))
-    with pytest.raises(ChamberError):
-        chamber_graph(dataclasses.replace(records["b2_2_n1"], chambers=spec))
+    assert _load_with_chambers(records, ["A"], [("A", "A", "F")]) \
+        == "record.chambers.edges[0]: self-loop at 'A'"
 
 
 def test_record_without_chambers_raises(records):

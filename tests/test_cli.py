@@ -205,10 +205,36 @@ def test_verify_human_rendering(capsys, corpus_dir, data_root):
     assert out.strip().endswith("fail")
 
 
-def test_verify_empty_dir_warns(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert code == 0
-    assert json.loads(out)["summary"]["warning"] == "no records"
+def test_verify_empty_dir_exits_two(capsys, tmp_path, data_root):
+    # no record would be checked, so a pass would be vacuous; a directory
+    # holding only flop configurations checks no record either
+    message = f"error: {tmp_path}: no record files\n"
+    assert run_cli(capsys, "verify", str(tmp_path)) == (2, "", message)
+    shutil.copy(data_root / "flops" / "e5_b2_2_n28.json", tmp_path)
+    assert run_cli(capsys, "verify", str(tmp_path)) == (2, "", message)
+
+
+def test_verify_rejects_a_bogus_chamber_self_loop(capsys, record_paths,
+                                                  tmp_path):
+    data = json.loads(record_paths["b2_3_n31"].read_text())
+    data["chambers"]["edges"].append({"from": "T", "to": "T",
+                                      "type": "Bogus"})
+    path = tmp_path / "b2_3_n31.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "verify", str(tmp_path)) == (
+        2, "", f"error: {path}: record.chambers.edges[3]: illegal flop type "
+               f"'Bogus'\n")
+
+
+def test_flop_rejects_a_repeated_exceptional_divisor(capsys, data_root,
+                                                     tmp_path):
+    # parsed, the two D1 columns would collapse into one coefficient key
+    data = json.loads((data_root / "flops" / "e5_b2_2_n28.json").read_text())
+    data["exceptional_divisors"] = ["D1", "D1"]
+    config = tmp_path / "e5_b2_2_n28.json"
+    config.write_text(json.dumps(data))
+    assert run_cli(capsys, "flop", str(config)) == (
+        2, "", "error: flop.exceptional_divisors[1]: duplicate name 'D1'\n")
 
 
 def test_verify_unreadable_json_exits_two(capsys, tmp_path):

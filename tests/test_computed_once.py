@@ -229,6 +229,20 @@ def test_nef_command_runs_one_double_description(monkeypatch):
     assert (len(dd_calls), len(phase1), len(ranks)) == (1, 1, 0)
 
 
+def test_propose_adopting_a_dropped_ray_builds_no_second_full_cone(
+        monkeypatch, tmp_path):
+    # the adopted ray is appended to the candidates, but the record keeps
+    # one cone per ray set: the full cone's pointedness LP is run once
+    path = datafiles.records_dir() / "b2_5_n1.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    proposal = tmp_path / "l1.json"
+    proposal.write_text(json.dumps(data["rays"][0]["vec"]))
+    phase1 = count_calls(monkeypatch, "cone", "_phase1")
+    assert _cli(["check-exhaustion", str(path), "--drop-ray", "l1",
+                 "--propose", str(proposal)]) == 0
+    assert len(phase1) == 2
+
+
 def test_extreme_rays_and_neighbours_read_the_memoised_covers(monkeypatch):
     # the double description hands its covers over; nothing rebuilds them
     cone = Cone(5, B2_5_N1_RAYS)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from fanoray.flop import flop_config_from_json
 from fanoray.model import (RecordError, derive_antiK_combo, diff_records,
                            parse_record, record_from_json, serialize_record,
                            validate_record)
@@ -56,6 +57,17 @@ def test_ray_cone_is_shared_per_label_tuple(records):
     copy = dataclasses.replace(rec)
     assert copy == rec
     assert copy.ray_cone() is not rec.ray_cone()
+
+
+def test_ray_cone_is_shared_per_ray_set(records):
+    # the key is the set in record order: a reordered or repeated label
+    # list reuses the cone, and an unknown label still raises
+    rec = records["b2_5_n1"]
+    labels = rec.ray_labels()
+    assert rec.ray_cone(labels[1:] + labels[:1]) is rec.ray_cone()
+    assert rec.ray_cone(["l2", "l1", "l2"]) is rec.ray_cone(["l1", "l2"])
+    with pytest.raises(KeyError, match="l9"):
+        rec.ray_cone(["l1", "l9"])
 
 
 def test_strict_parse_rejects_antiK_mistake(data_root):
@@ -115,6 +127,29 @@ def test_loader_messages_name_the_entry(name, data_root):
     where(data)[index] = value
     with pytest.raises(RecordError) as err:
         parse_record(json.dumps(data))
+    assert str(err.value) == message
+
+
+REPEATED_NAMES = {
+    # the file, the list that repeats a name, and the loader's message
+    "basis": ("records/b2_3_n31.json", "basis",
+              "record.basis[2]: duplicate name 'E'"),
+    "tracked": ("flops/e5_b2_2_n28.json", "tracked_divisors",
+                "flop.tracked_divisors[1]: duplicate name 'E'"),
+    "exceptional": ("flops/e5_b2_2_n28.json", "exceptional_divisors",
+                    "flop.exceptional_divisors[1]: duplicate name 'D1'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_NAMES))
+def test_a_repeated_name_is_rejected(name, data_root):
+    # a repeated name would collapse two columns into one key
+    file, key, message = REPEATED_NAMES[name]
+    data = json.loads((data_root / file).read_text())
+    data[key][-1] = data[key][0]
+    load = flop_config_from_json if key != "basis" else record_from_json
+    with pytest.raises(RecordError) as err:
+        load(data)
     assert str(err.value) == message
 
 
