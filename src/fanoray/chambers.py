@@ -12,17 +12,17 @@ misses no edge of E and every P w, w a generator of dual(E), pairs >= 0
 with every candidate.  Each distinct edge set is dualised once per
 check.  There is no codimension-two audit: two facets of a pointed,
 full-dimensional cone have independent normals, so it could never
-report.  Chamber graphs are transcribed adjacency, whose shape the
-loader checks, sorted and emitted as DOT.
+report.  Chamber graphs are transcribed adjacency, which the loader
+checks and sorts; here they are emitted as DOT.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .cone import Cone
 from .exhaustion import ExhaustionReport, TargetEntry
-from .model import ChamberEdge, ChamberNode, FanoRecord, Finding
+from .model import ChamberGraph, FanoRecord, Finding
 from .rational import apply, dot
 
 
@@ -94,18 +94,12 @@ def facet_patch_check(record: FanoRecord,
 # Chamber graph
 # ---------------------------------------------------------------------------
 
-class ChamberGraph(NamedTuple):
-    nodes: tuple[ChamberNode, ...]        # (id, label), sorted by id
-    edges: tuple[ChamberEdge, ...]        # (from, to, flop_type), sorted
-
-
 def chamber_graph(record: FanoRecord) -> ChamberGraph:
-    """The record's chamber graph, sorted; the loader checked its shape."""
-    spec = record.chambers
-    if spec is None:
+    """The record's chamber graph, as the loader checked and sorted it."""
+    if record.chambers is None:
         raise ChamberError(
             f"{record.record_id.render()} carries no chamber data")
-    return ChamberGraph(tuple(sorted(spec.nodes)), tuple(sorted(spec.edges)))
+    return record.chambers
 
 
 def emit_dot(graph: ChamberGraph) -> str:

@@ -23,10 +23,10 @@ from .cone import ConeError
 from .exhaustion import (ExhaustionError, ExhaustionReport, build_targets,
                          check_exhaustion, extend_candidates)
 from .flop import (FlopConfig, FlopError, compute_flop, flop_config_from_json,
-                   parse_flop_config, verify_against_table)
+                   verify_against_table)
 from .model import (FanoRecord, Finding, RecordError, RecordId, _json_at,
-                    _vec_at, antik_mismatches, diff_records, parse_record,
-                    record_from_json, require_direction)
+                    _vec_at, antik_mismatches, diff_records, record_from_json,
+                    require_direction, validate_record)
 from .rational import ExactArithError, Vec, rat_str
 
 OK, FOUND, UNUSABLE = 0, 1, 2
@@ -88,8 +88,8 @@ def _judged(check: str, findings: Sequence[Finding]) -> Section:
 
 def verify_records(records: Mapping[str, tuple[FanoRecord, list[Finding]]],
                    configs: Mapping[str, FlopConfig]) -> list[RecordReport]:
-    """Audit each record (file name -> ``parse_record(..., strict=False)``)
-    against the flop configurations (file name -> config) that match it,
+    """Audit each record (file name -> (record, ``validate_record``'s
+    findings)) against the flop configurations (file name -> config) that match it,
     each solved once, and each mistake variant against the first corrected
     record of its base id; the reports keep the records' order."""
     solved = {}  # config file -> its FlopResult, or its failure's finding
@@ -169,9 +169,10 @@ def cmd_verify(args) -> int:
         head = _read_json(path)
         try:
             if isinstance(head, dict) and "tracked_divisors" in head:
-                configs[path.name] = parse_flop_config(head)
+                configs[path.name] = flop_config_from_json(head)
             else:
-                records[path.name] = parse_record(head, strict=False)
+                record = record_from_json(head)
+                records[path.name] = record, validate_record(record)
         except RecordError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return UNUSABLE
@@ -272,7 +273,7 @@ def cmd_flop(args) -> int:
             tracked: {exc: rat_str(result.coeffs[t][s])
                       for s, exc in enumerate(cfg.exceptional_divisors)}
             for t, tracked in enumerate(cfg.tracked_divisors)},
-        "rows": [{"label": row.label, "vec": [rat_str(e) for e in row.row],
+        "rows": [{"label": row.label, "vec": [rat_str(e) for e in row.vec],
                   "antiK": rat_str(row.antiK)} for row in result.rows],
     }
     findings = []

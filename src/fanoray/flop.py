@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import FanoRecord, Finding, RecordError, RecordId, _expect_keys, \
-    _id_at, _json_at, _list_at, _names_at, _vec_at
-from .rational import (Mat, Rat, Vec, dot, inconsistent_rows, rat, rat_str,
+from .model import FanoRecord, Finding, FlopRow, RecordError, RecordId, \
+    _entries_at, _expect_keys, _id_at, _json_at, _names_at, _row_text, _vec_at
+from .rational import (Mat, Vec, dot, inconsistent_rows, rat, rat_str,
                        solve_linear)
 
 
@@ -45,15 +45,9 @@ class FlopConfig(NamedTuple):
         raise KeyError(f"no test curve {label!r}")
 
 
-class FlopRowResult(NamedTuple):
-    label: str
-    row: Vec                      # pairings with the tracked strict transforms
-    antiK: Rat
-
-
 class FlopResult(NamedTuple):
     coeffs: Mat                   # tracked x exceptional correction matrix
-    rows: tuple[FlopRowResult, ...]
+    rows: tuple[FlopRow, ...]     # vec: pairings with the strict transforms
 
 
 def flop_config_from_json(data: dict) -> FlopConfig:
@@ -65,15 +59,9 @@ def flop_config_from_json(data: dict) -> FlopConfig:
     exceptional = _names_at(data["exceptional_divisors"],
                             "flop.exceptional_divisors")
     curves: dict[str, TestCurve] = {}
-    for i, raw in enumerate(_list_at(data["test_curves"],
-                                     "flop.test_curves")):
-        path = f"flop.test_curves[{i}]"
-        _expect_keys(raw, path,
-                     {"label", "pullback_row", "exc_row", "contracted_by_flop"})
-        if not isinstance(raw["label"], str):
-            raise RecordError(f"{path}.label", "expected string")
-        if raw["label"] in curves:
-            raise RecordError(path, f"duplicate curve label {raw['label']!r}")
+    for path, raw in _entries_at(
+            data["test_curves"], "flop.test_curves", "curve label",
+            {"label", "pullback_row", "exc_row", "contracted_by_flop"}):
         if not isinstance(raw["contracted_by_flop"], bool):
             raise RecordError(f"{path}.contracted_by_flop", "expected boolean")
         curves[raw["label"]] = TestCurve(
@@ -81,14 +69,8 @@ def flop_config_from_json(data: dict) -> FlopConfig:
             _vec_at(raw["pullback_row"], f"{path}.pullback_row", len(tracked)),
             _vec_at(raw["exc_row"], f"{path}.exc_row", len(exceptional)),
             raw["contracted_by_flop"])
-    results = data["result_curves"]
-    if not isinstance(results, list) or not all(
-            isinstance(r, str) and r in curves for r in results):
-        raise RecordError("flop.result_curves",
-                          "every result curve must be a test curve label")
-    if not results:
-        raise RecordError("flop.result_curves",
-                          "expected at least one result curve")
+    results = _names_at(data["result_curves"], "flop.result_curves", curves,
+                        "expected at least one result curve")
     combo = _vec_at(data["antiK_combo_tracked"],
                     "flop.antiK_combo_tracked", len(tracked))
     contracted = sum(c.contracted_by_flop for c in curves.values())
@@ -99,7 +81,7 @@ def flop_config_from_json(data: dict) -> FlopConfig:
     if not isinstance(data["ray"], str):
         raise RecordError("flop.ray", "expected string")
     return FlopConfig(record, data["ray"], tracked, exceptional,
-                      tuple(curves.values()), tuple(results), combo)
+                      tuple(curves.values()), results, combo)
 
 
 def parse_flop_config(raw) -> FlopConfig:
@@ -157,8 +139,7 @@ def flopped_rows(cfg: FlopConfig, coeffs: Mat) -> FlopResult:
     rows = []
     for label in cfg.result_curves:
         row = corrected(cfg.curve(label))
-        rows.append(FlopRowResult(label, row,
-                                  dot(cfg.antiK_combo_tracked, row)))
+        rows.append(FlopRow(label, row, dot(cfg.antiK_combo_tracked, row)))
     return FlopResult(coeffs, tuple(rows))
 
 
@@ -194,11 +175,8 @@ def verify_against_table(record: FanoRecord, cfg: FlopConfig,
                 f"{sorted(table)})"))
             continue
         row = table[computed.label]
-        if row.vec != computed.row or row.antiK != computed.antiK:
+        if row != computed:
             findings.append(Finding(
-                "flop-table", key,
-                f"table says ({', '.join(map(rat_str, row.vec))} | "
-                f"{rat_str(row.antiK)}), recomputation gives "
-                f"({', '.join(map(rat_str, computed.row))} | "
-                f"{rat_str(computed.antiK)})"))
+                "flop-table", key, f"table says {_row_text(row)}, "
+                f"recomputation gives {_row_text(computed)}"))
     return findings

@@ -107,9 +107,9 @@ class ChamberEdge(NamedTuple):
     flop_type: str
 
 
-class ChamberSpec(NamedTuple):
-    nodes: tuple[ChamberNode, ...]
-    edges: tuple[ChamberEdge, ...]
+class ChamberGraph(NamedTuple):
+    nodes: tuple[ChamberNode, ...]        # (id, label), sorted by id
+    edges: tuple[ChamberEdge, ...]        # (from, to, flop_type), sorted
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class FanoRecord:
     flop_tables: dict[str, tuple[FlopRow, ...]]
     weyl_group: str
     flop_types: tuple[str, ...]
-    chambers: Optional[ChamberSpec] = None
+    chambers: Optional[ChamberGraph] = None
     # one Cone per ray set, so its memoised facts are shared
     _cones: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -173,10 +173,10 @@ def require_direction(where: str, vec: Vec) -> Vec:
 def _expect_keys(obj: dict, path: str, required: set, optional: set = frozenset()):
     if not isinstance(obj, dict):
         raise RecordError(path, f"expected object, got {type(obj).__name__}")
-    unknown = set(obj) - required - set(optional)
+    unknown = obj.keys() - required - optional
     if unknown:
         raise RecordError(path, f"unknown fields: {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = required - obj.keys()
     if missing:
         raise RecordError(path, f"missing fields: {sorted(missing)}")
 
@@ -243,28 +243,51 @@ def _contraction_at(value, path: str, rho: int) -> ContractionDescriptor:
     return ContractionDescriptor(target, pullback, edges)
 
 
-def _names_at(value, path: str) -> tuple[str, ...]:
-    """A non-empty array of distinct strings: a basis or a divisor list."""
-    if (not isinstance(value, list) or not value
-            or not all(isinstance(s, str) for s in value)):
+def _names_at(value, path: str, among=None,
+              empty="expected array of strings") -> tuple[str, ...]:
+    """An array of distinct strings (a basis, a divisor, curve or flop-type
+    list), each one of ``among`` when that is given; an empty array raises
+    ``empty`` unless that is None."""
+    if not isinstance(value, list) or not all(isinstance(s, str)
+                                              for s in value):
         raise RecordError(path, "expected array of strings")
+    if not value and empty:
+        raise RecordError(path, empty)
     for i, name in enumerate(value):
+        if among is not None and name not in among:
+            raise RecordError(f"{path}[{i}]",
+                              f"{name!r} is not one of {', '.join(among)}")
         if value.index(name) < i:
             raise RecordError(f"{path}[{i}]", f"duplicate name {name!r}")
     return tuple(value)
 
 
-def _chambers_at(value, path: str) -> ChamberSpec:
-    """Distinct node ids; edges of a flop type join two distinct known ids."""
+def _entries_at(value, path: str, kind: str, required: set,
+                optional: set = frozenset(), label: str = "label"):
+    """(path, object) for each object of an array whose keys check out and
+    whose ``label`` is a non-empty string no earlier entry has."""
+    seen = set()
+    for i, entry in enumerate(_list_at(value, path)):
+        where = f"{path}[{i}]"
+        _expect_keys(entry, where, required, optional)
+        name = entry[label]
+        if not isinstance(name, str) or not name:
+            raise RecordError(f"{where}.{label}", "expected non-empty string")
+        if name in seen:
+            raise RecordError(where, f"duplicate {kind} {name!r}")
+        seen.add(name)
+        yield where, entry
+
+
+def _chambers_at(value, path: str) -> ChamberGraph:
+    """Distinct node ids; distinct edges of a flop type, each joining two
+    distinct known ids; both lists sorted."""
     _expect_keys(value, path, {"nodes", "edges"})
     nodes: dict[str, ChamberNode] = {}
-    for i, n in enumerate(_list_at(value["nodes"], f"{path}.nodes")):
-        npath = f"{path}.nodes[{i}]"
-        _expect_keys(n, npath, {"id", "label"})
-        if not isinstance(n["id"], str) or not isinstance(n["label"], str):
-            raise RecordError(npath, "id and label must be strings")
-        if n["id"] in nodes:
-            raise RecordError(npath, f"duplicate chamber id {n['id']!r}")
+    for npath, n in _entries_at(value["nodes"], f"{path}.nodes",
+                                "chamber id", {"id", "label"}, label="id"):
+        if not isinstance(n["label"], str):
+            raise RecordError(f"{npath}.label", "expected string")
         nodes[n["id"]] = ChamberNode(n["id"], n["label"])
     edges = []
     for i, e in enumerate(_list_at(value["edges"], f"{path}.edges")):
@@ -280,8 +303,10 @@ def _chambers_at(value, path: str) -> ChamberSpec:
                 raise RecordError(epath, f"unknown chamber {end!r}")
         if edge.src == edge.dst:
             raise RecordError(epath, f"self-loop at {edge.src!r}")
+        if edge in edges:
+            raise RecordError(epath, f"duplicate edge {tuple(edge)}")
         edges.append(edge)
-    return ChamberSpec(tuple(nodes.values()), tuple(edges))
+    return ChamberGraph(tuple(sorted(nodes.values())), tuple(sorted(edges)))
 
 
 def record_from_json(data: dict) -> FanoRecord:
@@ -300,17 +325,10 @@ def record_from_json(data: dict) -> FanoRecord:
     combo = _vec_at(data["antiK_combo"], "record.antiK_combo", rho)
 
     rays: dict[str, RayRecord] = {}
-    if not isinstance(data["rays"], list) or not data["rays"]:
-        raise RecordError("record.rays", "expected non-empty array")
-    for i, raw in enumerate(data["rays"]):
-        path = f"record.rays[{i}]"
-        _expect_keys(raw, path, {"label", "vec", "antiK", "type"},
-                     {"contraction"})
+    for path, raw in _entries_at(data["rays"], "record.rays", "ray label",
+                                 {"label", "vec", "antiK", "type"},
+                                 {"contraction"}):
         label = raw["label"]
-        if not isinstance(label, str) or not label:
-            raise RecordError(f"{path}.label", "expected non-empty string")
-        if label in rays:
-            raise RecordError(f"{path}.label", f"duplicate ray label {label!r}")
         if raw["type"] not in RAY_TYPES:
             raise RecordError(f"{path}.type",
                               f"unknown ray type {raw['type']!r}")
@@ -324,6 +342,8 @@ def record_from_json(data: dict) -> FanoRecord:
         rays[label] = RayRecord(
             label, _vec_at(raw["vec"], f"{path}.vec", rho),
             _rat_at(raw["antiK"], f"{path}.antiK"), raw["type"], contraction)
+    if not rays:
+        raise RecordError("record.rays", "expected non-empty array")
 
     tables: dict[str, tuple[FlopRow, ...]] = {}
     if not isinstance(data["flop_tables"], dict):
@@ -332,41 +352,29 @@ def record_from_json(data: dict) -> FanoRecord:
         path = f"record.flop_tables.{key}"
         if key not in rays:
             raise RecordError(path, f"key {key!r} is not a ray label")
-        rows: dict[str, FlopRow] = {}
-        for i, raw in enumerate(_list_at(raw_rows, path)):
-            rpath = f"{path}[{i}]"
-            _expect_keys(raw, rpath, {"label", "vec", "antiK"})
-            if not isinstance(raw["label"], str):
-                raise RecordError(f"{rpath}.label", "expected string")
-            if raw["label"] in rows:
-                raise RecordError(rpath, f"duplicate row label {raw['label']!r}")
-            rows[raw["label"]] = FlopRow(
-                raw["label"], _vec_at(raw["vec"], f"{rpath}.vec", rho),
-                _rat_at(raw["antiK"], f"{rpath}.antiK"))
-        tables[key] = tuple(rows.values())
+        tables[key] = tuple(
+            FlopRow(raw["label"], _vec_at(raw["vec"], f"{rpath}.vec", rho),
+                    _rat_at(raw["antiK"], f"{rpath}.antiK"))
+            for rpath, raw in _entries_at(raw_rows, path, "row label",
+                                          {"label", "vec", "antiK"}))
 
     if not isinstance(data["weyl_group"], str):
         raise RecordError("record.weyl_group", "expected string")
-    ftypes = data["flop_types"]
-    if not isinstance(ftypes, list) or not all(
-            t in FLOP_TYPES for t in ftypes):
-        raise RecordError("record.flop_types",
-                          f"entries must be among {FLOP_TYPES}")
+    ftypes = _names_at(data["flop_types"], "record.flop_types", FLOP_TYPES,
+                       empty=None)
     chambers = None
     if "chambers" in data and data["chambers"] is not None:
         chambers = _chambers_at(data["chambers"], "record.chambers")
 
     return FanoRecord(record_id, rho, basis, combo, tuple(rays.values()),
-                      tables, data["weyl_group"], tuple(ftypes), chambers)
+                      tables, data["weyl_group"], ftypes, chambers)
 
 
 def _json_at(raw, path: str):
-    """Parsed JSON from bytes or text; already parsed data passes through."""
+    """Parsed JSON from UTF-8 bytes or text."""
     try:
         if isinstance(raw, (bytes, bytearray)):
             raw = raw.decode("utf-8")
-        if not isinstance(raw, str):
-            return raw
         return json.loads(raw)
     except (ValueError, RecursionError) as exc:
         # ValueError: undecodable bytes, bad JSON or an int past Python's
@@ -413,6 +421,7 @@ def validate_record(record: FanoRecord) -> list[Finding]:
                 findings.append(Finding("duplicate-ray", f"rays.{ray.label}",
                                         f"same ray as {first}"))
 
+    edge_cones: dict[frozenset, Cone] = {}  # one per distinct edge set
     for ray in record.rays:
         desc = ray.contraction
         if desc is None:
@@ -437,9 +446,23 @@ def validate_record(record: FanoRecord) -> list[Finding]:
                         "zero edge vector"))
                 else:
                     edges[i] = canonicalize_ray(e)
+            listed = list(edges.values())
+            group = frozenset(listed)
+            if not group:
+                continue
+            if group not in edge_cones:
+                edge_cones[group] = Cone(record.rho - 1, listed)
+            pointed = edge_cones[group].is_pointed()
+            if not pointed.pointed:
+                findings.append(Finding(
+                    "target-edges", f"{key}.target_edges",
+                    f"edge cone contains the line through {pointed.line}"))
+                continue
+            # in a pointed cone an edge lies in the cone of the others
+            # exactly when it repeats one or is not an extreme ray
+            extreme = edge_cones[group].extreme_rays()
             for i, e in edges.items():
-                others = [o for j, o in edges.items() if j != i]
-                if others and Cone(record.rho - 1, others).contains(e):
+                if listed.count(e) > 1 or e not in extreme:
                     findings.append(Finding(
                         "target-edges", f"{key}.target_edges[{i}]",
                         f"edge {e} lies in the cone of the other edges"))
@@ -577,6 +600,11 @@ def serialize_record(record: FanoRecord) -> dict:
     return out
 
 
+def _row_text(row) -> str:
+    """A ray or flop-table row as findings quote it: (vec | antiK)."""
+    return f"({', '.join(map(rat_str, row.vec))} | {rat_str(row.antiK)})"
+
+
 def diff_records(record: FanoRecord, reference: FanoRecord) -> list[Finding]:
     """Row-keyed differences of one record against a reference.
 
@@ -585,20 +613,16 @@ def diff_records(record: FanoRecord, reference: FanoRecord) -> list[Finding]:
     """
     findings: list[Finding] = []
 
-    def diff_row(key, vec_a, antik_a, vec_b, antik_b):
-        if vec_a != vec_b or antik_a != antik_b:
+    def diff_row(key, row, ref):
+        if (row.vec, row.antiK) != (ref.vec, ref.antiK):
             findings.append(Finding(
                 "correction", key,
-                f"({', '.join(map(rat_str, vec_a))} | {rat_str(antik_a)}) "
-                f"should read "
-                f"({', '.join(map(rat_str, vec_b))} | {rat_str(antik_b)})"))
+                f"{_row_text(row)} should read {_row_text(ref)}"))
 
     ref_rays = {r.label: r for r in reference.rays}
     for ray in record.rays:
         if ray.label in ref_rays:
-            ref = ref_rays[ray.label]
-            diff_row(f"rays.{ray.label}", ray.vec, ray.antiK,
-                     ref.vec, ref.antiK)
+            diff_row(f"rays.{ray.label}", ray, ref_rays[ray.label])
         else:
             findings.append(Finding("correction", f"rays.{ray.label}",
                                     "ray absent from the reference record"))
@@ -619,6 +643,5 @@ def diff_records(record: FanoRecord, reference: FanoRecord) -> list[Finding]:
                 findings.append(Finding(
                     "correction", path, "row missing (present in the reference)"))
             else:
-                diff_row(path, mine[label].vec, mine[label].antiK,
-                         theirs[label].vec, theirs[label].antiK)
+                diff_row(path, mine[label], theirs[label])
     return findings

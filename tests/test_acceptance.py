@@ -68,7 +68,7 @@ def test_criterion_2_flop_coefficients(flop_configs):
 
 def test_criterion_3_flopped_rows(flop_configs):
     def rows(name):
-        return {r.label: tuple(r.row) + (r.antiK,)
+        return {r.label: tuple(r.vec) + (r.antiK,)
                 for r in compute_flop(flop_configs[name]).rows}
 
     half = Fraction(1, 2)

@@ -12,7 +12,7 @@ from fanoray.chambers import (ChamberError, chamber_graph, emit_dot,
 from fanoray.cone import ConeError
 from fanoray.exhaustion import (ExhaustionError, build_targets,
                                 check_exhaustion)
-from fanoray.model import (ChamberNode, ChamberSpec, RecordError,
+from fanoray.model import (ChamberGraph, ChamberNode, RecordError,
                            parse_record, record_from_json, serialize_record)
 from fanoray.rational import dot, rat
 
@@ -255,7 +255,7 @@ def test_b2_5_n1_has_an_F_edge_between_the_two_flopped_models(records):
 
 
 def test_single_chamber_graph_is_valid(records):
-    spec = ChamberSpec((ChamberNode("T", "T"),), ())
+    spec = ChamberGraph((ChamberNode("T", "T"),), ())
     graph = chamber_graph(
         dataclasses.replace(records["b2_2_n1"], chambers=spec))
     assert graph.edges == ()
@@ -292,6 +292,12 @@ def test_edge_to_an_unknown_chamber_rejected(records):
 def test_self_loop_rejected(records):
     assert _load_with_chambers(records, ["A"], [("A", "A", "F")]) \
         == "record.chambers.edges[0]: self-loop at 'A'"
+
+
+def test_repeated_edge_rejected(records):
+    assert _load_with_chambers(records, ["A", "B"],
+                               [("A", "B", "F"), ("A", "B", "F")]) \
+        == "record.chambers.edges[1]: duplicate edge ('A', 'B', 'F')"
 
 
 def test_record_without_chambers_raises(records):

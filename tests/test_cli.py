@@ -13,7 +13,7 @@ from fanoray.cli import (RecordReport, Section, _render_table, build_parser,
                          main, verify_records)
 from fanoray.exhaustion import (ExhaustionReport, Miss, ReciprocalFailure,
                                 build_targets, check_exhaustion)
-from fanoray.flop import parse_flop_config
+from fanoray.flop import flop_config_from_json, parse_flop_config
 from fanoray.model import RecordError, RecordId, parse_record, record_from_json
 from fanoray.rational import rat, rat_str
 
@@ -777,3 +777,108 @@ def test_a_zero_ray_is_named_before_a_proposal_is_matched(capsys, record_paths,
                              "--propose", str(proposal))
     assert (code, out, err) == (
         2, "", "error: B2=2/n1.rays.l2: zero vector has no ray direction\n")
+
+
+def test_a_repeated_result_curve_exits_two(capsys, data_root, record_paths,
+                                           tmp_path):
+    # the l12 row would be printed and compared twice
+    data = json.loads((data_root / "flops" / "e5_b2_2_n28.json").read_text())
+    data["result_curves"] = ["l12", "l12", "l22"]
+    config = tmp_path / "e5_b2_2_n28.json"
+    config.write_text(json.dumps(data))
+    assert run_cli(capsys, "flop", str(config), "--record",
+                   str(record_paths["b2_2_n28"])) == (
+        2, "", "error: flop.result_curves[1]: duplicate name 'l12'\n")
+
+
+def test_a_doubled_flop_type_list_exits_two(capsys, record_paths, tmp_path):
+    data = json.loads(record_paths["b2_2_n28"].read_text())
+    data["flop_types"] *= 2
+    path = tmp_path / "b2_2_n28.json"
+    path.write_text(json.dumps(data))
+    message = "record.flop_types[2]: duplicate name 'E1'\n"
+    assert run_cli(capsys, "nef", str(path)) == (2, "", f"error: {message}")
+    assert run_cli(capsys, "verify", str(tmp_path)) == (
+        2, "", f"error: {path}: {message}")
+
+
+def test_verify_decodes_a_file_once(capsys, record_paths, tmp_path):
+    # a file whose JSON is a string holding a record's text is no record
+    path = tmp_path / "b2_2_n1.json"
+    path.write_text(json.dumps(record_paths["b2_2_n1"].read_text()))
+    message = "record: expected object, got str\n"
+    assert run_cli(capsys, "verify", str(tmp_path)) == (
+        2, "", f"error: {path}: {message}")
+    assert run_cli(capsys, "nef", str(path)) == (2, "", f"error: {message}")
+
+
+def _is_rational(text: str) -> bool:
+    try:
+        rat(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _label_lists(node, path=()):
+    """The key paths of the arrays of objects or of names in parsed JSON; an
+    array of rational literals is a vector, neither of these."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _label_lists(value, path + (key,))
+    elif isinstance(node, list):
+        if node and (all(isinstance(e, dict) for e in node)
+                     or all(isinstance(e, str) for e in node)
+                     and not all(map(_is_rational, node))):
+            yield path
+        for i, value in enumerate(node):
+            yield from _label_lists(value, path + (i,))
+
+
+FIXTURE_FILES = sorted(
+    path.relative_to(datafiles.data_root()).as_posix()
+    for path in datafiles.data_root().glob("*/*.json"))
+
+
+def _verify_stdout(capsys, directory: Path, name: str, data) -> tuple:
+    """verify's exit code and stdout on ``directory`` holding ``data`` as
+    ``name``, next to whatever it holds already."""
+    (directory / name).write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "verify", str(directory))
+    return code, out
+
+
+def test_the_fixtures_hold_103_label_lists(data_root):
+    assert len(FIXTURE_FILES) == 17
+    assert sum(len(list(_label_lists(json.loads((data_root / f).read_text()))))
+               for f in FIXTURE_FILES) == 103
+
+
+@pytest.mark.parametrize("file", FIXTURE_FILES)
+def test_a_repeated_list_entry_is_rejected_or_changes_nothing(
+        file, capsys, data_root, tmp_path):
+    # appending a copy of any array's last entry either makes the file
+    # unusable (verify exits 2), or leaves both the loaded value and
+    # verify's output unchanged; a flop configuration is verified together
+    # with the record it is for
+    data = json.loads((data_root / file).read_text())
+    name = Path(file).name
+    load = record_from_json
+    if file.startswith("flops/"):
+        load = flop_config_from_json
+        rid = data["record"]
+        shutil.copy(data_root / "records" / f"b2_{rid['b2']}_n{rid['n']}.json",
+                    tmp_path)
+    before = _verify_stdout(capsys, tmp_path, name, data)
+    assert before[0] in (0, 1)
+    changed = []
+    for path in _label_lists(data):
+        copy = json.loads(json.dumps(data))
+        target = copy
+        for step in path:
+            target = target[step]
+        target.append(target[-1])
+        after = _verify_stdout(capsys, tmp_path, name, copy)
+        if after[0] != 2 and (after != before or load(copy) != load(data)):
+            changed.append(path)
+    assert changed == []

@@ -18,7 +18,7 @@ from fanoray.chambers import facet_patch_check
 from fanoray.cli import main
 from fanoray.cone import Cone, dual_description
 from fanoray.exhaustion import build_targets, check_exhaustion, pushforward_map
-from fanoray.model import record_from_json
+from fanoray.model import record_from_json, validate_record
 
 from oracles import minus_one_curves
 from test_cone import B2_5_N1_RAYS
@@ -137,6 +137,26 @@ def test_verify_dualises_only_facet_patch_target_edges(monkeypatch,
     assert len(duals) == 28
     assert all(facet_patch_check.__code__ in stack for stack in duals)
     assert (nefs, len(flops)) == ([], 4)
+
+
+def test_verify_runs_one_pointedness_lp_per_cone(monkeypatch, tmp_path):
+    # one per record's ray cone (13) and one per record's distinct target
+    # edge set (b2_5_n1 and its mistake variant, whose l4, l5 and l6 share
+    # theirs); target edges are judged by their cone's extreme rays, not
+    # by one membership LP per edge
+    _fixture_dir(tmp_path, "records", "mistakes", "extra", "flops")
+    phase1 = count_calls(monkeypatch, "cone", "_phase1")
+    members = []
+    membership = Cone.membership
+
+    def counted(self, v):
+        members.append(callers())
+        return membership(self, v)
+
+    monkeypatch.setattr(Cone, "membership", counted)
+    assert _cli(["verify", str(tmp_path)]) == 1
+    assert len(phase1) == 15
+    assert not any(validate_record.__code__ in stack for stack in members)
 
 
 def test_pushforward_chart_is_ranked_once(monkeypatch):

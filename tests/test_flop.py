@@ -14,7 +14,7 @@ def coeff_grid(result):
 
 
 def rows_of(result):
-    return {r.label: (tuple(str(x) for x in r.row), str(r.antiK))
+    return {r.label: (tuple(str(x) for x in r.vec), str(r.antiK))
             for r in result.rows}
 
 
@@ -64,7 +64,7 @@ def test_contracted_curves_vanish_in_all_configs(flop_configs):
 def test_antiK_is_linear_in_tracked_divisors(flop_configs):
     for cfg in flop_configs.values():
         for row in compute_flop(cfg).rows:
-            assert dot(cfg.antiK_combo_tracked, row.row) == row.antiK
+            assert dot(cfg.antiK_combo_tracked, row.vec) == row.antiK
 
 
 def test_solving_invariant_under_contracted_curve_rescaling(flop_configs):

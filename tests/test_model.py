@@ -138,6 +138,11 @@ REPEATED_NAMES = {
                 "flop.tracked_divisors[1]: duplicate name 'E'"),
     "exceptional": ("flops/e5_b2_2_n28.json", "exceptional_divisors",
                     "flop.exceptional_divisors[1]: duplicate name 'D1'"),
+    # a repeated result curve would print and compare its row twice
+    "result-curves": ("flops/e5_b2_2_n28.json", "result_curves",
+                      "flop.result_curves[1]: duplicate name 'l12'"),
+    "flop-types": ("records/b2_2_n28.json", "flop_types",
+                   "record.flop_types[1]: duplicate name 'E1'"),
 }
 
 
@@ -147,10 +152,32 @@ def test_a_repeated_name_is_rejected(name, data_root):
     file, key, message = REPEATED_NAMES[name]
     data = json.loads((data_root / file).read_text())
     data[key][-1] = data[key][0]
-    load = flop_config_from_json if key != "basis" else record_from_json
+    load = (record_from_json if file.startswith("records/")
+            else flop_config_from_json)
     with pytest.raises(RecordError) as err:
         load(data)
     assert str(err.value) == message
+
+
+def test_an_empty_flop_type_list_loads(records):
+    data = serialize_record(records["b2_2_n28"])
+    data["flop_types"] = []
+    assert record_from_json(data).flop_types == ()
+
+
+def test_a_flop_type_or_result_curve_outside_its_list_is_named(data_root):
+    data = json.loads((data_root / "records/b2_2_n28.json").read_text())
+    data["flop_types"] = ["E1", "E9"]
+    with pytest.raises(RecordError) as err:
+        record_from_json(data)
+    assert str(err.value).startswith("record.flop_types[1]: 'E9' is not "
+                                     "one of E1, E2,")
+    data = json.loads((data_root / "flops/e5_b2_2_n28.json").read_text())
+    data["result_curves"] = ["l12", "l99"]
+    with pytest.raises(RecordError) as err:
+        flop_config_from_json(data)
+    assert str(err.value).startswith("flop.result_curves[1]: 'l99' is not "
+                                     "one of ")
 
 
 def test_schema_rejects_empty_ray_list(records):
@@ -190,6 +217,28 @@ def test_validate_flags_nonextreme_target_edge(records):
             expected.insert(0, (f"{key}[0]", "zero edge vector"))
         assert [(f.key, f.message) for f in findings
                 if f.check == "target-edges"] == expected, leading_zero
+
+
+L4_EDGES = "rays.l4.contraction.target_edges"
+L4_REPEAT = "edge (-1, 0, 1, 0) lies in the cone of the other edges"
+
+
+@pytest.mark.parametrize("extra, expected", [
+    # both copies of a repeated edge lie in the cone of the others
+    (["-1", "0", "1", "0"], [(f"{L4_EDGES}[0]", L4_REPEAT),
+                             (f"{L4_EDGES}[4]", L4_REPEAT)]),
+    # with the negative of its third edge, l4's edge cone holds a line and
+    # has no extreme rays: one finding for the whole list, naming the line
+    (["0", "0", "1", "0"], [(L4_EDGES, "edge cone contains the line "
+                                       "through (0, 0, -1, 0)")]),
+], ids=["repeated-edge", "line"])
+def test_validate_judges_target_edges_by_their_cone(records, extra,
+                                                    expected):
+    data = serialize_record(records["b2_5_n1"])
+    data["rays"][3]["contraction"]["target_edges"].append(extra)  # l4
+    findings = validate_record(record_from_json(data))
+    assert [(f.key, f.message) for f in findings
+            if f.check == "target-edges"] == expected
 
 
 def test_validate_flags_rank_deficient_pullback(records):
