@@ -44,10 +44,9 @@ def checked_ray_cone(record: FanoRecord,
     return cone
 
 
-def nef_cone(record: FanoRecord,
-             candidate_labels: Optional[Sequence[str]] = None) -> Cone:
+def nef_cone(record: FanoRecord) -> Cone:
     """Dual of the ray cone; requires a pointed, full-dimensional input."""
-    return checked_ray_cone(record, candidate_labels).dual()
+    return checked_ray_cone(record).dual()
 
 
 def facet_patch_check(record: FanoRecord,
@@ -78,7 +77,7 @@ def facet_patch_check(record: FanoRecord,
                     f"the edge {miss.edge}"))
         edges = targets[lab].edges
         if edges not in duals:
-            duals[edges] = Cone(record.rho - 1, edges).dual().generators
+            duals[edges] = record.cone(record.rho - 1, edges).dual().generators
         for e in duals[edges]:
             # by adjointness, (P e).c = e.phi(c) for every candidate c
             pulled = apply(contraction.pullback, e)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .cone import Cone, IVec, canonicalize_ray
+from .cone import IVec, canonicalize_ray
 from .model import FanoRecord, require_direction
 from .rational import Mat, Vec, apply
 
@@ -128,10 +128,12 @@ def build_targets(record: FanoRecord,
 
     With ``prefer_record_tables`` (the CLI's ``--targets auto``)
     descriptor-supplied edge sets win when present (record-table
-    provenance), and a contraction of a rho = 2 record without one gets
-    the single edge (1,) (rank-one provenance): its target has Picard
-    rank one, and the convention assumed is that the chart's basis is the
-    target's ample generator, so the pushed cone is the ray (1,).  Such an
+    provenance, as the distinct edges of the record's memoised edge cone,
+    which must not hold a line), and a contraction of a rho = 2 record
+    without one gets the single edge (1,) (rank-one provenance): its
+    target has Picard rank one, and the convention assumed is that the
+    chart's basis is the target's ample generator, so the pushed cone is
+    the ray (1,).  Such an
     edge set depends on no ray of the record, so deleting a ray cannot
     shrink it.  Its chart is still checked first, so a broken chart raises
     before any target is built.  Everything else is derived from the full
@@ -146,10 +148,14 @@ def build_targets(record: FanoRecord,
         if prefer_record_tables and edges is not None:
             where = (f"{record.record_id.render()}.rays.{ray.label}"
                      f".contraction.target_edges")
-            targets[ray.label] = TargetEntry(
-                tuple(sorted(canonicalize_ray(require_direction(
-                    f"{where}[{i}]", e)) for i, e in enumerate(edges))),
-                "record-table")
+            cone = record.cone(record.rho - 1, [
+                canonicalize_ray(require_direction(f"{where}[{i}]", e))
+                for i, e in enumerate(edges)])
+            pointed = cone.is_pointed()
+            if not pointed.pointed:
+                raise ExhaustionError(f"{where}: edge cone contains the "
+                                      f"line through {pointed.line}")
+            targets[ray.label] = TargetEntry(cone.generators, "record-table")
         elif prefer_record_tables and record.rho == 2:
             pushforward_map(record, ray.label)
             targets[ray.label] = TargetEntry(((1,),), "rank-one")
@@ -174,16 +180,9 @@ def check_exhaustion(record: FanoRecord,
     """
     extra_rays = dict(extra_rays or {})
     index_of = {lab: i + 1 for i, lab in enumerate(record.ray_labels())}
-    vectors: dict[str, Vec] = {}
-    for lab in candidate_labels:
-        if lab in extra_rays:
-            vectors[lab] = extra_rays[lab]
-        else:
-            vectors[lab] = record.ray(lab).vec
-
-    cone = (Cone(record.rho, list(vectors.values())) if extra_rays
-            else record.ray_cone(candidate_labels))
-    if not cone.is_pointed().pointed:
+    vectors = {lab: extra_rays[lab] if lab in extra_rays
+               else record.ray_vec(lab) for lab in candidate_labels}
+    if not record.cone(record.rho, vectors.values()).is_pointed().pointed:
         raise ExhaustionError(
             f"{record.record_id.render()}: candidate set is not pointed")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cone import Cone, ConeError, canonicalize_ray
 from .rational import (ExactArithError, Mat, Rat, Vec, apply, dot,
@@ -123,7 +123,7 @@ class FanoRecord:
     weyl_group: str
     flop_types: tuple[str, ...]
     chambers: Optional[ChamberGraph] = None
-    # one Cone per ray set, so its memoised facts are shared
+    # one Cone per (dim, vector set), so its memoised facts are shared
     _cones: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -136,18 +136,26 @@ class FanoRecord:
                 return r
         raise KeyError(f"{self.record_id.render()}: no ray {label!r}")
 
-    def ray_cone(self, labels: Optional[Sequence[str]] = None) -> Cone:
-        """The cone of the named rays (all by default), one per ray set."""
-        chosen = set(self.ray_labels() if labels is None else labels)
-        key = tuple(lab for lab in self.ray_labels() if lab in chosen)
-        if len(key) < len(chosen):  # a KeyError naming an unknown label
-            self.ray(next(lab for lab in labels if lab not in key))
+    def cone(self, dim: int, vectors: Iterable[Vec]) -> Cone:
+        """The cone of ``vectors`` in R^dim, one per distinct vector set,
+        built on the set sorted so that its memoised facts depend on the
+        set alone and not on which caller asked first."""
+        key = dim, frozenset(vectors)
         if key not in self._cones:
-            where = f"{self.record_id.render()}.rays"
-            self._cones[key] = Cone(self.rho, [
-                require_direction(f"{where}.{lab}", self.ray(lab).vec)
-                for lab in key])
+            self._cones[key] = Cone(dim, sorted(key[1]))
         return self._cones[key]
+
+    def ray_cone(self, labels: Optional[Sequence[str]] = None) -> Cone:
+        """The cone of the named rays (all by default), read from ``cone``."""
+        chosen = self.ray_labels() if labels is None else labels
+        return self.cone(self.rho, map(self.ray_vec, chosen))
+
+    def ray_vec(self, label: str) -> Vec:
+        """A ray's vector; a zero one raises ``ConeError`` naming the ray."""
+        vec = self.ray(label).vec
+        if not any(vec):
+            require_direction(f"{self.record_id.render()}.rays.{label}", vec)
+        return vec
 
     @cached_property
     def derived_antiK(self) -> "AntiKDerivation":
@@ -421,7 +429,6 @@ def validate_record(record: FanoRecord) -> list[Finding]:
                 findings.append(Finding("duplicate-ray", f"rays.{ray.label}",
                                         f"same ray as {first}"))
 
-    edge_cones: dict[frozenset, Cone] = {}  # one per distinct edge set
     for ray in record.rays:
         desc = ray.contraction
         if desc is None:
@@ -447,12 +454,10 @@ def validate_record(record: FanoRecord) -> list[Finding]:
                 else:
                     edges[i] = canonicalize_ray(e)
             listed = list(edges.values())
-            group = frozenset(listed)
-            if not group:
+            if not listed:
                 continue
-            if group not in edge_cones:
-                edge_cones[group] = Cone(record.rho - 1, listed)
-            pointed = edge_cones[group].is_pointed()
+            edge_cone = record.cone(record.rho - 1, listed)
+            pointed = edge_cone.is_pointed()
             if not pointed.pointed:
                 findings.append(Finding(
                     "target-edges", f"{key}.target_edges",
@@ -460,7 +465,7 @@ def validate_record(record: FanoRecord) -> list[Finding]:
                 continue
             # in a pointed cone an edge lies in the cone of the others
             # exactly when it repeats one or is not an extreme ray
-            extreme = edge_cones[group].extreme_rays()
+            extreme = edge_cone.extreme_rays()
             for i, e in edges.items():
                 if listed.count(e) > 1 or e not in extreme:
                     findings.append(Finding(

@@ -49,7 +49,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from fanoray.chambers import nef_cone
+from fanoray.chambers import checked_ray_cone
 from fanoray.cone import Cone, ConeError, IVec, _ivec_dot, canonicalize_ray
 from fanoray.exhaustion import ExhaustionError, TargetEntry, pushforward_map
 from fanoray.model import Finding
@@ -426,7 +426,7 @@ def facet_patch_reference(record, targets, candidate_labels=None):
     labels = list(candidate_labels) if candidate_labels is not None \
         else record.ray_labels()
     findings: list[Finding] = []
-    amp = nef_cone(record, labels)
+    amp = checked_ray_cone(record, labels).dual()
 
     for lab in labels:
         ray = record.ray(lab)

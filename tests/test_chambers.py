@@ -7,8 +7,8 @@ from itertools import combinations
 import pytest
 
 from fanoray import datafiles
-from fanoray.chambers import (ChamberError, chamber_graph, emit_dot,
-                              facet_patch_check, nef_cone)
+from fanoray.chambers import (ChamberError, chamber_graph, checked_ray_cone,
+                              emit_dot, facet_patch_check, nef_cone)
 from fanoray.cone import ConeError
 from fanoray.exhaustion import (ExhaustionError, build_targets,
                                 check_exhaustion)
@@ -54,10 +54,11 @@ def test_dual_dual_of_every_fixture_ray_cone(records):
 
 
 def _facet_patch(record, targets, labels=None):
-    """facet_patch_check after its preconditions, in their order: the nef
-    cone, then exhaustion's report on the same candidates and targets."""
+    """facet_patch_check after its preconditions, in their order: the
+    checked ray cone, then exhaustion's report on the same candidates and
+    targets."""
     labels = record.ray_labels() if labels is None else labels
-    nef_cone(record, labels)
+    checked_ray_cone(record, labels)
     report = check_exhaustion(record, labels, targets)
     return facet_patch_check(record, targets, report)
 

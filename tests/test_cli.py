@@ -779,6 +779,56 @@ def test_a_zero_ray_is_named_before_a_proposal_is_matched(capsys, record_paths,
         2, "", "error: B2=2/n1.rays.l2: zero vector has no ray direction\n")
 
 
+def _b2_5_n1_with_l4_edge(record_paths, tmp_path, edge):
+    """b2_5_n1.json, written to tmp_path, with ``edge`` appended to l4's
+    transcribed target edges."""
+    data = json.loads(record_paths["b2_5_n1"].read_text())
+    data["rays"][3]["contraction"]["target_edges"].append(edge)  # l4
+    path = tmp_path / "b2_5_n1.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+L4_LINE = ("B2=5/n1.rays.l4.contraction.target_edges: edge cone contains "
+           "the line through (0, 0, -1, 0)")
+
+
+def test_a_target_edge_set_holding_a_line_is_reported_once(
+        capsys, record_paths, tmp_path):
+    # validate names the line; exhaustion and facet-patch would each report
+    # the appended edge again, so both are skipped with the line instead
+    path = _b2_5_n1_with_l4_edge(record_paths, tmp_path, ["0", "0", "1", "0"])
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
+    assert [f for s in sections.values() for f in s["findings"]] == [
+        "[target-edges] rays.l4.contraction.target_edges: edge cone contains "
+        "the line through (0, 0, -1, 0)"]
+    for check in ("exhaustion", "facet-patch"):
+        assert sections[check] == {"check": check, "status": "skipped",
+                                   "findings": [], "detail": L4_LINE}
+    assert code == 1
+    assert run_cli(capsys, "check-exhaustion", str(path)) == (
+        2, "", f"error: {L4_LINE}\n")
+
+
+def test_a_repeated_target_edge_is_checked_once(capsys, record_paths,
+                                                tmp_path):
+    # validate flags both copies, and exhaustion checks the distinct edges,
+    # so the miss that dropping l8 leaves on l4 is listed once
+    path = _b2_5_n1_with_l4_edge(record_paths, tmp_path, ["1", "1", "-1", "1"])
+    clean = run_cli(capsys, "check-exhaustion", str(record_paths["b2_5_n1"]),
+                    "--drop-ray", "l8")
+    assert clean[0] == 1 and '"ray": "l4"' in clean[1]
+    assert run_cli(capsys, "check-exhaustion", str(path),
+                   "--drop-ray", "l8") == clean
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    validate = json.loads(out)["reports"][0]["sections"][0]
+    assert validate["findings"] == [
+        f"[target-edges] rays.l4.contraction.target_edges[{i}]: edge "
+        f"(1, 1, -1, 1) lies in the cone of the other edges" for i in (3, 4)]
+    assert code == 1
+
+
 def test_a_repeated_result_curve_exits_two(capsys, data_root, record_paths,
                                            tmp_path):
     # the l12 row would be printed and compared twice

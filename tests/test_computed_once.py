@@ -159,6 +159,35 @@ def test_verify_runs_one_pointedness_lp_per_cone(monkeypatch, tmp_path):
     assert not any(validate_record.__code__ in stack for stack in members)
 
 
+def test_verify_runs_one_double_description_per_cone(monkeypatch,
+                                                     tmp_path):
+    # facet-patch dualises the target edge cones that validate described
+    # (b2_5_n1 and its mistake variant, one shared by l4, l5 and l6 each):
+    # the record keeps one cone per vector set for every caller
+    _fixture_dir(tmp_path, "records", "mistakes", "extra", "flops")
+    dd_calls = count_calls(monkeypatch, "cone", "dual_description")
+    assert _cli(["verify", str(tmp_path)]) == 1
+    assert len(dd_calls) == 41
+
+
+def test_one_cone_per_vector_set_serves_proposals_too(monkeypatch):
+    # a reordered or repeated vector list reads the same cone, and so does
+    # check_exhaustion with a proposal: the dropped l8 proposed back spans
+    # the full ray set, whose pointedness LP has already run
+    path = datafiles.records_dir() / "b2_5_n1.json"
+    record = record_from_json(json.loads(path.read_text(encoding="utf-8")))
+    vecs = [ray.vec for ray in record.rays]
+    full = record.ray_cone()
+    assert record.cone(5, vecs[::-1] + vecs[:2]) is full
+    assert full.generators == tuple(sorted(vecs))
+    targets = build_targets(record)
+    full.is_pointed()
+    phase1 = count_calls(monkeypatch, "cone", "_phase1")
+    labels = record.ray_labels()[:7] + ["p1"]
+    assert check_exhaustion(record, labels, targets, {"p1": vecs[7]}).passed
+    assert phase1 == []
+
+
 def test_pushforward_chart_is_ranked_once(monkeypatch):
     path = datafiles.records_dir() / "b2_5_n1.json"
     record = record_from_json(json.loads(path.read_text(encoding="utf-8")))
@@ -217,11 +246,12 @@ def test_facet_patch_runs_no_elimination(monkeypatch, records):
     assert eliminations == []
 
 
-def test_facet_patch_dualises_each_distinct_edge_set_once(monkeypatch,
-                                                         records):
+def test_facet_patch_dualises_each_distinct_edge_set_once(monkeypatch):
     # derived targets repeat edge sets; the nef cone's own double
-    # description is never asked for (there is no codimension-two audit)
-    record = records["b2_5_n1"]
+    # description is never asked for (there is no codimension-two audit);
+    # a fresh record, since the edge cones are memoised on the record
+    path = datafiles.records_dir() / "b2_5_n1.json"
+    record = record_from_json(json.loads(path.read_text(encoding="utf-8")))
     targets = build_targets(record, prefer_record_tables=False)
     distinct = {entry.edges for entry in targets.values()}
     assert (len(targets), len(distinct)) == (8, 4)
@@ -252,7 +282,8 @@ def test_nef_command_runs_one_double_description(monkeypatch):
 def test_propose_adopting_a_dropped_ray_builds_no_second_full_cone(
         monkeypatch, tmp_path):
     # the adopted ray is appended to the candidates, but the record keeps
-    # one cone per ray set: the full cone's pointedness LP is run once
+    # one cone per vector set: the full cone's pointedness LP is run once,
+    # after the candidates' and the one for l4-l6's shared target edges
     path = datafiles.records_dir() / "b2_5_n1.json"
     data = json.loads(path.read_text(encoding="utf-8"))
     proposal = tmp_path / "l1.json"
@@ -260,7 +291,7 @@ def test_propose_adopting_a_dropped_ray_builds_no_second_full_cone(
     phase1 = count_calls(monkeypatch, "cone", "_phase1")
     assert _cli(["check-exhaustion", str(path), "--drop-ray", "l1",
                  "--propose", str(proposal)]) == 0
-    assert len(phase1) == 2
+    assert len(phase1) == 3
 
 
 def test_extreme_rays_and_neighbours_read_the_memoised_covers(monkeypatch):

@@ -60,8 +60,8 @@ def test_ray_cone_is_shared_per_label_tuple(records):
 
 
 def test_ray_cone_is_shared_per_ray_set(records):
-    # the key is the set in record order: a reordered or repeated label
-    # list reuses the cone, and an unknown label still raises
+    # the key is the vector set: a reordered or repeated label list reuses
+    # the cone, and an unknown label still raises
     rec = records["b2_5_n1"]
     labels = rec.ray_labels()
     assert rec.ray_cone(labels[1:] + labels[:1]) is rec.ray_cone()
