@@ -32,7 +32,7 @@ class ExhaustionError(ValueError):
 
 
 class TargetEntry(NamedTuple):
-    edges: tuple[IVec, ...]
+    edges: tuple[IVec, ...]         # sorted extreme rays of a pointed cone
     provenance: str     # "record-table" | "rank-one" | "derived-oracle"
 
 
@@ -97,16 +97,16 @@ def pushforward_map(record: FanoRecord, label: str) -> Mat:
     return phi
 
 
-def derive_target_edges(record: FanoRecord, full_labels: Sequence[str],
-                        label: str) -> TargetEntry:
-    """Edge set of the pushed cone, read off the full ray cone.
+def derive_target_edges(record: FanoRecord, label: str) -> TargetEntry:
+    """Edge set of the pushed cone, read off the cone of the whole record
+    (derive from a ray subset on a record truncated to it).
 
     The chart's kernel is the contracted ray l, so the pushed cone is the
-    quotient of the full cone by its face l, whose edges are the images
-    of the 2-faces through l: one per neighbour of l in the full cone's
-    one double description.
+    quotient of the ray cone by its face l, whose edges are the images of
+    the 2-faces through l: one per neighbour of l in that cone's one
+    double description.
     """
-    cone = record.ray_cone(full_labels)
+    cone = record.ray_cone()
     if not cone.is_pointed().pointed:
         raise ExhaustionError(
             f"{record.record_id.render()}: ray set is not pointed")
@@ -126,20 +126,18 @@ def build_targets(record: FanoRecord,
                   ) -> dict[str, TargetEntry]:
     """Target edges for every descriptor-bearing ray.
 
-    With ``prefer_record_tables`` (the CLI's ``--targets auto``)
-    descriptor-supplied edge sets win when present (record-table
-    provenance, as the distinct edges of the record's memoised edge cone,
-    which must not hold a line), and a contraction of a rho = 2 record
-    without one gets the single edge (1,) (rank-one provenance): its
-    target has Picard rank one, and the convention assumed is that the
-    chart's basis is the target's ample generator, so the pushed cone is
-    the ray (1,).  Such an
-    edge set depends on no ray of the record, so deleting a ray cannot
-    shrink it.  Its chart is still checked first, so a broken chart raises
-    before any target is built.  Everything else is derived from the full
-    corrected set.
+    With ``prefer_record_tables`` (the CLI's ``--targets auto``) a
+    transcribed edge set wins when present (record-table provenance): its
+    targets are the extreme rays of the record's memoised edge cone, which
+    must not hold a line, so a listed edge in the cone of the others is no
+    target.  A contraction of a rho = 2 record without one gets the single
+    edge (1,) (rank-one provenance): its target has Picard rank one, and
+    the chart's basis is assumed to be the target's ample generator.  Such
+    an edge set depends on no ray of the record, so deleting a ray cannot
+    shrink it; its chart is still checked first, so a broken chart raises
+    before any target is built.  Everything else is derived from the whole
+    record.
     """
-    full = record.ray_labels()
     targets: dict[str, TargetEntry] = {}
     for ray in record.rays:
         if ray.contraction is None:
@@ -155,12 +153,13 @@ def build_targets(record: FanoRecord,
             if not pointed.pointed:
                 raise ExhaustionError(f"{where}: edge cone contains the "
                                       f"line through {pointed.line}")
-            targets[ray.label] = TargetEntry(cone.generators, "record-table")
+            targets[ray.label] = TargetEntry(cone.extreme_rays(),
+                                             "record-table")
         elif prefer_record_tables and record.rho == 2:
             pushforward_map(record, ray.label)
             targets[ray.label] = TargetEntry(((1,),), "rank-one")
         else:
-            targets[ray.label] = derive_target_edges(record, full, ray.label)
+            targets[ray.label] = derive_target_edges(record, ray.label)
     return targets
 
 

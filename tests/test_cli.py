@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from fanoray import datafiles
 from fanoray.chambers import nef_cone
 from fanoray.cli import (RecordReport, Section, _render_table, build_parser,
                          main, verify_records)
+from fanoray.cone import canonicalize_ray
 from fanoray.exhaustion import (ExhaustionReport, Miss, ReciprocalFailure,
                                 build_targets, check_exhaustion)
 from fanoray.flop import flop_config_from_json, parse_flop_config
@@ -829,6 +831,49 @@ def test_a_repeated_target_edge_is_checked_once(capsys, record_paths,
     assert code == 1
 
 
+def test_an_edge_inside_a_transcribed_set_is_reported_once(
+        capsys, data_root, tmp_path):
+    # each record-table set of b2_5_n1 and its mistake fixture, with the sum
+    # of two of its edges appended: the sum lies in the cone of the others,
+    # so it is no target, and only validate names it
+    cases = 0
+    for path in (data_root / "records" / "b2_5_n1.json",
+                 data_root / "mistakes" / "b2_5_n1_mistake.json"):
+        copy = tmp_path / path.stem / path.name
+        copy.parent.mkdir()
+        copy.write_text(path.read_text())
+        before = json.loads(run_cli(capsys, "verify", str(copy.parent))[1])
+        before = before["reports"][0]["sections"]
+        clean_check = run_cli(capsys, "check-exhaustion", str(copy))
+        data = json.loads(path.read_text())
+        for ray in data["rays"]:
+            edges = (ray.get("contraction") or {}).get("target_edges")
+            if edges is None:
+                continue
+            for a, b in combinations(edges, 2):
+                total = [rat_str(rat(x) + rat(y)) for x, y in zip(a, b)]
+                ray["contraction"]["target_edges"] = [*edges, total]
+                copy.write_text(json.dumps(data))
+                cases += 1
+                where = (path.stem, ray["label"], total)
+                after = json.loads(run_cli(capsys, "verify",
+                                           str(copy.parent))[1])
+                after = after["reports"][0]["sections"]
+                assert after[1:] == before[1:], where
+                added = list(after[0]["findings"])
+                for finding in before[0]["findings"]:
+                    added.remove(finding)
+                assert added == [
+                    f"[target-edges] rays.{ray['label']}.contraction"
+                    f".target_edges[{len(edges)}]: edge "
+                    f"{canonicalize_ray([rat(x) for x in total])} lies in "
+                    f"the cone of the other edges"], where
+                assert run_cli(capsys, "check-exhaustion",
+                               str(copy)) == clean_check, where
+            ray["contraction"]["target_edges"] = edges
+    assert cases == 36
+
+
 def test_a_repeated_result_curve_exits_two(capsys, data_root, record_paths,
                                            tmp_path):
     # the l12 row would be printed and compared twice
@@ -932,3 +977,122 @@ def test_a_repeated_list_entry_is_rejected_or_changes_nothing(
         if after[0] != 2 and (after != before or load(copy) != load(data)):
             changed.append(path)
     assert changed == []
+
+
+# exit paths that no other test reaches, each pinned with its message
+
+def _edited(source, directory, edit):
+    """The JSON file ``source``, changed in place by ``edit`` and written to
+    ``directory`` under its own name."""
+    data = json.loads(source.read_text())
+    edit(data)
+    path = directory / source.name
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _sections(out):
+    return {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
+
+
+def test_a_pullback_of_too_low_rank_is_named(capsys, record_paths, tmp_path):
+    def zero_column_4_of_l1(data):
+        for row in data["rays"][0]["contraction"]["pullback"]:  # l1
+            row[3] = "0"
+
+    path = _edited(record_paths["b2_5_n1"], tmp_path, zero_column_4_of_l1)
+    rank_3 = ("B2=5/n1: pushforward of l1 has rank 3, expected 4; its kernel "
+              "is larger than the contracted ray")
+    assert run_cli(capsys, "check-exhaustion", str(path)) == (
+        2, "", f"error: {rank_3}\n")
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    sections = _sections(out)
+    assert sections["validate"]["findings"] == [
+        "[pullback] rays.l1.contraction: pullback rank 3 != 4"]
+    for check in ("exhaustion", "facet-patch"):
+        assert sections[check] == {"check": check, "status": "skipped",
+                                   "findings": [], "detail": rank_3}
+    assert code == 1
+
+
+def test_a_ray_set_holding_a_line_is_not_pointed(capsys, record_paths,
+                                                 tmp_path):
+    # l4 = -l3 makes the ray cone hold the line through l3
+    path = _edited(record_paths["b2_3_n31"], tmp_path, lambda data: data[
+        "rays"].append({"label": "l4", "vec": ["-1", "0", "0"],
+                        "antiK": "-2", "type": "C"}))
+    assert run_cli(capsys, "check-exhaustion", str(path)) == (
+        2, "", "error: B2=3/n31: ray set is not pointed\n")
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert ("[pointedness] rays: ray cone contains the line through "
+            "(-1, 0, 0)") in _sections(out)["validate"]["findings"]
+    assert code == 1
+
+
+def test_derive_antik_names_an_underdetermined_system(capsys, record_paths,
+                                                      tmp_path):
+    # l3 = (-2, 1, 1) = l1 + l2, so the three rows span only a plane
+    def replace_l3(data):
+        data["rays"][2].update(vec=["-2", "1", "1"], antiK="2")
+
+    path = _edited(record_paths["b2_3_n31"], tmp_path, replace_l3)
+    code, out, _ = run_cli(capsys, "derive-antik", str(path))
+    assert json.loads(out) == {"record": "B2=3/n31",
+                               "status": "underdetermined", "kernel_dim": 1}
+    assert code == 1
+
+
+def test_derive_antik_witnesses_an_irreducible_triple(capsys, record_paths,
+                                                      tmp_path):
+    # every two of the three rows agree, only all three contradict: the
+    # witness comes from the greedy reduction, not the single or pair scan
+    path = _edited(record_paths["b2_2_n1"], tmp_path, lambda data: data[
+        "rays"].append({"label": "l3", "vec": ["0", "1"], "antiK": "3",
+                        "type": "C"}))
+    code, out, _ = run_cli(capsys, "derive-antik", str(path))
+    assert json.loads(out)["witnesses"] == ["l1", "l2", "l3"]
+    assert code == 1
+
+
+def test_verify_on_a_file_exits_two(capsys, record_paths):
+    path = record_paths["b2_2_n1"]
+    assert run_cli(capsys, "verify", str(path)) == (
+        2, "", f"error: not a directory: {path}\n")
+
+
+def test_a_flop_config_with_inconsistent_vanishing_conditions_fails(
+        capsys, data_root, record_paths, tmp_path):
+    def zero_contracted_exc_rows(data):
+        for curve in data["test_curves"]:
+            if curve["contracted_by_flop"]:
+                curve["exc_row"] = ["0"] * len(curve["exc_row"])
+
+    _edited(data_root / "flops" / "e1_b2_2_n1.json", tmp_path,
+            zero_contracted_exc_rows)
+    shutil.copy(record_paths["b2_2_n1"], tmp_path)
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert _sections(out)["flop-tables"] == {
+        "check": "flop-tables", "status": "fail", "findings": [
+            "[flop-config] e1_b2_2_n1.json: inconsistent vanishing "
+            "conditions for 'E': curves ['M']"]}
+    assert code == 1
+
+
+def test_a_renamed_ray_is_absent_from_and_missing_in_the_reference(
+        capsys, data_root, record_paths, tmp_path):
+    def rename_l2_to_l9(data):
+        data["rays"][1]["label"] = "l9"
+        data["flop_tables"]["l9"] = data["flop_tables"].pop("l2")
+
+    _edited(data_root / "mistakes" / "b2_2_n8_mistake.json", tmp_path,
+            rename_l2_to_l9)
+    shutil.copy(record_paths["b2_2_n8"], tmp_path)
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    report = next(r for r in json.loads(out)["reports"]
+                  if r["record"] == "B2=2/n8mistake")
+    corrections = report["sections"][-1]
+    assert corrections["check"] == "corrections"
+    assert {"[correction] rays.l9: ray absent from the reference record",
+            "[correction] rays.l2: ray missing (present in the reference)"
+            } <= set(corrections["findings"])
+    assert code == 1

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -50,14 +51,14 @@ def test_derived_edges_b2_5_n1_counts(records):
     rec = records["b2_5_n1"]
     for label, count in [("l4", 4), ("l5", 4), ("l6", 4), ("l7", 7),
                          ("l1", 5), ("l8", 4)]:
-        entry = derive_target_edges(rec, ALL8, label)
+        entry = derive_target_edges(rec, label)
         assert len(entry.edges) == count, label
         assert entry.provenance == "derived-oracle"
 
 
 def test_derived_edges_l7_include_the_flopping_curve(records):
     rec = records["b2_5_n1"]
-    entry = derive_target_edges(rec, ALL8, "l7")
+    entry = derive_target_edges(rec, "l7")
     flopping = canonicalize_ray(phi(rec, "l7", rec.ray("l8").vec))
     assert flopping in entry.edges
     assert flopping == (1, 1, 1, 2)
@@ -65,7 +66,7 @@ def test_derived_edges_l7_include_the_flopping_curve(records):
 
 def test_derived_edges_rho2_single_edge(records):
     rec = records["b2_2_n1"]
-    entry = derive_target_edges(rec, ["l1", "l2"], "l1")
+    entry = derive_target_edges(rec, "l1")
     assert len(entry.edges) == 1
 
 
@@ -278,32 +279,34 @@ def test_added_proposal_label_avoids_record_labels(records):
             == [len(r.misses) for r in expected.reports] == [4, 3])
 
 
-def _outcome(derive, record, labels, label):
+def _outcome(derive, *args):
     """The edges and provenance derived, or the class of the exception."""
     try:
-        return derive(record, labels, label)
+        return derive(*args)
     except Exception as exc:  # compared by class
         return type(exc)
 
 
 def test_derived_edges_match_the_image_cone_reference(data_root):
-    # every fixture x every non-empty label subset x every contracted label
-    # in it; the records are loaded afresh so no memoised cone is shared
+    # every fixture truncated to every non-empty ray subset x every
+    # contracted ray in it; each truncation starts with an empty cone memo
     cases = 0
     for sub in ("records", "mistakes", "extra"):
         for path in sorted((data_root / sub).glob("*.json")):
             record = record_from_json(json.loads(path.read_text()))
-            labels = record.ray_labels()
-            for size in range(1, len(labels) + 1):
-                for subset in combinations(labels, size):
-                    for label in subset:
-                        if record.ray(label).contraction is None:
+            for size in range(1, len(record.rays) + 1):
+                for rays in combinations(record.rays, size):
+                    truncated = replace(record, rays=rays)
+                    for ray in rays:
+                        if ray.contraction is None:
                             continue
                         cases += 1
-                        assert _outcome(derive_target_edges, record, subset,
-                                        label) == _outcome(
-                            derive_target_edges_reference, record, subset,
-                            label), (path.stem, subset, label)
+                        assert _outcome(
+                            derive_target_edges, truncated, ray.label
+                        ) == _outcome(
+                            derive_target_edges_reference, truncated,
+                            truncated.ray_labels(), ray.label), (
+                            path.stem, truncated.ray_labels(), ray.label)
     assert cases == 2448
 
 
@@ -349,9 +352,9 @@ def test_derived_edges_match_the_reference_on_random_cones(data):
     phi = [tuple(sum(m * row[j] for m, row in zip(coeffs, complement))
                  for j in range(dim)) for coeffs in mix]
     record = _record_with_chart(gens, contracted, phi)
-    labels = record.ray_labels()
-    derived = derive_target_edges(record, labels, "c")
-    assert derived == derive_target_edges_reference(record, labels, "c")
+    derived = derive_target_edges(record, "c")
+    assert derived == derive_target_edges_reference(
+        record, record.ray_labels(), "c")
 
 
 def _b2_3_n31_with_an_inner_contracted_ray(data_root):
