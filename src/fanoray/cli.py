@@ -32,9 +32,9 @@ from .rational import ExactArithError, Vec, rat_str
 OK, FOUND, UNUSABLE = 0, 1, 2
 
 
-def _write(payload, file=None) -> None:
-    """Report JSON with sorted keys, on stdout or into an open ``file``."""
-    print(json.dumps(payload, indent=2, sort_keys=True), file=file)
+def _json(payload) -> str:
+    """Report JSON: sorted keys, indented by two."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _read_json(path: Path):
@@ -158,12 +158,11 @@ def verify_records(records: Mapping[str, tuple[FanoRecord, list[Finding]]],
     return reports
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     data_dir = Path(args.data_dir or os.environ.get("MRA_DATA")
                     or datafiles.records_dir())
     if not data_dir.is_dir():
-        print(f"error: not a directory: {data_dir}", file=sys.stderr)
-        return UNUSABLE
+        raise RecordError(str(data_dir), "not a directory")
     records, configs = {}, {}
     for path in sorted(data_dir.glob("*.json")):
         head = _read_json(path)
@@ -174,31 +173,26 @@ def cmd_verify(args) -> int:
                 record = record_from_json(head)
                 records[path.name] = record, validate_record(record)
         except RecordError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return UNUSABLE
+            raise RecordError(str(path), str(exc)) from None
     if not records:  # nothing would be checked, so a pass would be vacuous
-        print(f"error: {data_dir}: no record files", file=sys.stderr)
-        return UNUSABLE
+        raise RecordError(str(data_dir), "no record files")
 
     reports = verify_records(records, configs)
-    failed = any(report.status == "fail" for report in reports)
+    passed = all(report.status == "pass" for report in reports)
     summary = {"records": len(reports), "flop_configs": len(configs),
-               "status": "fail" if failed else "pass"}
+               "status": "pass" if passed else "fail"}
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         audits = {f"{Path(report.file).stem}.audit.json": report.to_json()
                   for report in reports}
         for name, payload in {**audits, "summary.json": summary}.items():
-            with open(out / name, "w", encoding="utf-8") as file:
-                _write(payload, file)
-        _write(summary)
-    elif args.human:
-        print(_render_table(reports, summary))
-    else:
-        _write({"reports": [r.to_json() for r in reports],
-                "summary": summary})
-    return FOUND if failed else OK
+            (out / name).write_text(_json(payload) + "\n", encoding="utf-8")
+        return passed, summary
+    if args.human:
+        return passed, _render_table(reports, summary)
+    return passed, {"reports": [r.to_json() for r in reports],
+                    "summary": summary}
 
 
 def _render_table(reports: Sequence[RecordReport], summary) -> str:
@@ -235,14 +229,13 @@ def _read_proposal(path: Path, rho: int) -> Vec:
     return require_direction(str(path), _vec_at(data, str(path), rho))
 
 
-def cmd_check_exhaustion(args) -> int:
+def cmd_check_exhaustion(args):
     record = record_from_json(_read_json(Path(args.record)))
     labels = record.ray_labels()
     for drop in args.drop_ray:
         if drop not in labels:
-            print(f"error: unknown ray label {drop!r} "
-                  f"(record has {labels})", file=sys.stderr)
-            return UNUSABLE
+            raise RecordError(args.record, f"unknown ray label {drop!r} "
+                              f"(record has {labels})")
     candidates = [lab for lab in labels if lab not in args.drop_ray]
     targets = build_targets(record,
                             prefer_record_tables=(args.targets == "auto"))
@@ -250,20 +243,19 @@ def cmd_check_exhaustion(args) -> int:
         proposals = [_read_proposal(Path(p), record.rho)
                      for p in args.propose]
         result = extend_candidates(record, candidates, targets, proposals)
-        _write({"final_candidates": list(result.final_candidates),
-                "events": list(result.events),
-                "trail": [r.to_json() for r in result.reports]})
-        return OK if result.passed else FOUND
+        return result.passed, {
+            "final_candidates": list(result.final_candidates),
+            "events": list(result.events),
+            "trail": [r.to_json() for r in result.reports]}
     report = check_exhaustion(record, candidates, targets)
-    _write(report.to_json())
-    return OK if report.passed else FOUND
+    return report.passed, report.to_json()
 
 
 # ---------------------------------------------------------------------------
 # flop / nef / derive-antik
 # ---------------------------------------------------------------------------
 
-def cmd_flop(args) -> int:
+def cmd_flop(args):
     cfg = flop_config_from_json(_read_json(Path(args.config)))
     result = compute_flop(cfg)
     payload = {
@@ -281,11 +273,10 @@ def cmd_flop(args) -> int:
         record = record_from_json(_read_json(Path(args.record)))
         findings = verify_against_table(record, cfg, result)
         payload["table_findings"] = [f.render() for f in findings]
-    _write(payload)
-    return FOUND if findings else OK
+    return not findings, payload
 
 
-def cmd_nef(args) -> int:
+def cmd_nef(args):
     record = record_from_json(_read_json(Path(args.record)))
     # its dual, the nef cone, has its extreme rays for facet normals and its
     # facets for generators
@@ -301,11 +292,10 @@ def cmd_nef(args) -> int:
         graph = chamber_graph(record)
         Path(args.dot).write_text(emit_dot(graph), encoding="utf-8")
         payload["dot"] = args.dot
-    _write(payload)
-    return OK
+    return True, payload
 
 
-def cmd_derive_antik(args) -> int:
+def cmd_derive_antik(args):
     record = record_from_json(_read_json(Path(args.record)))
     derived = record.derived_antiK
     payload = {"record": record.record_id.render(), "status": derived.status}
@@ -319,15 +309,13 @@ def cmd_derive_antik(args) -> int:
                                "consistent": len(record.rays) - rays_bad}
         payload["table_rows"] = {"checked": rows,
                                  "consistent": rows - len(bad) + rays_bad}
-    elif derived.status == "inconsistent":
+        return not bad, payload
+    if derived.status == "inconsistent":
         payload["witnesses"] = [record.rays[i].label
                                 for i in derived.witnesses]
-        bad = payload["witnesses"]
     else:
         payload["kernel_dim"] = derived.kernel_dim
-        bad = ["underdetermined"]
-    _write(payload)
-    return FOUND if bad else OK
+    return False, payload
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: the one writer of stdout and of exit codes."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        passed, report = args.func(args)
     except (RecordError, FlopError, ChamberError, ExhaustionError, ConeError,
             ExactArithError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return UNUSABLE
+    text = report if isinstance(report, str) else _json(report)
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the last flush cannot fail
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe is no error
+            print(f"error: {exc}", file=sys.stderr)
+            return UNUSABLE
+    return OK if passed else FOUND
 
 
 if __name__ == "__main__":

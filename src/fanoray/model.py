@@ -159,8 +159,7 @@ class FanoRecord:
 
     @cached_property
     def derived_antiK(self) -> "AntiKDerivation":
-        """derive_antiK_combo on the ray rows, computed once (it raises,
-        uncached, when there are fewer rays than rho)."""
+        """derive_antiK_combo on the ray rows, computed once."""
         return derive_antiK_combo([(r.vec, r.antiK) for r in self.rays],
                                   self.rho)
 
@@ -544,10 +543,10 @@ def derive_antiK_combo(rows: Sequence[tuple[Vec, Rat]],
 
     Unique solution when the rows have full rank and agree; otherwise the
     kernel dimension (underdetermined) or an irreducible witness set of
-    mutually inconsistent row indices.
+    mutually inconsistent row indices; ``rho`` is the number of unknowns.
     """
-    if len(rows) < rho:
-        raise ExactArithError(f"need at least {rho} rows, got {len(rows)}")
+    if not rows:
+        return AntiKDerivation("underdetermined", kernel_dim=rho)
     a = [r[0] for r in rows]
     b = [r[1] for r in rows]
     solved = solve_linear(a, b)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -1057,7 +1058,7 @@ def test_derive_antik_witnesses_an_irreducible_triple(capsys, record_paths,
 def test_verify_on_a_file_exits_two(capsys, record_paths):
     path = record_paths["b2_2_n1"]
     assert run_cli(capsys, "verify", str(path)) == (
-        2, "", f"error: not a directory: {path}\n")
+        2, "", f"error: {path}: not a directory\n")
 
 
 def test_a_flop_config_with_inconsistent_vanishing_conditions_fails(
@@ -1096,3 +1097,141 @@ def test_a_renamed_ray_is_absent_from_and_missing_in_the_reference(
             "[correction] rays.l2: ray missing (present in the reference)"
             } <= set(corrections["findings"])
     assert code == 1
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["clean", "failing"])
+def test_a_closed_stdout_keeps_the_verdict(failing, data_root, tmp_path):
+    # the reader is gone before verify writes its report: the exit code is
+    # still verify's verdict, and nothing is printed on stderr
+    directory = data_root / "records"
+    if failing:  # the -K mismatch at l25 fails verify
+        shutil.copy(data_root / "mistakes" / "b2_5_n1_mistake.json", tmp_path)
+        directory = tmp_path
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanoray.cli", "verify", str(directory)],
+            stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (int(failing), "")
+
+
+def test_derive_antik_on_fewer_rays_than_rho_is_underdetermined(
+        capsys, record_paths, tmp_path):
+    # b2_5_n1 cut to l1-l3: three rows for five unknowns, the same answer
+    # as five rows of rank three (l1-l3, then l1 + l2 and l2 + l3)
+    def cut_to_l1_l3(data):
+        data["rays"] = data["rays"][:3]
+        data["flop_tables"] = {}
+
+    path = _edited(record_paths["b2_5_n1"], tmp_path, cut_to_l1_l3)
+    underdetermined = {"record": "B2=5/n1", "status": "underdetermined",
+                       "kernel_dim": 2}
+    code, out, err = run_cli(capsys, "derive-antik", str(path))
+    assert (code, json.loads(out), err) == (1, underdetermined, "")
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert _sections(out)["antik-audit"] == {
+        "check": "antik-audit", "status": "fail", "findings": [],
+        "detail": {"status": "too few rays"}}
+    assert code == 1
+
+    def add_two_sums(data):
+        cut_to_l1_l3(data)
+        for label, (a, b) in (("l4", (0, 1)), ("l5", (1, 2))):
+            data["rays"].append({
+                "label": label, "type": "C", "antiK": "2",
+                "vec": [rat_str(rat(x) + rat(y)) for x, y in
+                        zip(data["rays"][a]["vec"], data["rays"][b]["vec"])]})
+
+    path = _edited(record_paths["b2_5_n1"], tmp_path, add_two_sums)
+    code, out, _ = run_cli(capsys, "derive-antik", str(path))
+    assert (code, json.loads(out)) == (1, underdetermined)
+
+
+L12_MISMATCH = ("[flop-table] flop_tables.l2.l12: table says (1/2, 3/2 | 3/2), "
+                "recomputation gives (1/2, 1/2 | 3/2)")
+
+
+def test_a_flop_table_cell_that_disagrees_is_named(capsys, data_root,
+                                                   record_paths, tmp_path):
+    def change_l12(data):
+        data["flop_tables"]["l2"][0].update(vec=["1/2", "3/2"])  # l12
+
+    record = _edited(record_paths["b2_2_n28"], tmp_path, change_l12)
+    config = data_root / "flops" / "e5_b2_2_n28.json"
+    shutil.copy(config, tmp_path)
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert _sections(out)["flop-tables"] == {
+        "check": "flop-tables", "status": "fail", "findings": [L12_MISMATCH]}
+    assert code == 1
+    code, out, err = run_cli(capsys, "flop", str(config), "--record",
+                             str(record))
+    assert (code, json.loads(out)["table_findings"], err) == (
+        1, [L12_MISMATCH], "")
+
+
+def test_a_flop_config_tracking_other_divisors_than_the_basis(
+        capsys, data_root, record_paths, tmp_path):
+    config = _edited(data_root / "flops" / "e5_b2_2_n28.json", tmp_path,
+                     lambda data: data.update(tracked_divisors=["E", "H"]))
+    shutil.copy(record_paths["b2_2_n28"], tmp_path)
+    message = ("record basis ('E', 'Blp*O(1)') does not match tracked "
+               "divisors ('E', 'H')")
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert _sections(out)["flop-tables"] == {
+        "check": "flop-tables", "status": "fail",
+        "findings": [f"[flop-config] e5_b2_2_n28.json: {message}"]}
+    assert code == 1
+    assert run_cli(capsys, "flop", str(config), "--record",
+                   str(record_paths["b2_2_n28"])) == (
+        2, "", f"error: {message}\n")
+
+
+def _a_file(record_paths, tmp):
+    path = record_paths["b2_2_n1"]
+    return ["verify", str(path)], path, "not a directory"
+
+
+def _a_directory_entry(record_paths, tmp):
+    (tmp / "x.json").mkdir()
+    return ["verify", str(tmp)], tmp / "x.json", "unreadable: [Errno 21] "
+
+
+def _a_schema_error(record_paths, tmp):
+    path = _edited(record_paths["b2_2_n1"], tmp,
+                   lambda data: data.update(rays=5))
+    return ["verify", str(tmp)], path, "record.rays: expected "
+
+
+def _only_flop_configurations(record_paths, tmp):
+    shutil.copy(datafiles.data_root() / "flops" / "e5_b2_2_n28.json", tmp)
+    return ["verify", str(tmp)], tmp, "no record files"
+
+
+def _an_unknown_drop_ray(record_paths, tmp):
+    path = record_paths["b2_5_n1"]
+    return (["check-exhaustion", str(path), "--drop-ray", "l99"], path,
+            "unknown ray label 'l99' (record has ['l1', ")
+
+
+def _a_proposal_that_is_no_vector(record_paths, tmp):
+    path = tmp / "p.json"
+    path.write_text('{"vec": 3}')
+    return (["check-exhaustion", str(record_paths["b2_5_n1"]),
+             "--propose", str(path)], path,
+            "expected a vector or {'vec': [...]}")
+
+
+@pytest.mark.parametrize("case", [
+    _a_file, _a_directory_entry, _a_schema_error, _only_flop_configurations,
+    _an_unknown_drop_ray, _a_proposal_that_is_no_vector],
+    ids=lambda case: case.__name__.lstrip("_"))
+def test_unusable_input_exits_two_naming_its_path(case, capsys, record_paths,
+                                                  tmp_path):
+    argv, path, message = case(record_paths, tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
