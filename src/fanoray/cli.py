@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -27,7 +28,7 @@ from .flop import (FlopConfig, FlopError, compute_flop, flop_config_from_json,
 from .model import (FanoRecord, Finding, RecordError, RecordId, _json_at,
                     _vec_at, antik_mismatches, diff_records, record_from_json,
                     require_direction, validate_record)
-from .rational import ExactArithError, Vec, rat_str
+from .rational import ExactArithError, rat_str
 
 OK, FOUND, UNUSABLE = 0, 1, 2
 
@@ -86,25 +87,24 @@ def _judged(check: str, findings: Sequence[Finding]) -> Section:
     return Section(check, "fail" if findings else "pass", tuple(findings))
 
 
-def verify_records(records: Mapping[str, tuple[FanoRecord, list[Finding]]],
+def verify_records(records: Mapping[str, FanoRecord],
                    configs: Mapping[str, FlopConfig]) -> list[RecordReport]:
-    """Audit each record (file name -> (record, ``validate_record``'s
-    findings)) against the flop configurations (file name -> config) that match it,
-    each solved once, and each mistake variant against the first corrected
-    record of its base id; the reports keep the records' order."""
+    """Validate and audit each record (file name -> record) against the
+    flop configurations (file name -> config) that match it, each solved
+    once, and each mistake variant against the first corrected record of
+    its base id; the reports keep the records' order."""
     solved = {}  # config file -> its FlopResult, or its failure's finding
     reports = []
-    for name, (record, load_findings) in records.items():
+    for name, record in records.items():
         rid = record.record_id
-        derived = (record.derived_antiK if len(record.rays) >= record.rho
-                   else None)
-        if derived is not None and derived.status == "ok":
+        derived = record.derived_antiK
+        if derived.status == "ok":
             antik = Section("antik-audit", "pass", detail={
                 "combo": [rat_str(e) for e in derived.combo]})
         else:
-            antik = Section("antik-audit", "fail", detail={
-                "status": derived.status if derived else "too few rays"})
-        sections = [_judged("validate", load_findings), antik]
+            antik = Section("antik-audit", "fail",
+                            detail={"status": derived.status})
+        sections = [_judged("validate", validate_record(record)), antik]
 
         targets = report = patch = None
         skip = "no contraction descriptors"
@@ -149,7 +149,7 @@ def verify_records(records: Mapping[str, tuple[FanoRecord, list[Finding]]],
             else Section("flop-tables", "skipped",
                          detail="no matching flop configuration"))
 
-        siblings = [other for other, _ in records.values()
+        siblings = [other for other in records.values()
                     if other.record_id == rid.base()]  # corrected ones
         if rid.variant and "mistake" in rid.variant and siblings:
             sections.append(
@@ -159,8 +159,7 @@ def verify_records(records: Mapping[str, tuple[FanoRecord, list[Finding]]],
 
 
 def cmd_verify(args):
-    data_dir = Path(args.data_dir or os.environ.get("MRA_DATA")
-                    or datafiles.records_dir())
+    data_dir = Path(args.data_dir or datafiles.records_dir())
     if not data_dir.is_dir():
         raise RecordError(str(data_dir), "not a directory")
     records, configs = {}, {}
@@ -170,8 +169,7 @@ def cmd_verify(args):
             if isinstance(head, dict) and "tracked_divisors" in head:
                 configs[path.name] = flop_config_from_json(head)
             else:
-                record = record_from_json(head)
-                records[path.name] = record, validate_record(record)
+                records[path.name] = record_from_json(head)
         except RecordError as exc:
             raise RecordError(str(path), str(exc)) from None
     if not records:  # nothing would be checked, so a pass would be vacuous
@@ -220,15 +218,6 @@ def _render_table(reports: Sequence[RecordReport], summary) -> str:
 # check-exhaustion
 # ---------------------------------------------------------------------------
 
-def _read_proposal(path: Path, rho: int) -> Vec:
-    data = _read_json(path)
-    if isinstance(data, dict):
-        data = data.get("vec", data)
-    if not isinstance(data, list):
-        raise RecordError(str(path), "expected a vector or {'vec': [...]}")
-    return require_direction(str(path), _vec_at(data, str(path), rho))
-
-
 def cmd_check_exhaustion(args):
     record = record_from_json(_read_json(Path(args.record)))
     labels = record.ray_labels()
@@ -240,8 +229,10 @@ def cmd_check_exhaustion(args):
     targets = build_targets(record,
                             prefer_record_tables=(args.targets == "auto"))
     if args.propose:
-        proposals = [_read_proposal(Path(p), record.rho)
-                     for p in args.propose]
+        # one vector per file, read as every vector in a record is
+        proposals = [require_direction(str(p), _vec_at(_read_json(p), str(p),
+                                                       record.rho))
+                     for p in map(Path, args.propose)]
         result = extend_candidates(record, candidates, targets, proposals)
         return result.passed, {
             "final_candidates": list(result.final_candidates),
@@ -338,11 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="audit a directory of record/flop JSON")
     p.add_argument("data_dir", nargs="?",
-                   help="directory of records (default: $MRA_DATA or the "
-                        "packaged corpus)")
-    p.add_argument("--out", help="write one audit JSON per record here")
-    p.add_argument("--human", action="store_true",
-                   help="compact table on stdout instead of JSON")
+                   help="directory of records (default: the packaged corpus)")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--out", help="write one audit JSON per record here")
+    output.add_argument("--human", action="store_true",
+                        help="compact table on stdout instead of JSON")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("check-exhaustion",
@@ -372,6 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unusable(exc: Exception) -> int:
+    """Exit code 2, saying why on stderr if stderr can be written."""
+    with contextlib.suppress(OSError):  # a failed write changes no verdict
+        if sys.stderr is not None:  # None when fd 2 was closed at start
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+    return UNUSABLE
+
+
 def main(argv=None) -> int:
     """Run one command: the one writer of stdout and of exit codes."""
     args = build_parser().parse_args(argv)
@@ -379,8 +378,7 @@ def main(argv=None) -> int:
         passed, report = args.func(args)
     except (RecordError, FlopError, ChamberError, ExhaustionError, ConeError,
             ExactArithError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return UNUSABLE
+        return _unusable(exc)
     text = report if isinstance(report, str) else _json(report)
     try:
         print(text, flush=True)
@@ -389,8 +387,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())  # the last flush cannot fail
         os.close(devnull)
         if not isinstance(exc, BrokenPipeError):  # a closed pipe is no error
-            print(f"error: {exc}", file=sys.stderr)
-            return UNUSABLE
+            return _unusable(exc)
     return OK if passed else FOUND
 
 

@@ -247,11 +247,24 @@ def test_verify_unreadable_json_exits_two(capsys, tmp_path):
     assert "junk.json" in err
 
 
-def test_verify_env_default(capsys, corpus_dir, monkeypatch):
-    monkeypatch.setenv("MRA_DATA", str(corpus_dir))
+def test_verify_defaults_to_the_packaged_corpus(capsys, tmp_path,
+                                                monkeypatch):
+    # no environment variable names another directory
+    monkeypatch.setenv("MRA_DATA", str(tmp_path))
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
-    assert json.loads(out)["summary"]["records"] == 9
+    assert json.loads(out)["summary"] == {"records": 9, "flop_configs": 0,
+                                          "status": "pass"}
+
+
+def test_verify_out_and_human_are_exclusive(capsys, corpus_dir, tmp_path):
+    out_dir = tmp_path / "reports"
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", str(corpus_dir), "--out", str(out_dir), "--human"])
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "")
+    assert "not allowed with argument" in captured.err
+    assert not out_dir.exists()
 
 
 def test_verify_out_dir(capsys, corpus_dir, tmp_path):
@@ -290,7 +303,7 @@ def test_verify_out_writes_every_report_and_the_summary(capsys, tmp_path):
 
 def _parsed_fixtures(data_root):
     """All 13 record fixtures and the 4 flop configurations, keyed by file
-    name in name order and parsed as ``verify`` parses them."""
+    name in name order and read as ``verify`` reads them."""
     paths = [path for sub in ("records", "mistakes", "extra", "flops")
              for path in (data_root / sub).glob("*.json")]
     records, configs = {}, {}
@@ -298,7 +311,7 @@ def _parsed_fixtures(data_root):
         if path.parent.name == "flops":
             configs[path.name] = parse_flop_config(path.read_text())
         else:
-            records[path.name] = parse_record(path.read_text(), strict=False)
+            records[path.name] = record_from_json(json.loads(path.read_text()))
     return records, configs
 
 
@@ -326,8 +339,8 @@ def test_verify_records_hands_exhaustions_misses_over_typed(record_paths):
     data = json.loads(record_paths["b2_5_n1"].read_text())
     data["rays"] = [r for r in data["rays"] if r["label"] != "l8"]
     del data["flop_tables"]["l8"]
-    record, findings = parse_record(json.dumps(data), strict=False)
-    [report] = verify_records({"b2_5_n1.json": (record, findings)}, {})
+    record = record_from_json(data)
+    [report] = verify_records({"b2_5_n1.json": record}, {})
     section = next(s for s in report.sections if s.check == "exhaustion")
     expected = check_exhaustion(record, record.ray_labels(),
                                 build_targets(record))
@@ -335,6 +348,21 @@ def test_verify_records_hands_exhaustions_misses_over_typed(record_paths):
     assert section.findings == ()
     assert section.detail.misses == expected.misses
     assert [miss.ray_label for miss in expected.misses] == ["l4", "l5", "l6"]
+
+
+def test_verify_records_validates_each_record_itself(data_root):
+    # the mistake fixture alone: its validate section holds the findings
+    # of the verify golden, which no caller handed over
+    path = data_root / "mistakes" / "b2_2_n8_mistake.json"
+    record = record_from_json(json.loads(path.read_text()))
+    [report] = verify_records({path.name: record}, {})
+    golden = json.loads((GOLDEN / "verify_json.out").read_text())
+    [expected] = [section for entry in golden["reports"]
+                  if entry["file"] == path.name
+                  for section in entry["sections"]
+                  if section["check"] == "validate"]
+    assert report.sections[0].to_json() == expected
+    assert (expected["status"], len(expected["findings"])) == ("fail", 3)
 
 
 def test_verify_human_prints_the_exhaustion_report_it_holds():
@@ -395,7 +423,7 @@ def test_check_exhaustion_with_proposal(capsys, record_paths, tmp_path,
                                         records):
     proposal = tmp_path / "l8.json"
     proposal.write_text(json.dumps(
-        {"vec": [rat_str(e) for e in records["b2_5_n1"].ray("l8").vec]}))
+        [rat_str(e) for e in records["b2_5_n1"].ray("l8").vec]))
     code, out, _ = run_cli(capsys, "check-exhaustion",
                            str(record_paths["b2_5_n1"]),
                            "--drop-ray", "l8", "--propose", str(proposal))
@@ -1118,6 +1146,27 @@ def test_a_closed_stdout_keeps_the_verdict(failing, data_root, tmp_path):
     assert (proc.returncode, proc.stderr) == (int(failing), "")
 
 
+@pytest.mark.parametrize("stderr", ["closed_pipe", "full", "closed_fd"])
+def test_unusable_input_exits_two_when_stderr_cannot_be_written(stderr):
+    # a failed write of the error message changes no exit code, and the
+    # message never lands on stdout
+    argv = [sys.executable, "-m", "fanoray.cli", "verify", "/nonexistent"]
+    if stderr == "closed_pipe":
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=write)
+        finally:
+            os.close(write)
+    elif stderr == "full":
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=full)
+    else:
+        proc = subprocess.run(argv, stdout=subprocess.PIPE,
+                              preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 def test_derive_antik_on_fewer_rays_than_rho_is_underdetermined(
         capsys, record_paths, tmp_path):
     # b2_5_n1 cut to l1-l3: three rows for five unknowns, the same answer
@@ -1134,7 +1183,7 @@ def test_derive_antik_on_fewer_rays_than_rho_is_underdetermined(
     code, out, _ = run_cli(capsys, "verify", str(tmp_path))
     assert _sections(out)["antik-audit"] == {
         "check": "antik-audit", "status": "fail", "findings": [],
-        "detail": {"status": "too few rays"}}
+        "detail": {"status": "underdetermined"}}
     assert code == 1
 
     def add_two_sums(data):
@@ -1221,12 +1270,22 @@ def _a_proposal_that_is_no_vector(record_paths, tmp):
     path.write_text('{"vec": 3}')
     return (["check-exhaustion", str(record_paths["b2_5_n1"]),
              "--propose", str(path)], path,
-            "expected a vector or {'vec': [...]}")
+            "expected a non-empty array of rationals")
+
+
+def _a_proposal_wrapped_in_an_object(record_paths, tmp):
+    # a proposal is read as a record's vectors are: a bare array
+    path = tmp / "p.json"
+    path.write_text('{"vec": ["0", "0", "0", "0", "1"]}')
+    return (["check-exhaustion", str(record_paths["b2_5_n1"]),
+             "--propose", str(path)], path,
+            "expected a non-empty array of rationals")
 
 
 @pytest.mark.parametrize("case", [
     _a_file, _a_directory_entry, _a_schema_error, _only_flop_configurations,
-    _an_unknown_drop_ray, _a_proposal_that_is_no_vector],
+    _an_unknown_drop_ray, _a_proposal_that_is_no_vector,
+    _a_proposal_wrapped_in_an_object],
     ids=lambda case: case.__name__.lstrip("_"))
 def test_unusable_input_exits_two_naming_its_path(case, capsys, record_paths,
                                                   tmp_path):
