@@ -12,3 +12,9 @@ def data_root() -> Path:
 
 def records_dir() -> Path:
     return data_root() / "records"
+
+
+def corpus() -> list[Path]:
+    """The packaged corrected records and flop configurations."""
+    return sorted([*records_dir().glob("*.json"),
+                   *(data_root() / "flops").glob("*.json")])

@@ -21,7 +21,7 @@ from .rational import (ExactArithError, Mat, Rat, Vec, apply, dot,
                        inconsistent_rows, rat, rat_str, rank, solve_linear,
                        transpose)
 
-RAY_TYPES = ("E1", "E2", "E3", "E4", "E5", "C", "D", "F_fiber", "Flopping")
+RAY_TYPES = ("E1", "E2", "E3", "E4", "E5", "C", "D")
 DIVISORIAL_TYPES = ("E1", "E2", "E3", "E4", "E5")
 FLOP_TYPES = ("E1", "E2", "E3", "E4", "E5",
               "E1_inv", "E2_inv", "E3_inv", "E4_inv", "E5_inv",
@@ -492,14 +492,13 @@ def validate_record(record: FanoRecord) -> list[Finding]:
     except (ConeError, ExactArithError) as exc:  # e.g. a zero ray vector
         findings.append(Finding("pointedness", "rays", str(exc)))
 
-    if len(record.rays) < record.rho:
+    derived = record.derived_antiK
+    if derived.status == "underdetermined":
         findings.append(Finding(
             "antiK-combo", "rays",
-            f"{len(record.rays)} ray row(s) cannot determine a "
-            f"rank-{record.rho} anticanonical combination"))
-        return findings
-    derived = record.derived_antiK
-    if derived.status == "ok" and derived.combo != combo:
+            f"ray rows of rank {record.rho - derived.kernel_dim} cannot "
+            f"determine a rank-{record.rho} anticanonical combination"))
+    elif derived.status == "ok" and derived.combo != combo:
         findings.append(Finding(
             "antiK-combo", "antiK_combo",
             f"stored combination ({', '.join(map(rat_str, combo))}) "

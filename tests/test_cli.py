@@ -175,11 +175,10 @@ def test_a_flop_config_with_no_result_curves_exits_two(capsys, data_root,
     assert (code, out, err) == (2, "", f"error: {message}")
 
 
-def test_verify_fails_on_a_failed_section_without_findings(capsys,
-                                                          record_paths,
-                                                          tmp_path):
+def test_verify_names_ray_rows_of_rank_below_rho(capsys, record_paths,
+                                                 tmp_path):
     # ray rows of rank 2 in rho = 3 leave the -K combination
-    # underdetermined: antik-audit fails with no findings, nothing else does
+    # underdetermined: validate fails naming the rank, nothing else does
     data = json.loads(record_paths["b2_2_n28"].read_text())
     data.update(id={"b2": 3, "n": 99}, basis=["A", "B", "C"],
                 antiK_combo=["1", "1", "0"], flop_tables={}, rays=[
@@ -193,10 +192,10 @@ def test_verify_fails_on_a_failed_section_without_findings(capsys,
     payload = json.loads(out)
     assert payload["summary"]["status"] == "fail"
     sections = payload["reports"][0]["sections"]
-    assert [(s["check"], s["status"]) for s in sections
-            if s["status"] != "skipped"] == [("validate", "pass"),
-                                             ("antik-audit", "fail")]
-    assert all(s["findings"] == [] for s in sections)
+    assert [(s["check"], s["status"], s["findings"]) for s in sections
+            if s["status"] != "skipped"] == [("validate", "fail", [
+                "[antiK-combo] rays: ray rows of rank 2 cannot determine a "
+                "rank-3 anticanonical combination"])]
 
 
 def test_verify_human_rendering(capsys, corpus_dir, data_root):
@@ -229,6 +228,19 @@ def test_verify_rejects_a_bogus_chamber_self_loop(capsys, record_paths,
                f"'Bogus'\n")
 
 
+@pytest.mark.parametrize("ray_type", ["F_fiber", "Flopping"])
+def test_verify_rejects_a_ray_type_outside_the_schema(ray_type, capsys,
+                                                      record_paths, tmp_path):
+    # a flopping curve is K-trivial and no fixture has a fiber-type ray
+    def retype_l3(data):
+        data["rays"][2]["type"] = ray_type
+
+    path = _edited(record_paths["b2_3_n31"], tmp_path, retype_l3)
+    assert run_cli(capsys, "verify", str(tmp_path)) == (
+        2, "", f"error: {path}: record.rays[2].type: unknown ray type "
+               f"{ray_type!r}\n")
+
+
 def test_flop_rejects_a_repeated_exceptional_divisor(capsys, data_root,
                                                      tmp_path):
     # parsed, the two D1 columns would collapse into one coefficient key
@@ -253,7 +265,7 @@ def test_verify_defaults_to_the_packaged_corpus(capsys, tmp_path,
     monkeypatch.setenv("MRA_DATA", str(tmp_path))
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
-    assert json.loads(out)["summary"] == {"records": 9, "flop_configs": 0,
+    assert json.loads(out)["summary"] == {"records": 9, "flop_configs": 4,
                                           "status": "pass"}
 
 
@@ -1167,6 +1179,10 @@ def test_unusable_input_exits_two_when_stderr_cannot_be_written(stderr):
     assert (proc.returncode, proc.stdout) == (2, b"")
 
 
+RANK_3_OF_5 = ("[antiK-combo] rays: ray rows of rank 3 cannot determine a "
+               "rank-5 anticanonical combination")
+
+
 def test_derive_antik_on_fewer_rays_than_rho_is_underdetermined(
         capsys, record_paths, tmp_path):
     # b2_5_n1 cut to l1-l3: three rows for five unknowns, the same answer
@@ -1181,9 +1197,7 @@ def test_derive_antik_on_fewer_rays_than_rho_is_underdetermined(
     code, out, err = run_cli(capsys, "derive-antik", str(path))
     assert (code, json.loads(out), err) == (1, underdetermined, "")
     code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert _sections(out)["antik-audit"] == {
-        "check": "antik-audit", "status": "fail", "findings": [],
-        "detail": {"status": "underdetermined"}}
+    assert _sections(out)["validate"]["findings"] == [RANK_3_OF_5]
     assert code == 1
 
     def add_two_sums(data):
@@ -1197,6 +1211,57 @@ def test_derive_antik_on_fewer_rays_than_rho_is_underdetermined(
     path = _edited(record_paths["b2_5_n1"], tmp_path, add_two_sums)
     code, out, _ = run_cli(capsys, "derive-antik", str(path))
     assert (code, json.loads(out)) == (1, underdetermined)
+    # five rows of rank three: enough rows, too low a rank
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert _sections(out)["validate"]["findings"] == [RANK_3_OF_5]
+    assert code == 1
+
+
+@pytest.mark.parametrize("stem, label, rank", [("b2_4_n13", "l3", 3),
+                                               ("b2_5_n1", "l7", 4)])
+def test_verify_names_the_rank_of_a_truncated_ray_set(
+        stem, label, rank, capsys, record_paths, tmp_path):
+    # as many rays as rho or more, but one deleted leaves too low a rank
+    def delete(data):
+        data["rays"] = [r for r in data["rays"] if r["label"] != label]
+        data["flop_tables"].pop(label, None)
+
+    _edited(record_paths[stem], tmp_path, delete)
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    assert _sections(out)["validate"]["findings"] == [
+        f"[antiK-combo] rays: ray rows of rank {rank} cannot determine a "
+        f"rank-{rank + 1} anticanonical combination"]
+    assert code == 1
+
+
+def _truncations():
+    """Each corrected record with one ray and that ray's flop table deleted
+    (file name -> record), as the bench's ray-audit verifies them."""
+    for path in sorted(datafiles.records_dir().glob("*.json")):
+        data = json.loads(path.read_text())
+        for ray in data["rays"]:
+            cut = {**data, "rays": [r for r in data["rays"] if r is not ray],
+                   "flop_tables": {k: v for k, v in data["flop_tables"].items()
+                                   if k != ray["label"]}}
+            yield f"{path.stem}_{ray['label']}.json", record_from_json(cut)
+
+
+def test_no_failed_section_without_a_reason(data_root):
+    # every failed section says why: a finding, or an exhaustion report
+    # with a miss or a reciprocal failure
+    records, configs = _parsed_fixtures(data_root)
+    reports = verify_records(records, configs)
+    for name, record in _truncations():
+        reports += verify_records({name: record}, {})
+    assert len(reports) == 13 + 32
+    failed = [(report.file, section) for report in reports
+              for section in report.sections if section.status == "fail"]
+    reasonless = [
+        (file, section.check) for file, section in failed
+        if not section.findings and not (
+            isinstance(section.detail, ExhaustionReport)
+            and (section.detail.misses or section.detail.reciprocal_failures))]
+    assert failed and reasonless == []
 
 
 L12_MISMATCH = ("[flop-table] flop_tables.l2.l12: table says (1/2, 3/2 | 3/2), "

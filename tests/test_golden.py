@@ -40,7 +40,8 @@ def _cases():
     records = root / "records"
     cases = {"verify_json": ("verify", "{dir}"),
              "verify_human": ("verify", "{dir}", "--human"),
-             "verify_drop_l8": ("verify", "{drop_l8}", "--human")}
+             "verify_drop_l8": ("verify", "{drop_l8}", "--human"),
+             "verify_default_human": ("verify", "--human")}
     for stem in CORRECTED:
         cases[f"nef_{stem}"] = ("nef", str(records / f"{stem}.json"))
     b2_5_n1 = str(records / "b2_5_n1.json")

@@ -31,8 +31,8 @@ _CURVE = flop.TestCurve("C1", (1, Fraction(-1, 2)), (0, 1), True)
 _NODE = ChamberNode("T", "X")
 _EDGE = ChamberEdge("T", "F1", "E1")
 _ROW = FlopRow("C1", (1, 0), 2)
-# a skipped section's detail is a string; a dict detail (antik-audit's) is
-# JSON-ready but unhashable, so it is not sampled here
+# a skipped section's detail is a string, and an exhaustion section's is its
+# report: every section hashes by value
 _SECTION = Section("facet-patch", "skipped", (), "ray cone is not pointed")
 
 # one sample of every value record and its repr as a frozen dataclass
