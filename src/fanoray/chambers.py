@@ -101,12 +101,18 @@ def chamber_graph(record: FanoRecord) -> ChamberGraph:
     return record.chambers
 
 
+def _quoted(text: str) -> str:
+    """A DOT quoted string holding ``text``."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def emit_dot(graph: ChamberGraph) -> str:
     """Deterministic Graphviz text: nodes sorted by id, edges by (from, to)."""
     lines = ["graph {"]
     for node_id, label in graph.nodes:
-        lines.append(f'  "{node_id}" [label="{label}"];')
+        lines.append(f"  {_quoted(node_id)} [label={_quoted(label)}];")
     for src, dst, flop_type in graph.edges:
-        lines.append(f'  "{src}" -- "{dst}" [label="{flop_type}"];')
+        lines.append(f"  {_quoted(src)} -- {_quoted(dst)} "
+                     f"[label={_quoted(flop_type)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

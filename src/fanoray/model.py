@@ -21,7 +21,10 @@ from .rational import (ExactArithError, Mat, Rat, Vec, apply, dot,
                        inconsistent_rows, rat, rat_str, rank, solve_linear,
                        transpose)
 
-RAY_TYPES = ("E1", "E2", "E3", "E4", "E5", "C", "D")
+# ray type -> the lengths -K.l that Mori's classification of extremal
+# contractions of smooth 3-folds allows it
+RAY_TYPES = {"E1": (1,), "E2": (2,), "E3": (1,), "E4": (1,), "E5": (1,),
+             "C": (1, 2), "D": (1, 2, 3)}
 DIVISORIAL_TYPES = ("E1", "E2", "E3", "E4", "E5")
 FLOP_TYPES = ("E1", "E2", "E3", "E4", "E5",
               "E1_inv", "E2_inv", "E3_inv", "E4_inv", "E5_inv",
@@ -336,7 +339,7 @@ def record_from_json(data: dict) -> FanoRecord:
                                  {"label", "vec", "antiK", "type"},
                                  {"contraction"}):
         label = raw["label"]
-        if raw["type"] not in RAY_TYPES:
+        if not isinstance(raw["type"], str) or raw["type"] not in RAY_TYPES:
             raise RecordError(f"{path}.type",
                               f"unknown ray type {raw['type']!r}")
         contraction = None
@@ -421,6 +424,17 @@ def validate_record(record: FanoRecord) -> list[Finding]:
             findings.append(Finding(
                 "fano-positivity", f"rays.{ray.label}",
                 f"-K.{ray.label} = {rat_str(ray.antiK)} is not positive"))
+        elif ray.antiK not in RAY_TYPES[ray.ray_type]:
+            findings.append(Finding(
+                "ray-type", f"rays.{ray.label}",
+                f"-K.{ray.label} = {rat_str(ray.antiK)} is not a length of "
+                f"a type {ray.ray_type} ray "
+                f"({', '.join(map(str, RAY_TYPES[ray.ray_type]))})"))
+        if ray.ray_type == "D" and record.rho != 2:
+            findings.append(Finding(
+                "ray-type", f"rays.{ray.label}",
+                f"a type D contraction maps onto P^1, so rho must be 2, "
+                f"not {record.rho}"))
         if any(ray.vec):  # a zero vector is the pointedness finding's
             first = first_label.setdefault(canonicalize_ray(ray.vec),
                                            ray.label)

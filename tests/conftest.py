@@ -1,3 +1,4 @@
+import shutil
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,16 @@ import pytest
 from fanoray import datafiles
 from fanoray.flop import parse_flop_config
 from fanoray.model import parse_record
+
+
+def flat_fixtures(directory: Path, *subs: str) -> Path:
+    """``directory`` holding the packaged JSON of the given data folders
+    (by default all 13 record fixtures and the 4 flop configurations),
+    flat."""
+    for sub in subs or ("records", "mistakes", "extra", "flops"):
+        for path in (datafiles.data_root() / sub).glob("*.json"):
+            shutil.copy(path, directory / path.name)
+    return directory
 
 
 @pytest.fixture(scope="session")

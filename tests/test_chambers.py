@@ -263,6 +263,23 @@ def test_single_chamber_graph_is_valid(records):
     assert emit_dot(graph) == 'graph {\n  "T" [label="T"];\n}\n'
 
 
+def test_dot_escapes_quotes_and_backslashes(records):
+    # chamber ids and labels are free strings: a quote or a backslash in
+    # one must not end its DOT string early
+    data = serialize_record(records["b2_2_n1"])
+    data["chambers"] = {
+        "nodes": [{"id": "T", "label": 'X" [color=red'},
+                  {"id": "a\\", "label": "a\\"}],
+        "edges": [{"from": "T", "to": "a\\", "type": "F"}]}
+    graph = chamber_graph(record_from_json(data))
+    assert emit_dot(graph) == (
+        'graph {\n'
+        '  "T" [label="X\\" [color=red"];\n'
+        '  "a\\\\" [label="a\\\\"];\n'
+        '  "T" -- "a\\\\" [label="F"];\n'
+        '}\n')
+
+
 def _load_with_chambers(records, node_ids, edges):
     """The loader's error on b2_2_n1 carrying the given chamber graph."""
     data = serialize_record(records["b2_2_n1"])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import pytest
 
@@ -17,11 +18,11 @@ from fanoray.cone import canonicalize_ray
 from fanoray.exhaustion import (ExhaustionReport, Miss, ReciprocalFailure,
                                 build_targets, check_exhaustion)
 from fanoray.flop import flop_config_from_json, parse_flop_config
-from fanoray.model import RecordError, RecordId, parse_record, record_from_json
+from fanoray.model import RecordId, record_from_json
 from fanoray.rational import rat, rat_str
 
-from test_exhaustion import NOT_EXTREME, _b2_3_n31_with_an_inner_contracted_ray
-from test_golden import GOLDEN, _all_fixtures_dir
+from conftest import flat_fixtures
+from test_golden import GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -31,12 +32,9 @@ def run_cli(capsys, *argv):
 
 
 @pytest.fixture()
-def corpus_dir(tmp_path, data_root):
+def corpus_dir(tmp_path):
     """Corrected records plus the flop configurations, one flat directory."""
-    for sub in ("records", "flops"):
-        for path in (data_root / sub).glob("*.json"):
-            shutil.copy(path, tmp_path / path.name)
-    return tmp_path
+    return flat_fixtures(tmp_path, "records", "flops")
 
 
 def test_verify_corrected_corpus_exits_zero(capsys, corpus_dir):
@@ -77,127 +75,6 @@ def test_verify_flags_mistake_fixture(capsys, corpus_dir, data_root):
                        "flop_tables.l7.l67"}
 
 
-def test_verify_skips_facet_patch_on_an_invalid_chart(capsys, record_paths,
-                                                      tmp_path):
-    data = json.loads(record_paths["b2_5_n1"].read_text())
-    l4 = next(r for r in data["rays"] if r["label"] == "l4")
-    l4["contraction"]["pullback"][0][0] = "1"
-    (tmp_path / "b2_5_n1.json").write_text(json.dumps(data))
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert code == 1
-    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
-    assert sections["validate"]["status"] == "fail"
-    assert sections["facet-patch"] == {
-        "check": "facet-patch", "status": "skipped", "findings": [],
-        "detail": "B2=5/n1: descriptor of l4 does not annihilate its own ray"}
-
-
-def test_verify_fails_a_record_that_lists_one_ray_twice(capsys, record_paths,
-                                                      tmp_path):
-    # the ray cone drops the repeat, so only validate can see it
-    data = json.loads(record_paths["b2_5_n1"].read_text())
-    l1 = next(r for r in data["rays"] if r["label"] == "l1")
-    data["rays"].append(dict(l1, label="l9"))
-    (tmp_path / "b2_5_n1.json").write_text(json.dumps(data))
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert code == 1
-    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
-    assert sections["validate"] == {
-        "check": "validate", "status": "fail",
-        "findings": ["[duplicate-ray] rays.l9: same ray as l1"]}
-
-
-def test_verify_fails_exhaustion_on_a_rank_one_record_with_a_ray_deleted(
-        capsys, record_paths, tmp_path):
-    data = json.loads(record_paths["b2_2_n1"].read_text())
-    data["rays"] = [r for r in data["rays"] if r["label"] != "l1"]
-    data["flop_tables"] = {}
-    (tmp_path / "b2_2_n1.json").write_text(json.dumps(data))
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert code == 1
-    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
-    assert sections["exhaustion"]["status"] == "fail"
-    assert sections["exhaustion"]["detail"]["misses"] == [
-        {"ray_index": 1, "ray": "l2", "edge": [1],
-         "note": "no candidate maps onto this edge"}]
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path), "--human")
-    assert code == 1
-    assert ("  exhaustion   fail\n"
-            "    [exhaustion] rays.l2: no candidate maps onto this edge (1,)\n"
-            ) in out
-
-
-def _b2_5_n1_cut_to_l1(record_paths, tmp_path):
-    # one ray left: its derived target edge set is empty
-    data = json.loads(record_paths["b2_5_n1"].read_text())
-    data["rays"] = [r for r in data["rays"] if r["label"] == "l1"]
-    data["flop_tables"] = {}
-    path = tmp_path / "b2_5_n1.json"
-    path.write_text(json.dumps(data))
-    return path
-
-
-EMPTY_L1_TARGETS = ("B2=5/n1: the target edge set of candidate l1 is empty, "
-                    "so there is nothing to check")
-
-
-def test_check_exhaustion_with_an_empty_target_edge_set_exits_two(
-        capsys, record_paths, tmp_path):
-    path = _b2_5_n1_cut_to_l1(record_paths, tmp_path)
-    code, out, err = run_cli(capsys, "check-exhaustion", str(path))
-    assert (code, out, err) == (2, "", f"error: {EMPTY_L1_TARGETS}\n")
-
-
-def test_verify_skips_exhaustion_on_an_empty_target_edge_set(
-        capsys, record_paths, tmp_path):
-    _b2_5_n1_cut_to_l1(record_paths, tmp_path)
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
-    assert sections["exhaustion"] == {
-        "check": "exhaustion", "status": "skipped", "findings": [],
-        "detail": EMPTY_L1_TARGETS}
-    assert code == 1
-
-
-def test_a_flop_config_with_no_result_curves_exits_two(capsys, data_root,
-                                                       record_paths, tmp_path):
-    # no row would be compared, so "flop-tables: pass" would be vacuous
-    data = json.loads((data_root / "flops" / "e5_b2_2_n28.json").read_text())
-    data["result_curves"] = []
-    config = tmp_path / "e5_b2_2_n28.json"
-    config.write_text(json.dumps(data))
-    shutil.copy(record_paths["b2_2_n28"], tmp_path)
-    message = "flop.result_curves: expected at least one result curve\n"
-    code, out, err = run_cli(capsys, "verify", str(tmp_path))
-    assert (code, out, err) == (2, "", f"error: {config}: {message}")
-    code, out, err = run_cli(capsys, "flop", str(config), "--record",
-                             str(record_paths["b2_2_n28"]))
-    assert (code, out, err) == (2, "", f"error: {message}")
-
-
-def test_verify_names_ray_rows_of_rank_below_rho(capsys, record_paths,
-                                                 tmp_path):
-    # ray rows of rank 2 in rho = 3 leave the -K combination
-    # underdetermined: validate fails naming the rank, nothing else does
-    data = json.loads(record_paths["b2_2_n28"].read_text())
-    data.update(id={"b2": 3, "n": 99}, basis=["A", "B", "C"],
-                antiK_combo=["1", "1", "0"], flop_tables={}, rays=[
-                    {"label": label, "vec": vec, "antiK": antik, "type": "C"}
-                    for label, vec, antik in (("l1", ["1", "0", "0"], "1"),
-                                              ("l2", ["0", "1", "0"], "1"),
-                                              ("l3", ["1", "1", "0"], "2"))])
-    (tmp_path / "b2_3_n99.json").write_text(json.dumps(data))
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["summary"]["status"] == "fail"
-    sections = payload["reports"][0]["sections"]
-    assert [(s["check"], s["status"], s["findings"]) for s in sections
-            if s["status"] != "skipped"] == [("validate", "fail", [
-                "[antiK-combo] rays: ray rows of rank 2 cannot determine a "
-                "rank-3 anticanonical combination"])]
-
-
 def test_verify_human_rendering(capsys, corpus_dir, data_root):
     shutil.copy(data_root / "mistakes" / "b2_4_n3_mistake.json", corpus_dir)
     code, out, _ = run_cli(capsys, "verify", str(corpus_dir), "--human")
@@ -214,42 +91,6 @@ def test_verify_empty_dir_exits_two(capsys, tmp_path, data_root):
     assert run_cli(capsys, "verify", str(tmp_path)) == (2, "", message)
     shutil.copy(data_root / "flops" / "e5_b2_2_n28.json", tmp_path)
     assert run_cli(capsys, "verify", str(tmp_path)) == (2, "", message)
-
-
-def test_verify_rejects_a_bogus_chamber_self_loop(capsys, record_paths,
-                                                  tmp_path):
-    data = json.loads(record_paths["b2_3_n31"].read_text())
-    data["chambers"]["edges"].append({"from": "T", "to": "T",
-                                      "type": "Bogus"})
-    path = tmp_path / "b2_3_n31.json"
-    path.write_text(json.dumps(data))
-    assert run_cli(capsys, "verify", str(tmp_path)) == (
-        2, "", f"error: {path}: record.chambers.edges[3]: illegal flop type "
-               f"'Bogus'\n")
-
-
-@pytest.mark.parametrize("ray_type", ["F_fiber", "Flopping"])
-def test_verify_rejects_a_ray_type_outside_the_schema(ray_type, capsys,
-                                                      record_paths, tmp_path):
-    # a flopping curve is K-trivial and no fixture has a fiber-type ray
-    def retype_l3(data):
-        data["rays"][2]["type"] = ray_type
-
-    path = _edited(record_paths["b2_3_n31"], tmp_path, retype_l3)
-    assert run_cli(capsys, "verify", str(tmp_path)) == (
-        2, "", f"error: {path}: record.rays[2].type: unknown ray type "
-               f"{ray_type!r}\n")
-
-
-def test_flop_rejects_a_repeated_exceptional_divisor(capsys, data_root,
-                                                     tmp_path):
-    # parsed, the two D1 columns would collapse into one coefficient key
-    data = json.loads((data_root / "flops" / "e5_b2_2_n28.json").read_text())
-    data["exceptional_divisors"] = ["D1", "D1"]
-    config = tmp_path / "e5_b2_2_n28.json"
-    config.write_text(json.dumps(data))
-    assert run_cli(capsys, "flop", str(config)) == (
-        2, "", "error: flop.exceptional_divisors[1]: duplicate name 'D1'\n")
 
 
 def test_verify_unreadable_json_exits_two(capsys, tmp_path):
@@ -295,7 +136,7 @@ def test_verify_out_writes_every_report_and_the_summary(capsys, tmp_path):
     # <stem>.audit.json is the matching entry of verify's JSON reports
     fixtures = tmp_path / "fixtures"
     fixtures.mkdir()
-    _all_fixtures_dir(fixtures)
+    flat_fixtures(fixtures)
     code, out, _ = run_cli(capsys, "verify", str(fixtures))
     payload = json.loads(out)
     out_dir = tmp_path / "reports"
@@ -566,19 +407,6 @@ def test_derive_antik_flags_mistake(capsys, data_root):
     assert json.loads(out)["inconsistent_rows"] == ["flop_tables.l5.l25"]
 
 
-def test_derive_antik_witness_is_the_zero_row_alone(capsys, record_paths,
-                                                   tmp_path):
-    data = json.loads(record_paths["b2_2_n1"].read_text())
-    data["rays"].append({
-        "label": "lz", "vec": ["0", "0"], "antiK": "1", "type": "E1",
-        "contraction": {"target": None, "pullback": [["0"], ["1"]]}})
-    path = tmp_path / "lz.json"
-    path.write_text(json.dumps(data))
-    code, out, _ = run_cli(capsys, "derive-antik", str(path))
-    assert code == 1
-    assert json.loads(out)["witnesses"] == ["lz"]
-
-
 def test_console_script_entry_point(record_paths):
     proc = subprocess.run(
         [sys.executable, "-m", "fanoray.cli", "nef",
@@ -586,49 +414,6 @@ def test_console_script_entry_point(record_paths):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["facets"] == 4
-
-
-def _first_table(data):
-    return data["flop_tables"][sorted(data["flop_tables"])[0]]
-
-
-MALFORMED = {
-    "flop-table-not-array":
-        ("records/b2_5_n1.json",
-         lambda d: d["flop_tables"].update({"l5": 5})),
-    "flop-row-label-list":
-        ("records/b2_5_n1.json",
-         lambda d: _first_table(d)[0].update({"label": ["x"]})),
-    "chamber-nodes-int":
-        ("records/b2_5_n1.json", lambda d: d["chambers"].update({"nodes": 5})),
-    "chamber-edges-int":
-        ("records/b2_5_n1.json", lambda d: d["chambers"].update({"edges": 5})),
-    "test-curves-int":
-        ("flops/e1_b2_2_n1.json", lambda d: d.update({"test_curves": 3})),
-    "test-curve-label-list":
-        ("flops/e1_b2_2_n1.json",
-         lambda d: d["test_curves"][0].update({"label": ["x"]})),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_container_is_a_record_error(name, capsys, data_root,
-                                               tmp_path):
-    source, mutate = MALFORMED[name]
-    data = json.loads((data_root / source).read_text())
-    mutate(data)
-    path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(data))
-    is_record = source.startswith("records/")
-    with pytest.raises(RecordError):
-        if is_record:
-            parse_record(path.read_text(), strict=False)
-        else:
-            parse_flop_config(path.read_text())
-    command = "check-exhaustion" if is_record else "flop"
-    code, _, err = run_cli(capsys, command, str(path))
-    assert code == 2
-    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("text", ["nope", "[]", '["x"]', "[1.5]",
@@ -668,135 +453,6 @@ def test_undecodable_file_exits_two_naming_it(command, kind, capsys,
     assert "Traceback" not in err
 
 
-def test_check_exhaustion_names_a_contracted_ray_that_is_not_extreme(
-        capsys, data_root, tmp_path):
-    path = tmp_path / "b2_3_n31.json"
-    path.write_text(json.dumps(_b2_3_n31_with_an_inner_contracted_ray(
-        data_root)))
-    code, out, err = run_cli(capsys, "check-exhaustion", str(path))
-    assert (code, out, err) == (2, "", f"error: {NOT_EXTREME}\n")
-
-
-def test_verify_flags_a_contracted_ray_that_is_not_extreme(
-        capsys, data_root, tmp_path):
-    (tmp_path / "b2_3_n31.json").write_text(json.dumps(
-        _b2_3_n31_with_an_inner_contracted_ray(data_root)))
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    report = json.loads(out)["reports"][0]
-    sections = {s["check"]: s for s in report["sections"]}
-    assert sections["validate"] == {
-        "check": "validate", "status": "fail",
-        "findings": ["[extremality] rays.l4.contraction: contracted ray "
-                     "l4 = [0, 0, 1] is not an extreme ray of the ray cone"]}
-    for check in ("exhaustion", "facet-patch"):
-        assert sections[check] == {"check": check, "status": "skipped",
-                                   "findings": [], "detail": NOT_EXTREME}
-    assert report["status"] == "fail"
-    assert code == 1
-
-
-def test_verify_fails_facet_patch_on_a_contracted_ray_inside_the_cone(
-        capsys, record_paths, tmp_path):
-    # l3 = l1 + l2 lies inside the candidate cone, so its wall on the nef
-    # cone is {0}: no facet there can equal the dual of its target edges
-    data = json.loads(record_paths["b2_2_n8"].read_text())
-    data["rays"].append({"label": "l3", "vec": ["0", "1"], "antiK": "2",
-                         "type": "C", "contraction": {
-                             "target": None, "pullback": [["1"], ["0"]],
-                             "target_edges": [["1"]]}})
-    (tmp_path / "b2_2_n8.json").write_text(json.dumps(data))
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
-    assert any(f.startswith("[extremality] rays.l3.contraction")
-               for f in sections["validate"]["findings"])
-    assert sections["facet-patch"] == {
-        "check": "facet-patch", "status": "fail", "findings": [
-            "[facet-patch] rays.l3: dual of target edges exceeds the facet "
-            "on l3's wall: witness (1,)"]}
-    assert code == 1
-
-
-def test_verify_skips_facet_patch_with_the_nef_cone_message_first(
-        capsys, record_paths, tmp_path):
-    # -l1 makes the ray cone hold a line: exhaustion skips with its own
-    # message, and facet-patch with nef_cone's, not with exhaustion's
-    data = json.loads(record_paths["b2_2_n8"].read_text())
-    l1 = next(r for r in data["rays"] if r["label"] == "l1")
-    data["rays"].append({"label": "l3", "antiK": "1", "type": "C",
-                         "vec": [rat_str(-rat(x)) for x in l1["vec"]]})
-    (tmp_path / "b2_2_n8.json").write_text(json.dumps(data))
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
-    assert sections["exhaustion"]["detail"] == \
-        "B2=2/n8: candidate set is not pointed"
-    assert sections["facet-patch"] == {
-        "check": "facet-patch", "status": "skipped", "findings": [],
-        "detail": "B2=2/n8: ray cone is not pointed"}
-    assert code == 1
-
-
-def test_an_overlong_literal_is_echoed_short(capsys, record_paths, tmp_path):
-    data = json.loads(record_paths["b2_2_n1"].read_text())
-    data["rays"][0]["antiK"] = "7" * 5000
-    path = tmp_path / "b2_2_n1.json"
-    path.write_text(json.dumps(data))
-    code, _, err = run_cli(capsys, "verify", str(tmp_path))
-    assert code == 2
-    assert err.count("\n") == 1 and len(err) < 200
-    assert err.startswith(f"error: {path}: record.rays[0].antiK: bad "
-                          f"rational literal '7777")
-    assert err.endswith("… (5002 characters)\n")
-
-
-def _b2_5_n1_with(record_paths, ray, key, value):
-    data = json.loads(record_paths["b2_5_n1"].read_text())
-    row = next(r for r in data["rays"] if r["label"] == ray)
-    if key == "vec":
-        row["vec"] = value
-    else:
-        row["contraction"][key] = value
-    return data
-
-
-ZERO_L1 = ("l1", "vec", ["0"] * 5, "B2=5/n1.rays.l1")
-ZERO_L4_EDGE = ("l4", "target_edges", [["0"] * 4],
-                "B2=5/n1.rays.l4.contraction.target_edges[0]")
-
-
-@pytest.mark.parametrize("command, zero", [
-    ("check-exhaustion", ZERO_L1), ("nef", ZERO_L1),
-    ("check-exhaustion", ZERO_L4_EDGE)], ids=["l1-exhaustion", "l1-nef",
-                                              "l4-edge-exhaustion"])
-def test_a_zero_vector_is_named_by_record_and_key(command, zero, capsys,
-                                                  record_paths, tmp_path):
-    ray, key, value, where = zero
-    path = tmp_path / "b2_5_n1.json"
-    path.write_text(json.dumps(_b2_5_n1_with(record_paths, ray, key, value)))
-    code, out, err = run_cli(capsys, command, str(path))
-    assert (code, out, err) == (
-        2, "", f"error: {where}: zero vector has no ray direction\n")
-
-
-@pytest.mark.parametrize("zero, finding", [
-    (ZERO_L1, "[pointedness] rays: B2=5/n1.rays.l1: zero vector has no ray "
-              "direction"),
-    (ZERO_L4_EDGE, "[target-edges] rays.l4.contraction.target_edges[0]: "
-                   "zero edge vector")], ids=["l1", "l4-edge"])
-def test_verify_names_a_zero_vector_in_its_skipped_sections(
-        zero, finding, capsys, record_paths, tmp_path):
-    ray, key, value, where = zero
-    (tmp_path / "b2_5_n1.json").write_text(json.dumps(
-        _b2_5_n1_with(record_paths, ray, key, value)))
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
-    assert finding in sections["validate"]["findings"]
-    for check in ("exhaustion", "facet-patch"):
-        assert sections[check] == {
-            "check": check, "status": "skipped", "findings": [],
-            "detail": f"{where}: zero vector has no ray direction"}
-    assert code == 1
-
-
 def test_a_zero_proposal_names_its_file(capsys, record_paths, tmp_path):
     zero = tmp_path / "zero.json"
     zero.write_text('["0", "0", "0", "0", "0"]')
@@ -805,71 +461,6 @@ def test_a_zero_proposal_names_its_file(capsys, record_paths, tmp_path):
                              "--propose", str(zero))
     assert (code, out, err) == (
         2, "", f"error: {zero}: zero vector has no ray direction\n")
-
-
-def test_a_zero_ray_is_named_before_a_proposal_is_matched(capsys, record_paths,
-                                                          tmp_path):
-    # rank-one targets read no ray, so the first cone built is the check's
-    data = json.loads(record_paths["b2_2_n1"].read_text())
-    data["rays"][1]["vec"] = ["0", "0"]
-    path = tmp_path / "b2_2_n1.json"
-    path.write_text(json.dumps(data))
-    proposal = tmp_path / "p.json"
-    proposal.write_text('["1", "1"]')
-    code, out, err = run_cli(capsys, "check-exhaustion", str(path),
-                             "--propose", str(proposal))
-    assert (code, out, err) == (
-        2, "", "error: B2=2/n1.rays.l2: zero vector has no ray direction\n")
-
-
-def _b2_5_n1_with_l4_edge(record_paths, tmp_path, edge):
-    """b2_5_n1.json, written to tmp_path, with ``edge`` appended to l4's
-    transcribed target edges."""
-    data = json.loads(record_paths["b2_5_n1"].read_text())
-    data["rays"][3]["contraction"]["target_edges"].append(edge)  # l4
-    path = tmp_path / "b2_5_n1.json"
-    path.write_text(json.dumps(data))
-    return path
-
-
-L4_LINE = ("B2=5/n1.rays.l4.contraction.target_edges: edge cone contains "
-           "the line through (0, 0, -1, 0)")
-
-
-def test_a_target_edge_set_holding_a_line_is_reported_once(
-        capsys, record_paths, tmp_path):
-    # validate names the line; exhaustion and facet-patch would each report
-    # the appended edge again, so both are skipped with the line instead
-    path = _b2_5_n1_with_l4_edge(record_paths, tmp_path, ["0", "0", "1", "0"])
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    sections = {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
-    assert [f for s in sections.values() for f in s["findings"]] == [
-        "[target-edges] rays.l4.contraction.target_edges: edge cone contains "
-        "the line through (0, 0, -1, 0)"]
-    for check in ("exhaustion", "facet-patch"):
-        assert sections[check] == {"check": check, "status": "skipped",
-                                   "findings": [], "detail": L4_LINE}
-    assert code == 1
-    assert run_cli(capsys, "check-exhaustion", str(path)) == (
-        2, "", f"error: {L4_LINE}\n")
-
-
-def test_a_repeated_target_edge_is_checked_once(capsys, record_paths,
-                                                tmp_path):
-    # validate flags both copies, and exhaustion checks the distinct edges,
-    # so the miss that dropping l8 leaves on l4 is listed once
-    path = _b2_5_n1_with_l4_edge(record_paths, tmp_path, ["1", "1", "-1", "1"])
-    clean = run_cli(capsys, "check-exhaustion", str(record_paths["b2_5_n1"]),
-                    "--drop-ray", "l8")
-    assert clean[0] == 1 and '"ray": "l4"' in clean[1]
-    assert run_cli(capsys, "check-exhaustion", str(path),
-                   "--drop-ray", "l8") == clean
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    validate = json.loads(out)["reports"][0]["sections"][0]
-    assert validate["findings"] == [
-        f"[target-edges] rays.l4.contraction.target_edges[{i}]: edge "
-        f"(1, 1, -1, 1) lies in the cone of the other edges" for i in (3, 4)]
-    assert code == 1
 
 
 def test_an_edge_inside_a_transcribed_set_is_reported_once(
@@ -913,39 +504,6 @@ def test_an_edge_inside_a_transcribed_set_is_reported_once(
                                str(copy)) == clean_check, where
             ray["contraction"]["target_edges"] = edges
     assert cases == 36
-
-
-def test_a_repeated_result_curve_exits_two(capsys, data_root, record_paths,
-                                           tmp_path):
-    # the l12 row would be printed and compared twice
-    data = json.loads((data_root / "flops" / "e5_b2_2_n28.json").read_text())
-    data["result_curves"] = ["l12", "l12", "l22"]
-    config = tmp_path / "e5_b2_2_n28.json"
-    config.write_text(json.dumps(data))
-    assert run_cli(capsys, "flop", str(config), "--record",
-                   str(record_paths["b2_2_n28"])) == (
-        2, "", "error: flop.result_curves[1]: duplicate name 'l12'\n")
-
-
-def test_a_doubled_flop_type_list_exits_two(capsys, record_paths, tmp_path):
-    data = json.loads(record_paths["b2_2_n28"].read_text())
-    data["flop_types"] *= 2
-    path = tmp_path / "b2_2_n28.json"
-    path.write_text(json.dumps(data))
-    message = "record.flop_types[2]: duplicate name 'E1'\n"
-    assert run_cli(capsys, "nef", str(path)) == (2, "", f"error: {message}")
-    assert run_cli(capsys, "verify", str(tmp_path)) == (
-        2, "", f"error: {path}: {message}")
-
-
-def test_verify_decodes_a_file_once(capsys, record_paths, tmp_path):
-    # a file whose JSON is a string holding a record's text is no record
-    path = tmp_path / "b2_2_n1.json"
-    path.write_text(json.dumps(record_paths["b2_2_n1"].read_text()))
-    message = "record: expected object, got str\n"
-    assert run_cli(capsys, "verify", str(tmp_path)) == (
-        2, "", f"error: {path}: {message}")
-    assert run_cli(capsys, "nef", str(path)) == (2, "", f"error: {message}")
 
 
 def _is_rational(text: str) -> bool:
@@ -1020,123 +578,10 @@ def test_a_repeated_list_entry_is_rejected_or_changes_nothing(
     assert changed == []
 
 
-# exit paths that no other test reaches, each pinned with its message
-
-def _edited(source, directory, edit):
-    """The JSON file ``source``, changed in place by ``edit`` and written to
-    ``directory`` under its own name."""
-    data = json.loads(source.read_text())
-    edit(data)
-    path = directory / source.name
-    path.write_text(json.dumps(data))
-    return path
-
-
-def _sections(out):
-    return {s["check"]: s for s in json.loads(out)["reports"][0]["sections"]}
-
-
-def test_a_pullback_of_too_low_rank_is_named(capsys, record_paths, tmp_path):
-    def zero_column_4_of_l1(data):
-        for row in data["rays"][0]["contraction"]["pullback"]:  # l1
-            row[3] = "0"
-
-    path = _edited(record_paths["b2_5_n1"], tmp_path, zero_column_4_of_l1)
-    rank_3 = ("B2=5/n1: pushforward of l1 has rank 3, expected 4; its kernel "
-              "is larger than the contracted ray")
-    assert run_cli(capsys, "check-exhaustion", str(path)) == (
-        2, "", f"error: {rank_3}\n")
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    sections = _sections(out)
-    assert sections["validate"]["findings"] == [
-        "[pullback] rays.l1.contraction: pullback rank 3 != 4"]
-    for check in ("exhaustion", "facet-patch"):
-        assert sections[check] == {"check": check, "status": "skipped",
-                                   "findings": [], "detail": rank_3}
-    assert code == 1
-
-
-def test_a_ray_set_holding_a_line_is_not_pointed(capsys, record_paths,
-                                                 tmp_path):
-    # l4 = -l3 makes the ray cone hold the line through l3
-    path = _edited(record_paths["b2_3_n31"], tmp_path, lambda data: data[
-        "rays"].append({"label": "l4", "vec": ["-1", "0", "0"],
-                        "antiK": "-2", "type": "C"}))
-    assert run_cli(capsys, "check-exhaustion", str(path)) == (
-        2, "", "error: B2=3/n31: ray set is not pointed\n")
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert ("[pointedness] rays: ray cone contains the line through "
-            "(-1, 0, 0)") in _sections(out)["validate"]["findings"]
-    assert code == 1
-
-
-def test_derive_antik_names_an_underdetermined_system(capsys, record_paths,
-                                                      tmp_path):
-    # l3 = (-2, 1, 1) = l1 + l2, so the three rows span only a plane
-    def replace_l3(data):
-        data["rays"][2].update(vec=["-2", "1", "1"], antiK="2")
-
-    path = _edited(record_paths["b2_3_n31"], tmp_path, replace_l3)
-    code, out, _ = run_cli(capsys, "derive-antik", str(path))
-    assert json.loads(out) == {"record": "B2=3/n31",
-                               "status": "underdetermined", "kernel_dim": 1}
-    assert code == 1
-
-
-def test_derive_antik_witnesses_an_irreducible_triple(capsys, record_paths,
-                                                      tmp_path):
-    # every two of the three rows agree, only all three contradict: the
-    # witness comes from the greedy reduction, not the single or pair scan
-    path = _edited(record_paths["b2_2_n1"], tmp_path, lambda data: data[
-        "rays"].append({"label": "l3", "vec": ["0", "1"], "antiK": "3",
-                        "type": "C"}))
-    code, out, _ = run_cli(capsys, "derive-antik", str(path))
-    assert json.loads(out)["witnesses"] == ["l1", "l2", "l3"]
-    assert code == 1
-
-
 def test_verify_on_a_file_exits_two(capsys, record_paths):
     path = record_paths["b2_2_n1"]
     assert run_cli(capsys, "verify", str(path)) == (
         2, "", f"error: {path}: not a directory\n")
-
-
-def test_a_flop_config_with_inconsistent_vanishing_conditions_fails(
-        capsys, data_root, record_paths, tmp_path):
-    def zero_contracted_exc_rows(data):
-        for curve in data["test_curves"]:
-            if curve["contracted_by_flop"]:
-                curve["exc_row"] = ["0"] * len(curve["exc_row"])
-
-    _edited(data_root / "flops" / "e1_b2_2_n1.json", tmp_path,
-            zero_contracted_exc_rows)
-    shutil.copy(record_paths["b2_2_n1"], tmp_path)
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert _sections(out)["flop-tables"] == {
-        "check": "flop-tables", "status": "fail", "findings": [
-            "[flop-config] e1_b2_2_n1.json: inconsistent vanishing "
-            "conditions for 'E': curves ['M']"]}
-    assert code == 1
-
-
-def test_a_renamed_ray_is_absent_from_and_missing_in_the_reference(
-        capsys, data_root, record_paths, tmp_path):
-    def rename_l2_to_l9(data):
-        data["rays"][1]["label"] = "l9"
-        data["flop_tables"]["l9"] = data["flop_tables"].pop("l2")
-
-    _edited(data_root / "mistakes" / "b2_2_n8_mistake.json", tmp_path,
-            rename_l2_to_l9)
-    shutil.copy(record_paths["b2_2_n8"], tmp_path)
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    report = next(r for r in json.loads(out)["reports"]
-                  if r["record"] == "B2=2/n8mistake")
-    corrections = report["sections"][-1]
-    assert corrections["check"] == "corrections"
-    assert {"[correction] rays.l9: ray absent from the reference record",
-            "[correction] rays.l2: ray missing (present in the reference)"
-            } <= set(corrections["findings"])
-    assert code == 1
 
 
 @pytest.mark.parametrize("failing", [False, True], ids=["clean", "failing"])
@@ -1179,61 +624,6 @@ def test_unusable_input_exits_two_when_stderr_cannot_be_written(stderr):
     assert (proc.returncode, proc.stdout) == (2, b"")
 
 
-RANK_3_OF_5 = ("[antiK-combo] rays: ray rows of rank 3 cannot determine a "
-               "rank-5 anticanonical combination")
-
-
-def test_derive_antik_on_fewer_rays_than_rho_is_underdetermined(
-        capsys, record_paths, tmp_path):
-    # b2_5_n1 cut to l1-l3: three rows for five unknowns, the same answer
-    # as five rows of rank three (l1-l3, then l1 + l2 and l2 + l3)
-    def cut_to_l1_l3(data):
-        data["rays"] = data["rays"][:3]
-        data["flop_tables"] = {}
-
-    path = _edited(record_paths["b2_5_n1"], tmp_path, cut_to_l1_l3)
-    underdetermined = {"record": "B2=5/n1", "status": "underdetermined",
-                       "kernel_dim": 2}
-    code, out, err = run_cli(capsys, "derive-antik", str(path))
-    assert (code, json.loads(out), err) == (1, underdetermined, "")
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert _sections(out)["validate"]["findings"] == [RANK_3_OF_5]
-    assert code == 1
-
-    def add_two_sums(data):
-        cut_to_l1_l3(data)
-        for label, (a, b) in (("l4", (0, 1)), ("l5", (1, 2))):
-            data["rays"].append({
-                "label": label, "type": "C", "antiK": "2",
-                "vec": [rat_str(rat(x) + rat(y)) for x, y in
-                        zip(data["rays"][a]["vec"], data["rays"][b]["vec"])]})
-
-    path = _edited(record_paths["b2_5_n1"], tmp_path, add_two_sums)
-    code, out, _ = run_cli(capsys, "derive-antik", str(path))
-    assert (code, json.loads(out)) == (1, underdetermined)
-    # five rows of rank three: enough rows, too low a rank
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert _sections(out)["validate"]["findings"] == [RANK_3_OF_5]
-    assert code == 1
-
-
-@pytest.mark.parametrize("stem, label, rank", [("b2_4_n13", "l3", 3),
-                                               ("b2_5_n1", "l7", 4)])
-def test_verify_names_the_rank_of_a_truncated_ray_set(
-        stem, label, rank, capsys, record_paths, tmp_path):
-    # as many rays as rho or more, but one deleted leaves too low a rank
-    def delete(data):
-        data["rays"] = [r for r in data["rays"] if r["label"] != label]
-        data["flop_tables"].pop(label, None)
-
-    _edited(record_paths[stem], tmp_path, delete)
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert _sections(out)["validate"]["findings"] == [
-        f"[antiK-combo] rays: ray rows of rank {rank} cannot determine a "
-        f"rank-{rank + 1} anticanonical combination"]
-    assert code == 1
-
-
 def _truncations():
     """Each corrected record with one ray and that ray's flop table deleted
     (file name -> record), as the bench's ray-audit verifies them."""
@@ -1264,98 +654,547 @@ def test_no_failed_section_without_a_reason(data_root):
     assert failed and reasonless == []
 
 
-L12_MISMATCH = ("[flop-table] flop_tables.l2.l12: table says (1/2, 3/2 | 3/2), "
-                "recomputation gives (1/2, 1/2 | 3/2)")
+# ---------------------------------------------------------------------------
+# Edited fixtures: one table of mutants, one test that runs each row
+# ---------------------------------------------------------------------------
+
+class Mutant(NamedTuple):
+    """Packaged fixtures with one edit, and one command's exact output.
+
+    ``files`` (paths under the data root, space-separated) are copied flat
+    into a scratch directory, ``{dir}``; ``edit`` changes the first one,
+    ``{file}``, in its parsed JSON, or returns what to write instead.
+    ``written`` adds files by name and text (None: an empty directory).
+    ``out`` is the exact stdout, or a dict of parts of its JSON: verify's
+    report on the first of ``files`` it reports on, section by check, and
+    any other command's payload, key by key.
+    """
+    files: str
+    edit: Optional[Callable]
+    argv: str
+    code: int
+    out: object = ""
+    err: str = ""
+    written: dict = {}
 
 
-def test_a_flop_table_cell_that_disagrees_is_named(capsys, data_root,
-                                                   record_paths, tmp_path):
-    def change_l12(data):
-        data["flop_tables"]["l2"][0].update(vec=["1/2", "3/2"])  # l12
-
-    record = _edited(record_paths["b2_2_n28"], tmp_path, change_l12)
-    config = data_root / "flops" / "e5_b2_2_n28.json"
-    shutil.copy(config, tmp_path)
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert _sections(out)["flop-tables"] == {
-        "check": "flop-tables", "status": "fail", "findings": [L12_MISMATCH]}
-    assert code == 1
-    code, out, err = run_cli(capsys, "flop", str(config), "--record",
-                             str(record))
-    assert (code, json.loads(out)["table_findings"], err) == (
-        1, [L12_MISMATCH], "")
+def _failed(check, *findings):
+    return {"check": check, "status": "fail", "findings": list(findings)}
 
 
-def test_a_flop_config_tracking_other_divisors_than_the_basis(
-        capsys, data_root, record_paths, tmp_path):
-    config = _edited(data_root / "flops" / "e5_b2_2_n28.json", tmp_path,
-                     lambda data: data.update(tracked_divisors=["E", "H"]))
-    shutil.copy(record_paths["b2_2_n28"], tmp_path)
-    message = ("record basis ('E', 'Blp*O(1)') does not match tracked "
-               "divisors ('E', 'H')")
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
-    assert _sections(out)["flop-tables"] == {
-        "check": "flop-tables", "status": "fail",
-        "findings": [f"[flop-config] e5_b2_2_n28.json: {message}"]}
-    assert code == 1
-    assert run_cli(capsys, "flop", str(config), "--record",
-                   str(record_paths["b2_2_n28"])) == (
-        2, "", f"error: {message}\n")
+def _skipped(check, detail):
+    return {"check": check, "status": "skipped", "findings": [],
+            "detail": detail}
 
 
-def _a_file(record_paths, tmp):
-    path = record_paths["b2_2_n1"]
-    return ["verify", str(path)], path, "not a directory"
+def _only(*labels):
+    """Keep the named rays and no flop table."""
+    def edit(data):
+        data["rays"] = [r for r in data["rays"] if r["label"] in labels]
+        data["flop_tables"] = {}
+    return edit
 
 
-def _a_directory_entry(record_paths, tmp):
-    (tmp / "x.json").mkdir()
-    return ["verify", str(tmp)], tmp / "x.json", "unreadable: [Errno 21] "
+def _without(label):
+    """Delete one ray and its flop table."""
+    def edit(data):
+        data["rays"] = [r for r in data["rays"] if r["label"] != label]
+        data["flop_tables"].pop(label, None)
+    return edit
 
 
-def _a_schema_error(record_paths, tmp):
-    path = _edited(record_paths["b2_2_n1"], tmp,
-                   lambda data: data.update(rays=5))
-    return ["verify", str(tmp)], path, "record.rays: expected "
+def _append_ray(label, vec, antik, contraction=None, ray_type="C"):
+    ray = {"label": label, "vec": vec, "antiK": antik, "type": ray_type}
+    if contraction is not None:
+        ray["contraction"] = contraction
+    return lambda data: data["rays"].append(ray)
 
 
-def _only_flop_configurations(record_paths, tmp):
-    shutil.copy(datafiles.data_root() / "flops" / "e5_b2_2_n28.json", tmp)
-    return ["verify", str(tmp)], tmp, "no record files"
+_minus_l3_as_l4 = _append_ray("l4", ["-1", "0", "0"], "-2")  # b2_3_n31
+# b2_3_n31's l2 + l3, not extreme, with a chart that kills it
+_inner_l4 = _append_ray("l4", ["0", "0", "1"], "3", {
+    "target": None, "pullback": [["1", "0"], ["0", "1"], ["0", "0"]]})
 
 
-def _an_unknown_drop_ray(record_paths, tmp):
-    path = record_paths["b2_5_n1"]
-    return (["check-exhaustion", str(path), "--drop-ray", "l99"], path,
-            "unknown ray label 'l99' (record has ['l1', ")
+def _set_pullback_entry(data):  # b2_5_n1's l4 no longer kills its ray
+    data["rays"][3]["contraction"]["pullback"][0][0] = "1"
 
 
-def _a_proposal_that_is_no_vector(record_paths, tmp):
-    path = tmp / "p.json"
-    path.write_text('{"vec": 3}')
-    return (["check-exhaustion", str(record_paths["b2_5_n1"]),
-             "--propose", str(path)], path,
-            "expected a non-empty array of rationals")
+def _zero_pullback_column_4(data):  # of b2_5_n1's l1: rank 3
+    for row in data["rays"][0]["contraction"]["pullback"]:
+        row[3] = "0"
 
 
-def _a_proposal_wrapped_in_an_object(record_paths, tmp):
-    # a proposal is read as a record's vectors are: a bare array
-    path = tmp / "p.json"
-    path.write_text('{"vec": ["0", "0", "0", "0", "1"]}')
-    return (["check-exhaustion", str(record_paths["b2_5_n1"]),
-             "--propose", str(path)], path,
-            "expected a non-empty array of rationals")
+def _l1_again_as_l9(data):  # the ray cone drops the repeat
+    data["rays"].append(dict(data["rays"][0], label="l9"))
 
 
-@pytest.mark.parametrize("case", [
-    _a_file, _a_directory_entry, _a_schema_error, _only_flop_configurations,
-    _an_unknown_drop_ray, _a_proposal_that_is_no_vector,
-    _a_proposal_wrapped_in_an_object],
-    ids=lambda case: case.__name__.lstrip("_"))
-def test_unusable_input_exits_two_naming_its_path(case, capsys, record_paths,
-                                                  tmp_path):
-    argv, path, message = case(record_paths, tmp_path)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: {path}: {message}")
-    assert err.count("\n") == 1 and err.endswith("\n")
+def _minus_l1_as_l3(data):  # the ray cone holds a line
+    data["rays"].append({"label": "l3", "antiK": "1", "type": "C", "vec": [
+        rat_str(-rat(x)) for x in data["rays"][0]["vec"]]})
+
+
+def _rays_of_rank_2_in_rho_3(data):
+    data.update(id={"b2": 3, "n": 99}, basis=["A", "B", "C"],
+                antiK_combo=["1", "1", "0"], flop_tables={}, rays=[
+                    {"label": label, "vec": vec, "antiK": antik, "type": "C"}
+                    for label, vec, antik in (("l1", ["1", "0", "0"], "1"),
+                                              ("l2", ["0", "1", "0"], "1"),
+                                              ("l3", ["1", "1", "0"], "2"))])
+
+
+def _doubled_flop_types(data):
+    data["flop_types"] *= 2
+
+
+def _zero_contracted_exc_rows(data):
+    for curve in data["test_curves"]:
+        if curve["contracted_by_flop"]:
+            curve["exc_row"] = ["0"] * len(curve["exc_row"])
+
+
+def _rename_l2_to_l9(data):
+    data["rays"][1]["label"] = "l9"
+    data["flop_tables"]["l9"] = data["flop_tables"].pop("l2")
+
+
+def _l1_to_l3_and_two_sums(data):
+    # five rows of rank three: enough rows, too low a rank
+    _only("l1", "l2", "l3")(data)
+    for label, (a, b) in (("l4", (0, 1)), ("l5", (1, 2))):
+        data["rays"].append({
+            "label": label, "type": "C", "antiK": "2",
+            "vec": [rat_str(rat(x) + rat(y)) for x, y in
+                    zip(data["rays"][a]["vec"], data["rays"][b]["vec"])]})
+
+
+def _zero_l1(data):
+    data["rays"][0]["vec"] = ["0"] * 5
+
+
+def _zero_l4_edge(data):
+    data["rays"][3]["contraction"]["target_edges"] = [["0"] * 4]
+
+
+def _l4_edge(edge):
+    """Append ``edge`` to b2_5_n1's transcribed target edges of l4."""
+    return lambda data: data["rays"][3]["contraction"]["target_edges"].append(
+        edge)
+
+
+def _l12_cell(data):
+    data["flop_tables"]["l2"][0].update(vec=["1/2", "3/2"])
+
+
+def _no_result_curves(data):  # "flop-tables: pass" would be vacuous
+    data["result_curves"] = []
+
+
+def _wrong_tracked_divisors(data):
+    data["tracked_divisors"] = ["E", "H"]
+
+
+B2_5_N1 = "records/b2_5_n1.json"
+E5_N28 = "flops/e5_b2_2_n28.json records/b2_2_n28.json"
+N28_E5 = "records/b2_2_n28.json flops/e5_b2_2_n28.json"
+NO_CONFIG = _skipped("flop-tables", "no matching flop configuration")
+EMPTY_L1 = ("B2=5/n1: the target edge set of candidate l1 is empty, so "
+            "there is nothing to check")
+NOT_EXTREME = ("B2=3/n31: contracted ray l4 = [0, 0, 1] is not an extreme "
+               "ray of the ray set")
+ZERO_L1 = "B2=5/n1.rays.l1: zero vector has no ray direction"
+ZERO_L4_EDGE = ("B2=5/n1.rays.l4.contraction.target_edges[0]: zero vector "
+                "has no ray direction")
+L4_LINE = ("B2=5/n1.rays.l4.contraction.target_edges: edge cone contains "
+           "the line through (0, 0, -1, 0)")
+RANK_3 = ("B2=5/n1: pushforward of l1 has rank 3, expected 4; its kernel is "
+          "larger than the contracted ray")
+L12 = ("[flop-table] flop_tables.l2.l12: table says (1/2, 3/2 | 3/2), "
+       "recomputation gives (1/2, 1/2 | 3/2)")
+TRACKED = ("record basis ('E', 'Blp*O(1)') does not match tracked divisors "
+           "('E', 'H')")
+ONE_RESULT = "flop.result_curves: expected at least one result curve"
+RANK_3_OF_5 = ("[antiK-combo] rays: ray rows of rank 3 cannot determine a "
+               "rank-5 anticanonical combination")
+L1_TO_L3 = {"record": "B2=5/n1", "status": "underdetermined", "kernel_dim": 2}
+NO_VECTOR = "error: {dir}/p.json: expected a non-empty array of rationals\n"
+DOUBLED_E1 = "record.flop_types[2]: duplicate name 'E1'"
+NOT_AN_OBJECT = "record: expected object, got str"
+
+MUTANTS = {
+    # validate's findings, and the sections they make verify skip
+    "ray-listed-twice-verify": Mutant(
+        B2_5_N1, _l1_again_as_l9, "verify {dir}", 1, {"validate": _failed(
+            "validate", "[duplicate-ray] rays.l9: same ray as l1")}),
+    "invalid-chart-verify": Mutant(
+        B2_5_N1, _set_pullback_entry, "verify {dir}", 1, {
+            "validate": _failed(
+                "validate", "[pullback] rays.l4.contraction: projection "
+                "formula violated: pullback^T . vec(l) = (1, 0, 0, 0) != 0"),
+            "facet-patch": _skipped("facet-patch", "B2=5/n1: descriptor of "
+                                    "l4 does not annihilate its own ray")}),
+    "pullback-rank-3-check-exhaustion": Mutant(
+        B2_5_N1, _zero_pullback_column_4, "check-exhaustion {file}", 2,
+        err=f"error: {RANK_3}\n"),
+    "pullback-rank-3-verify": Mutant(
+        B2_5_N1, _zero_pullback_column_4, "verify {dir}", 1, {
+            "validate": _failed("validate", "[pullback] rays.l1.contraction: "
+                                "pullback rank 3 != 4"),
+            "exhaustion": _skipped("exhaustion", RANK_3),
+            "facet-patch": _skipped("facet-patch", RANK_3)}),
+    "rays-of-rank-2-in-rho-3-verify": Mutant(
+        # only validate runs, and it names the rank
+        "records/b2_2_n28.json", _rays_of_rank_2_in_rho_3, "verify {dir}", 1,
+        {"validate": _failed(
+            "validate", "[antiK-combo] rays: ray rows of rank 2 cannot "
+            "determine a rank-3 anticanonical combination"),
+         "exhaustion": _skipped("exhaustion", "no contraction descriptors"),
+         "facet-patch": _skipped("facet-patch", "no contraction descriptors"),
+         "flop-tables": NO_CONFIG}),
+    "l1-to-l3-derive-antik": Mutant(
+        B2_5_N1, _only("l1", "l2", "l3"), "derive-antik {file}", 1, L1_TO_L3),
+    "l1-to-l3-verify": Mutant(
+        B2_5_N1, _only("l1", "l2", "l3"), "verify {dir}", 1,
+        {"validate": _failed("validate", RANK_3_OF_5)}),
+    "l1-to-l3-and-two-sums-derive-antik": Mutant(
+        B2_5_N1, _l1_to_l3_and_two_sums, "derive-antik {file}", 1, L1_TO_L3),
+    "l1-to-l3-and-two-sums-verify": Mutant(
+        B2_5_N1, _l1_to_l3_and_two_sums, "verify {dir}", 1,
+        {"validate": _failed("validate", RANK_3_OF_5)}),
+    "without-l3-b2_4_n13-verify": Mutant(
+        "records/b2_4_n13.json", _without("l3"), "verify {dir}", 1,
+        {"validate": _failed(
+            "validate", "[antiK-combo] rays: ray rows of rank 3 cannot "
+            "determine a rank-4 anticanonical combination")}),
+    "without-l7-b2_5_n1-verify": Mutant(
+        B2_5_N1, _without("l7"), "verify {dir}", 1, {"validate": _failed(
+            "validate", "[antiK-combo] rays: ray rows of rank 4 cannot "
+            "determine a rank-5 anticanonical combination")}),
+    "ray-type-length-verify": Mutant(
+        # C with -K.l3 = 2 becomes E1, whose length is 1
+        "records/b2_3_n31.json", lambda d: d["rays"][2].update(type="E1"),
+        "verify {dir}", 1, {"validate": _failed(
+            "validate", "[ray-type] rays.l3: -K.l3 = 2 is not a length of a "
+            "type E1 ray (1)")}),
+    "ray-type-D-on-rho-3-verify": Mutant(
+        "records/b2_3_n31.json", lambda d: d["rays"][0].update(type="D"),
+        "verify {dir}", 1, {"validate": _failed(
+            "validate", "[ray-type] rays.l1: a type D contraction maps onto "
+            "P^1, so rho must be 2, not 3")}),
+    # the ray cone: pointedness and extremality
+    "ray-set-holding-a-line-check-exhaustion": Mutant(
+        "records/b2_3_n31.json", _minus_l3_as_l4,
+        "check-exhaustion {file}", 2,
+        err="error: B2=3/n31: ray set is not pointed\n"),
+    "ray-set-holding-a-line-verify": Mutant(
+        "records/b2_3_n31.json", _minus_l3_as_l4,
+        "verify {dir}", 1, {"validate": _failed(
+            "validate", "[fano-positivity] rays.l4: -K.l4 = -2 is not "
+            "positive", "[pointedness] rays: ray cone contains the line "
+            "through (-1, 0, 0)")}),
+    "nef-cone-message-first-verify": Mutant(
+        # exhaustion skips with its own message, facet-patch with nef_cone's
+        "records/b2_2_n8.json", _minus_l1_as_l3, "verify {dir}", 1, {
+            "exhaustion": _skipped(
+                "exhaustion", "B2=2/n8: candidate set is not pointed"),
+            "facet-patch": _skipped(
+                "facet-patch", "B2=2/n8: ray cone is not pointed")}),
+    "inner-contracted-ray-check-exhaustion": Mutant(
+        "records/b2_3_n31.json", _inner_l4,
+        "check-exhaustion {file}", 2, err=f"error: {NOT_EXTREME}\n"),
+    "inner-contracted-ray-verify": Mutant(
+        "records/b2_3_n31.json", _inner_l4,
+        "verify {dir}", 1, {
+            "validate": _failed(
+                # -K.l4 = -K.l2 - K.l3 = 3, too long for any type on rho = 3
+                "validate", "[ray-type] rays.l4: -K.l4 = 3 is not a length of "
+                "a type C ray (1, 2)", "[extremality] rays.l4.contraction: "
+                "contracted ray l4 = [0, 0, 1] is not an extreme ray of the "
+                "ray cone"),
+            "exhaustion": _skipped("exhaustion", NOT_EXTREME),
+            "facet-patch": _skipped("facet-patch", NOT_EXTREME)}),
+    "contracted-ray-inside-the-cone-verify": Mutant(
+        "records/b2_2_n8.json", _append_ray(
+            "l3", ["0", "1"], "2", {"target": None, "pullback": [["1"], ["0"]],
+                                    "target_edges": [["1"]]}),
+        # l3 = l1 + l2: its wall on the nef cone is {0}
+        "verify {dir}", 1, {
+            "validate": _failed(
+                "validate", "[extremality] rays.l3.contraction: contracted "
+                "ray l3 = [0, 1] is not an extreme ray of the ray cone"),
+            "facet-patch": _failed(
+                "facet-patch", "[facet-patch] rays.l3: dual of target edges "
+                "exceeds the facet on l3's wall: witness (1,)")}),
+    "zero-l1-check-exhaustion": Mutant(
+        B2_5_N1, _zero_l1, "check-exhaustion {file}", 2,
+        err=f"error: {ZERO_L1}\n"),
+    "zero-l1-nef": Mutant(
+        B2_5_N1, _zero_l1, "nef {file}", 2, err=f"error: {ZERO_L1}\n"),
+    "zero-l1-verify": Mutant(B2_5_N1, _zero_l1, "verify {dir}", 1, {
+        "validate": _failed(
+            "validate", "[antiK] rays.l1: -K mismatch: row says 1, combo "
+            "gives 0", f"[pointedness] rays: {ZERO_L1}",
+            "[antiK-combo] rays: ray rows are mutually inconsistent: ['l1']"),
+        "exhaustion": _skipped("exhaustion", ZERO_L1),
+        "facet-patch": _skipped("facet-patch", ZERO_L1)}),
+    "zero-l2-before-a-proposal-check-exhaustion": Mutant(
+        # rank-one targets read no ray, so the first cone built is the check's
+        "records/b2_2_n1.json", lambda d: d["rays"][1].update(vec=["0", "0"]),
+        "check-exhaustion {file} --propose {dir}/p.json", 2,
+        err="error: B2=2/n1.rays.l2: zero vector has no ray direction\n",
+        written={"p.json": '["1", "1"]'}),
+    # target edge sets
+    "cut-to-l1-check-exhaustion": Mutant(
+        B2_5_N1, _only("l1"), "check-exhaustion {file}", 2,
+        err=f"error: {EMPTY_L1}\n"),
+    "cut-to-l1-verify": Mutant(
+        B2_5_N1, _only("l1"), "verify {dir}", 1,
+        {"exhaustion": _skipped("exhaustion", EMPTY_L1)}),
+    "zero-l4-edge-check-exhaustion": Mutant(
+        B2_5_N1, _zero_l4_edge, "check-exhaustion {file}", 2,
+        err=f"error: {ZERO_L4_EDGE}\n"),
+    "zero-l4-edge-verify": Mutant(
+        B2_5_N1, _zero_l4_edge, "verify {dir}", 1, {
+            "validate": _failed(
+                "validate", "[target-edges] rays.l4.contraction"
+                ".target_edges[0]: zero edge vector"),
+            "exhaustion": _skipped("exhaustion", ZERO_L4_EDGE),
+            "facet-patch": _skipped("facet-patch", ZERO_L4_EDGE)}),
+    "l4-edges-holding-a-line-check-exhaustion": Mutant(
+        B2_5_N1, _l4_edge(["0", "0", "1", "0"]), "check-exhaustion {file}", 2,
+        err=f"error: {L4_LINE}\n"),
+    "l4-edges-holding-a-line-verify": Mutant(
+        # validate names the line once, so the other two skip with it
+        B2_5_N1, _l4_edge(["0", "0", "1", "0"]), "verify {dir}", 1, {
+            "validate": _failed("validate", "[target-edges] rays.l4"
+                                ".contraction.target_edges: edge cone "
+                                "contains the line through (0, 0, -1, 0)"),
+            "exhaustion": _skipped("exhaustion", L4_LINE),
+            "facet-patch": _skipped("facet-patch", L4_LINE),
+            "flop-tables": NO_CONFIG}),
+    "l4-edge-repeated-check-exhaustion": Mutant(
+        # checked once: the output without l8 of the unedited record
+        B2_5_N1, _l4_edge(["1", "1", "-1", "1"]),
+        "check-exhaustion {file} --drop-ray l8", 1, {
+            "record": "B2=5/n1", "verdict": "fail", "reciprocal_failures": [],
+            "candidates": ["l1", "l2", "l3", "l4", "l5", "l6", "l7"],
+            "misses": [{"ray_index": k, "ray": f"l{k}", "edge": edge,
+                        "note": "no candidate maps onto this edge"}
+                       for k, edge in ((4, [1, 1, -1, 1]), (5, [1, 1, -1, 1]),
+                                       (6, [1, 1, -1, 1]),
+                                       (7, [1, 1, 1, 2]))]}),
+    "l4-edge-repeated-verify": Mutant(
+        B2_5_N1, _l4_edge(["1", "1", "-1", "1"]), "verify {dir}", 1,
+        {"validate": _failed("validate", *(
+            f"[target-edges] rays.l4.contraction.target_edges[{i}]: edge "
+            f"(1, 1, -1, 1) lies in the cone of the other edges"
+            for i in (3, 4)))}),
+    "rank-one-without-l1-verify": Mutant(
+        "records/b2_2_n1.json", _only("l2"), "verify {dir}", 1, {
+            "exhaustion": {
+                "check": "exhaustion", "status": "fail", "findings": [],
+                "detail": {"record": "B2=2/n1", "candidates": ["l2"],
+                           "verdict": "fail", "reciprocal_failures": [],
+                           "misses": [{"ray_index": 1, "ray": "l2",
+                                       "edge": [1], "note": "no candidate "
+                                       "maps onto this edge"}]}}}),
+    "rank-one-without-l1-verify-human": Mutant(
+        "records/b2_2_n1.json", _only("l2"), "verify {dir} --human", 1,
+        "B2=2/n1            fail  (b2_2_n1.json)\n"
+        "  validate     fail\n"
+        "    [antiK-combo] rays: ray rows of rank 1 cannot determine a rank-2 "
+        "anticanonical combination\n"
+        "  exhaustion   fail\n"
+        "    [exhaustion] rays.l2: no candidate maps onto this edge (1,)\n"
+        "  facet-patch  skipped\n"
+        "  flop-tables  skipped\n"
+        "1 records, 0 flop configs: fail\n"),
+    # -K rows
+    "zero-row-derive-antik": Mutant(
+        "records/b2_2_n1.json", _append_ray(
+            "lz", ["0", "0"], "1", {"target": None,
+                                    "pullback": [["0"], ["1"]]}, "E1"),
+        "derive-antik {file}", 1, {"record": "B2=2/n1",
+                                   "status": "inconsistent",
+                                   "witnesses": ["lz"]}),
+    "l3-in-the-plane-derive-antik": Mutant(
+        "records/b2_3_n31.json",
+        lambda d: d["rays"][2].update(vec=["-2", "1", "1"], antiK="2"),
+        "derive-antik {file}", 1,
+        {"record": "B2=3/n31", "status": "underdetermined", "kernel_dim": 1}),
+    "irreducible-triple-derive-antik": Mutant(
+        # every two rows agree: the witness comes from the greedy reduction
+        "records/b2_2_n1.json", _append_ray("l3", ["0", "1"], "3"),
+        "derive-antik {file}", 1, {"record": "B2=2/n1",
+                                   "status": "inconsistent",
+                                   "witnesses": ["l1", "l2", "l3"]}),
+    # flop tables and configurations
+    "l12-cell-verify": Mutant(
+        N28_E5, _l12_cell, "verify {dir}", 1,
+        {"flop-tables": _failed("flop-tables", L12)}),
+    "l12-cell-flop": Mutant(
+        N28_E5, _l12_cell, "flop {dir}/e5_b2_2_n28.json --record {file}", 1,
+        {"table_findings": [L12]}),
+    "tracked-divisors-verify": Mutant(
+        E5_N28, _wrong_tracked_divisors, "verify {dir}", 1,
+        {"flop-tables": _failed(
+            "flop-tables", f"[flop-config] e5_b2_2_n28.json: {TRACKED}")}),
+    "tracked-divisors-flop": Mutant(
+        E5_N28, _wrong_tracked_divisors,
+        "flop {file} --record {dir}/b2_2_n28.json", 2,
+        err=f"error: {TRACKED}\n"),
+    "vanishing-conditions-verify": Mutant(
+        "flops/e1_b2_2_n1.json records/b2_2_n1.json",
+        _zero_contracted_exc_rows, "verify {dir}", 1, {"flop-tables": _failed(
+            "flop-tables", "[flop-config] e1_b2_2_n1.json: inconsistent "
+            "vanishing conditions for 'E': curves ['M']")}),
+    "no-result-curves-verify": Mutant(
+        E5_N28, _no_result_curves, "verify {dir}", 2,
+        err=f"error: {{file}}: {ONE_RESULT}\n"),
+    "no-result-curves-flop": Mutant(
+        E5_N28, _no_result_curves, "flop {file} --record {dir}/b2_2_n28.json",
+        2, err=f"error: {ONE_RESULT}\n"),
+    "renamed-ray-verify": Mutant(
+        "mistakes/b2_2_n8_mistake.json records/b2_2_n8.json", _rename_l2_to_l9,
+        "verify {dir}", 1, {"corrections": _failed(
+            "corrections",
+            "[correction] rays.l1: (-1, 1 | 1) should read (1, 1 | 1)",
+            "[correction] rays.l9: ray absent from the reference record",
+            "[correction] rays.l2: ray missing (present in the reference)",
+            "[correction] flop_tables.l2.l12: row missing (present in the "
+            "reference)",
+            "[correction] flop_tables.l2.l22: row missing (present in the "
+            "reference)",
+            "[correction] flop_tables.l9.l11: row label absent from the "
+            "reference",
+            "[correction] flop_tables.l9.l21: row label absent from the "
+            "reference")}),
+    # schema errors: exit 2, naming the entry
+    "chamber-self-loop-verify": Mutant(
+        "records/b2_3_n31.json", lambda d: d["chambers"]["edges"].append(
+            {"from": "T", "to": "T", "type": "Bogus"}), "verify {dir}", 2,
+        err="error: {file}: record.chambers.edges[3]: illegal flop type "
+            "'Bogus'\n"),
+    **{f"ray-type-{ray_type}-verify": Mutant(
+        # a flopping curve is K-trivial and no fixture has a fiber-type ray
+        "records/b2_3_n31.json",
+        lambda d, ray_type=ray_type: d["rays"][2].update(type=ray_type),
+        "verify {dir}", 2, err=f"error: {{file}}: record.rays[2].type: "
+                               f"unknown ray type {ray_type!r}\n")
+       for ray_type in ("F_fiber", "Flopping")},
+    "ray-type-a-list-verify": Mutant(
+        "records/b2_3_n31.json", lambda d: d["rays"][2].update(type=["C"]),
+        "verify {dir}", 2, err="error: {file}: record.rays[2].type: unknown "
+                               "ray type ['C']\n"),
+    "flop-types-doubled-nef": Mutant(
+        "records/b2_2_n28.json", _doubled_flop_types, "nef {file}", 2,
+        err=f"error: {DOUBLED_E1}\n"),
+    "flop-types-doubled-verify": Mutant(
+        "records/b2_2_n28.json", _doubled_flop_types, "verify {dir}", 2,
+        err=f"error: {{file}}: {DOUBLED_E1}\n"),
+    "exceptional-divisor-repeated-flop": Mutant(
+        # parsed, the two D1 columns would collapse into one key
+        "flops/e5_b2_2_n28.json",
+        lambda d: d.update(exceptional_divisors=["D1", "D1"]), "flop {file}",
+        2, err="error: flop.exceptional_divisors[1]: duplicate name 'D1'\n"),
+    "result-curve-repeated-flop": Mutant(
+        E5_N28, lambda d: d.update(result_curves=["l12", "l12", "l22"]),
+        "flop {file} --record {dir}/b2_2_n28.json", 2,
+        err="error: flop.result_curves[1]: duplicate name 'l12'\n"),
+    "overlong-literal-verify": Mutant(
+        "records/b2_2_n1.json",
+        lambda d: d["rays"][0].update(antiK="7" * 5000),
+        "verify {dir}", 2, err="error: {file}: record.rays[0].antiK: bad "
+                               f"rational literal '{'7' * 39}… (5002 "
+                               "characters)\n"),
+    "record-text-in-a-json-string-verify": Mutant(
+        "records/b2_2_n1.json", json.dumps, "verify {dir}", 2,
+        err=f"error: {{file}}: {NOT_AN_OBJECT}\n"),
+    "record-text-in-a-json-string-nef": Mutant(
+        "records/b2_2_n1.json", json.dumps, "nef {file}", 2,
+        err=f"error: {NOT_AN_OBJECT}\n"),
+    "flop-table-not-array-check-exhaustion": Mutant(
+        B2_5_N1, lambda d: d["flop_tables"].update({"l5": 5}),
+        "check-exhaustion {file}", 2,
+        err="error: record.flop_tables.l5: expected array, got int\n"),
+    "flop-row-label-list-check-exhaustion": Mutant(
+        B2_5_N1, lambda d: d["flop_tables"]["l1"][0].update({"label": ["x"]}),
+        "check-exhaustion {file}", 2,
+        err="error: record.flop_tables.l1[0].label: expected non-empty "
+            "string\n"),
+    "chamber-nodes-int-check-exhaustion": Mutant(
+        B2_5_N1, lambda d: d["chambers"].update({"nodes": 5}),
+        "check-exhaustion {file}", 2,
+        err="error: record.chambers.nodes: expected array, got int\n"),
+    "chamber-edges-int-check-exhaustion": Mutant(
+        B2_5_N1, lambda d: d["chambers"].update({"edges": 5}),
+        "check-exhaustion {file}", 2,
+        err="error: record.chambers.edges: expected array, got int\n"),
+    "test-curves-int-flop": Mutant(
+        "flops/e1_b2_2_n1.json", lambda d: d.update({"test_curves": 3}),
+        "flop {file}", 2,
+        err="error: flop.test_curves: expected array, got int\n"),
+    "test-curve-label-list-flop": Mutant(
+        "flops/e1_b2_2_n1.json",
+        lambda d: d["test_curves"][0].update({"label": ["x"]}), "flop {file}",
+        2, err="error: flop.test_curves[0].label: expected non-empty "
+               "string\n"),
+    "rays-not-an-array-verify": Mutant(
+        "records/b2_2_n1.json", lambda d: d.update(rays=5), "verify {dir}", 2,
+        err="error: {file}: record.rays: expected array, got int\n"),
+    # unusable input that is no edit of a record: exit 2, naming its path
+    "a-file-verify": Mutant(
+        "records/b2_2_n1.json", None, "verify {file}", 2,
+        err="error: {file}: not a directory\n"),
+    "a-directory-entry-verify": Mutant(
+        "", None, "verify {dir}", 2,
+        err="error: {dir}/x.json: unreadable: [Errno 21] Is a directory: "
+            "'{dir}/x.json'\n", written={"x.json": None}),
+    "only-flop-configurations-verify": Mutant(
+        "flops/e5_b2_2_n28.json", None, "verify {dir}", 2,
+        err="error: {dir}: no record files\n"),
+    "an-unknown-drop-ray-check-exhaustion": Mutant(
+        B2_5_N1, None, "check-exhaustion {file} --drop-ray l99", 2,
+        err="error: {file}: unknown ray label 'l99' (record has ['l1', 'l2', "
+            "'l3', 'l4', 'l5', 'l6', 'l7', 'l8'])\n"),
+    "a-proposal-that-is-no-vector-check-exhaustion": Mutant(
+        B2_5_N1, None, "check-exhaustion {file} --propose {dir}/p.json", 2,
+        err=NO_VECTOR, written={"p.json": '{"vec": 3}'}),
+    "a-proposal-wrapped-in-an-object-check-exhaustion": Mutant(
+        # a proposal is read as a record's vectors are: a bare array
+        B2_5_N1, None, "check-exhaustion {file} --propose {dir}/p.json", 2,
+        err=NO_VECTOR,
+        written={"p.json": '{"vec": ["0", "0", "0", "0", "1"]}'}),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_a_fixture_mutant(name, capsys, tmp_path):
+    mutant = MUTANTS[name]
+    sources = mutant.files.split()
+    for source in sources:
+        shutil.copy(datafiles.data_root() / source, tmp_path)
+    for written, text in mutant.written.items():
+        if text is None:
+            (tmp_path / written).mkdir()
+        else:
+            (tmp_path / written).write_text(text)
+    path = tmp_path / Path(sources[0]).name if sources else tmp_path
+    if mutant.edit is not None:
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps(mutant.edit(data) or data))
+
+    def fill(text):
+        return text.replace("{dir}", str(tmp_path)).replace("{file}",
+                                                            str(path))
+
+    code, out, err = run_cli(capsys, *map(fill, mutant.argv.split()))
+    expected = mutant.out if isinstance(mutant.out, dict) else fill(mutant.out)
+    if isinstance(expected, dict):
+        view = json.loads(out)
+        if "reports" in view:
+            view = next({s["check"]: s for s in report["sections"]}
+                        for source in sources for report in view["reports"]
+                        if report["file"] == Path(source).name)
+        out = {key: view[key] for key in expected if key in view}
+    assert (code, out, err) == (mutant.code, expected, fill(mutant.err))

@@ -8,7 +8,6 @@ import contextlib
 import importlib
 import io
 import json
-import shutil
 import sys
 
 import pytest
@@ -20,6 +19,7 @@ from fanoray.cone import Cone, dual_description
 from fanoray.exhaustion import build_targets, check_exhaustion, pushforward_map
 from fanoray.model import record_from_json, validate_record
 
+from conftest import flat_fixtures
 from oracles import minus_one_curves
 from test_cone import B2_5_N1_RAYS
 
@@ -51,14 +51,6 @@ def callers(*args, **kwargs) -> set:
     return codes
 
 
-def _fixture_dir(tmp_path, *subs):
-    """tmp_path holding the packaged JSON of the given data folders, flat."""
-    for sub in subs:
-        for path in (datafiles.data_root() / sub).glob("*.json"):
-            shutil.copy(path, tmp_path / path.name)
-    return tmp_path
-
-
 def _cli(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -86,7 +78,7 @@ def test_single_record_commands_do_not_validate(monkeypatch, command):
 
 
 def test_verify_derives_each_antik_combination_once(monkeypatch, tmp_path):
-    _fixture_dir(tmp_path, "records", "mistakes", "extra")
+    flat_fixtures(tmp_path, "records", "mistakes", "extra")
     assert len(list(tmp_path.glob("*.json"))) == 13
     calls = count_calls(monkeypatch, "model", "derive_antiK_combo")
     assert _cli(["verify", str(tmp_path)]) == 1
@@ -99,7 +91,7 @@ def test_verify_computes_each_contractions_images_once(monkeypatch,
     # and the exhaustion check fetch a chart, and facet-patch canonicalises
     # only while it builds a cone or its dual; each flop configuration is
     # solved once, although two records match e3_b2_2_n8
-    _fixture_dir(tmp_path, "records", "mistakes", "extra", "flops")
+    flat_fixtures(tmp_path)
     charts = count_calls(monkeypatch, "exhaustion", "pushforward_map",
                          callers)
     canonical = count_calls(monkeypatch, "cone", "canonicalize_ray", callers)
@@ -122,7 +114,7 @@ def test_verify_dualises_only_facet_patch_target_edges(monkeypatch,
     # checked ray cone, so no nef cone is built: every Cone.dual is one of
     # facet-patch's target edge sets, and each flop configuration is
     # solved once
-    _fixture_dir(tmp_path, "records", "mistakes", "extra", "flops")
+    flat_fixtures(tmp_path)
     duals = []
     dual = Cone.dual
 
@@ -144,7 +136,7 @@ def test_verify_runs_one_pointedness_lp_per_cone(monkeypatch, tmp_path):
     # edge set (b2_5_n1 and its mistake variant, whose l4, l5 and l6 share
     # theirs); target edges are judged by their cone's extreme rays, not
     # by one membership LP per edge
-    _fixture_dir(tmp_path, "records", "mistakes", "extra", "flops")
+    flat_fixtures(tmp_path)
     phase1 = count_calls(monkeypatch, "cone", "_phase1")
     members = []
     membership = Cone.membership
@@ -164,7 +156,7 @@ def test_verify_runs_one_double_description_per_cone(monkeypatch,
     # facet-patch dualises the target edge cones that validate described
     # (b2_5_n1 and its mistake variant, one shared by l4, l5 and l6 each):
     # the record keeps one cone per vector set for every caller
-    _fixture_dir(tmp_path, "records", "mistakes", "extra", "flops")
+    flat_fixtures(tmp_path)
     dd_calls = count_calls(monkeypatch, "cone", "dual_description")
     assert _cli(["verify", str(tmp_path)]) == 1
     assert len(dd_calls) == 41

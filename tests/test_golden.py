@@ -11,7 +11,6 @@ To recapture after a deliberate output change, run
 import contextlib
 import io
 import json
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -21,18 +20,11 @@ import pytest
 from fanoray import datafiles
 from fanoray.cli import main
 
+from conftest import flat_fixtures
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORRECTED = ("b2_2_n1", "b2_2_n28", "b2_2_n30", "b2_2_n8", "b2_3_n31",
              "b2_4_n12", "b2_4_n13", "b2_4_n3", "b2_5_n1")
-
-
-def _all_fixtures_dir(tmp: Path) -> Path:
-    """All 13 record fixtures and the 4 flop configurations, flat."""
-    root = datafiles.data_root()
-    for sub in ("records", "mistakes", "extra", "flops"):
-        for path in (root / sub).glob("*.json"):
-            shutil.copy(path, tmp / path.name)
-    return tmp
 
 
 def _cases():
@@ -94,7 +86,7 @@ def _run(argv, tmp: Path):
     """(exit code, stdout, stderr) of one CLI call; the placeholders
     ``{dir}``, ``{drop_l8}`` and ``{l8}`` become a fixture directory, a
     directory holding b2_5_n1 without l8, and a proposal file."""
-    fill = {"{dir}": _all_fixtures_dir, "{drop_l8}": _drop_l8_dir,
+    fill = {"{dir}": flat_fixtures, "{drop_l8}": _drop_l8_dir,
             "{l8}": _l8_proposal}
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \

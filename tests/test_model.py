@@ -4,9 +4,9 @@ import json
 import pytest
 
 from fanoray.flop import flop_config_from_json
-from fanoray.model import (RecordError, derive_antiK_combo, diff_records,
-                           parse_record, record_from_json, serialize_record,
-                           validate_record)
+from fanoray.model import (RAY_TYPES, RecordError, derive_antiK_combo,
+                           diff_records, parse_record, record_from_json,
+                           serialize_record, validate_record)
 from fanoray.rational import apply, dot, rat, transpose
 
 
@@ -263,6 +263,26 @@ def test_validate_flags_a_repeated_ray_direction(records):
     assert [(f.key, f.message) for f in findings
             if f.check == "duplicate-ray"] == [
         ("rays.l9", "same ray as l1"), ("rays.l10", "same ray as l2")]
+
+
+def test_ray_type_typos_caught_by_moris_classification(records):
+    # each ray of the corrected records set to each other type: 192 typos.
+    # The length -K.l catches 38 and a type D ray on rho != 2 another 24;
+    # the other 130 need divisor or target data
+    typos, by_length, by_rho = 0, 0, 0
+    for record in records.values():
+        data = serialize_record(record)
+        for ray in data["rays"]:
+            for ray_type in RAY_TYPES.keys() - {ray["type"]}:
+                typo = {**data, "rays": [dict(r, type=ray_type) if r is ray
+                                         else r for r in data["rays"]]}
+                messages = [f.message for f in validate_record(
+                    record_from_json(typo)) if f.check == "ray-type"]
+                typos += 1
+                by_length += any("not a length" in m for m in messages)
+                by_rho += any("rho must be 2" in m for m in messages)
+    assert typos == 192
+    assert by_length >= 38 and by_rho >= 24
 
 
 def test_derive_antiK_b2_5_n1(records):
