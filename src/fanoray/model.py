@@ -4,9 +4,11 @@ combination, extremal rays with contraction descriptors, flop row tables.
 The -K column of every table is stored *and* recomputable from the
 record-level combination; any disagreement is a row-keyed finding.  That
 redundancy is deliberate: it turns table typos into mechanical findings
-instead of silent corruption.  Strict loading raises on the first finding;
-the audit path loads in collecting mode so that deliberately wrong
-("mistake") fixtures can be examined rather than rejected.
+instead of silent corruption.  Loading checks only the schema
+(``record_from_json``) and ``validate_record`` returns every finding, so
+that deliberately wrong ("mistake") fixtures can be examined rather than
+rejected; ``verify`` runs the two in turn.  ``parse_record`` does both and
+by default raises on the first finding.
 """
 
 from __future__ import annotations
@@ -396,8 +398,10 @@ def parse_record(raw, strict: bool = True):
     """Parse JSON bytes/text into a validated FanoRecord.
 
     strict=True raises on the first invariant finding (the default API
-    behaviour); strict=False returns (record, findings) so the audit can
-    report every violation of a mistake fixture.
+    behaviour); strict=False returns (record, findings) instead.  The
+    audit uses neither: ``verify`` calls ``record_from_json`` and
+    ``validate_record`` itself.  The benchmark's set-up and the tests read
+    mistake fixtures with strict=False.
     """
     record = record_from_json(_json_at(raw, "record"))
     findings = validate_record(record)

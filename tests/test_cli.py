@@ -84,13 +84,10 @@ def test_verify_human_rendering(capsys, corpus_dir, data_root):
     assert out.strip().endswith("fail")
 
 
-def test_verify_empty_dir_exits_two(capsys, tmp_path, data_root):
-    # no record would be checked, so a pass would be vacuous; a directory
-    # holding only flop configurations checks no record either
-    message = f"error: {tmp_path}: no record files\n"
-    assert run_cli(capsys, "verify", str(tmp_path)) == (2, "", message)
-    shutil.copy(data_root / "flops" / "e5_b2_2_n28.json", tmp_path)
-    assert run_cli(capsys, "verify", str(tmp_path)) == (2, "", message)
+def test_verify_empty_dir_exits_two(capsys, tmp_path):
+    # no record would be checked, so a pass would be vacuous
+    assert run_cli(capsys, "verify", str(tmp_path)) == (
+        2, "", f"error: {tmp_path}: no record files\n")
 
 
 def test_verify_unreadable_json_exits_two(capsys, tmp_path):
@@ -678,6 +675,10 @@ class Mutant(NamedTuple):
     written: dict = {}
 
 
+def _passed(check):
+    return {"check": check, "status": "pass", "findings": []}
+
+
 def _failed(check, *findings):
     return {"check": check, "status": "fail", "findings": list(findings)}
 
@@ -753,9 +754,19 @@ def _zero_contracted_exc_rows(data):
             curve["exc_row"] = ["0"] * len(curve["exc_row"])
 
 
-def _rename_l2_to_l9(data):
-    data["rays"][1]["label"] = "l9"
-    data["flop_tables"]["l9"] = data["flop_tables"].pop("l2")
+def _renamed(old, new):
+    """Relabel one ray and its flop table."""
+    def edit(data):
+        next(r for r in data["rays"] if r["label"] == old)["label"] = new
+        data["flop_tables"][new] = data["flop_tables"].pop(old)
+    return edit
+
+
+def _repeat_first(key):
+    """Overwrite the last name of a list with its first."""
+    def edit(data):
+        data[key][-1] = data[key][0]
+    return edit
 
 
 def _l1_to_l3_and_two_sums(data):
@@ -776,6 +787,11 @@ def _zero_l4_edge(data):
     data["rays"][3]["contraction"]["target_edges"] = [["0"] * 4]
 
 
+def _zero_first_and_a_sum(data):  # b2_5_n1's l4 edges, and edge 1 + edge 2
+    edges = data["rays"][3]["contraction"]["target_edges"]
+    edges[:] = [["0"] * 4, *edges, ["-1", "-1", "2", "0"]]
+
+
 def _l4_edge(edge):
     """Append ``edge`` to b2_5_n1's transcribed target edges of l4."""
     return lambda data: data["rays"][3]["contraction"]["target_edges"].append(
@@ -792,6 +808,17 @@ def _no_result_curves(data):  # "flop-tables: pass" would be vacuous
 
 def _wrong_tracked_divisors(data):
     data["tracked_divisors"] = ["E", "H"]
+
+
+def _contracted_curve(label, pullback_row, exc_row):
+    return {"label": label, "pullback_row": pullback_row, "exc_row": exc_row,
+            "contracted_by_flop": True}
+
+
+def _chamber_edge(src, dst, flop_type):
+    """Append an edge to b2_3_n31's three chamber edges."""
+    return lambda data: data["chambers"]["edges"].append(
+        {"from": src, "to": dst, "type": flop_type})
 
 
 B2_5_N1 = "records/b2_5_n1.json"
@@ -818,6 +845,12 @@ RANK_3_OF_5 = ("[antiK-combo] rays: ray rows of rank 3 cannot determine a "
                "rank-5 anticanonical combination")
 L1_TO_L3 = {"record": "B2=5/n1", "status": "underdetermined", "kernel_dim": 2}
 NO_VECTOR = "error: {dir}/p.json: expected a non-empty array of rationals\n"
+# b2_5_n1 without l8: the misses of check-exhaustion's first report
+L8_MISSES = [{"ray_index": k, "ray": f"l{k}", "edge": edge,
+              "note": "no candidate maps onto this edge"}
+             for k, edge in ((4, [1, 1, -1, 1]), (5, [1, 1, -1, 1]),
+                             (6, [1, 1, -1, 1]), (7, [1, 1, 1, 2]))]
+P1_AND_NO_L8 = ["l1", "l2", "p1", "l4", "l5", "l6", "l7"]
 DOUBLED_E1 = "record.flop_types[2]: duplicate name 'E1'"
 NOT_AN_OBJECT = "record: expected object, got str"
 
@@ -826,6 +859,14 @@ MUTANTS = {
     "ray-listed-twice-verify": Mutant(
         B2_5_N1, _l1_again_as_l9, "verify {dir}", 1, {"validate": _failed(
             "validate", "[duplicate-ray] rays.l9: same ray as l1")}),
+    "twice-l2-as-l10-verify": Mutant(
+        # a positive multiple is the same ray, named by the later label
+        B2_5_N1, lambda d: d["rays"].append(dict(
+            d["rays"][1], label="l10", vec=["0", "-2", "0", "2", "0"],
+            antiK="2")), "verify {dir}", 1, {"validate": _failed(
+                "validate", "[ray-type] rays.l10: -K.l10 = 2 is not a length "
+                "of a type E1 ray (1)", "[duplicate-ray] rays.l10: same ray "
+                "as l2")}),
     "invalid-chart-verify": Mutant(
         B2_5_N1, _set_pullback_entry, "verify {dir}", 1, {
             "validate": _failed(
@@ -960,6 +1001,16 @@ MUTANTS = {
                 ".target_edges[0]: zero edge vector"),
             "exhaustion": _skipped("exhaustion", ZERO_L4_EDGE),
             "facet-patch": _skipped("facet-patch", ZERO_L4_EDGE)}),
+    "l4-edges-zero-first-and-a-sum-verify": Mutant(
+        # a finding's index counts the zero edge too
+        B2_5_N1, _zero_first_and_a_sum, "verify {dir}", 1, {
+            "validate": _failed(
+                "validate", "[target-edges] rays.l4.contraction"
+                ".target_edges[0]: zero edge vector", "[target-edges] rays.l4"
+                ".contraction.target_edges[5]: edge (-1, -1, 2, 0) lies in "
+                "the cone of the other edges"),
+            "exhaustion": _skipped("exhaustion", ZERO_L4_EDGE),
+            "facet-patch": _skipped("facet-patch", ZERO_L4_EDGE)}),
     "l4-edges-holding-a-line-check-exhaustion": Mutant(
         B2_5_N1, _l4_edge(["0", "0", "1", "0"]), "check-exhaustion {file}", 2,
         err=f"error: {L4_LINE}\n"),
@@ -978,11 +1029,7 @@ MUTANTS = {
         "check-exhaustion {file} --drop-ray l8", 1, {
             "record": "B2=5/n1", "verdict": "fail", "reciprocal_failures": [],
             "candidates": ["l1", "l2", "l3", "l4", "l5", "l6", "l7"],
-            "misses": [{"ray_index": k, "ray": f"l{k}", "edge": edge,
-                        "note": "no candidate maps onto this edge"}
-                       for k, edge in ((4, [1, 1, -1, 1]), (5, [1, 1, -1, 1]),
-                                       (6, [1, 1, -1, 1]),
-                                       (7, [1, 1, 1, 2]))]}),
+            "misses": L8_MISSES}),
     "l4-edge-repeated-verify": Mutant(
         B2_5_N1, _l4_edge(["1", "1", "-1", "1"]), "verify {dir}", 1,
         {"validate": _failed("validate", *(
@@ -1009,6 +1056,30 @@ MUTANTS = {
         "  facet-patch  skipped\n"
         "  flop-tables  skipped\n"
         "1 records, 0 flop configs: fail\n"),
+    "l3-uncontracted-verify": Mutant(
+        # facet-patch skips the candidate without a descriptor
+        "records/b2_3_n31.json", lambda d: d["rays"][2].update(
+            contraction=None), "verify {dir}", 0, {
+                "exhaustion": {
+                    "check": "exhaustion", "status": "pass", "findings": [],
+                    "detail": {"record": "B2=3/n31", "verdict": "pass",
+                               "candidates": ["l1", "l2", "l3"],
+                               "misses": [], "reciprocal_failures": []}},
+                "facet-patch": _passed("facet-patch")}),
+    "l3-renamed-p1-check-exhaustion": Mutant(
+        # the proposal added for l8's edge is p2: p1 is a ray of the record
+        B2_5_N1, _renamed("l3", "p1"),
+        "check-exhaustion {file} --drop-ray l8 --propose {dir}/p.json", 1, {
+            "final_candidates": [*P1_AND_NO_L8, "p2"],
+            "events": ["added proposal p2 = (2, 1, 1, -1, 3) for the missing "
+                       "edge (1, 1, -1, 1) of l4"],
+            "trail": [{"record": "B2=5/n1", "verdict": "fail",
+                       "reciprocal_failures": [], "candidates": candidates,
+                       "misses": misses}
+                      for candidates, misses in (
+                          (P1_AND_NO_L8, L8_MISSES),
+                          ([*P1_AND_NO_L8, "p2"], L8_MISSES[1:]))]},
+        written={"p.json": '["2", "1", "1", "-1", "3"]'}),  # l8 + l4
     # -K rows
     "zero-row-derive-antik": Mutant(
         "records/b2_2_n1.json", _append_ray(
@@ -1048,6 +1119,35 @@ MUTANTS = {
         _zero_contracted_exc_rows, "verify {dir}", 1, {"flop-tables": _failed(
             "flop-tables", "[flop-config] e1_b2_2_n1.json: inconsistent "
             "vanishing conditions for 'E': curves ['M']")}),
+    "zero-exc-row-verify": Mutant(
+        # Z alone reads 0 = -1; the consistent M is no witness
+        "flops/e1_b2_2_n1.json records/b2_2_n1.json",
+        lambda d: d["test_curves"].insert(0, _contracted_curve(
+            "Z", ["1", "0"], ["0"])), "verify {dir}", 1,
+        {"flop-tables": _failed(
+            "flop-tables", "[flop-config] e1_b2_2_n1.json: inconsistent "
+            "vanishing conditions for 'E': curves ['Z']")}),
+    "inconsistent-m3-verify": Mutant(
+        E5_N28, lambda d: d["test_curves"].append(_contracted_curve(
+            "M3", ["5", "1"], ["-2", "0"])), "verify {dir}", 1,
+        {"flop-tables": _failed(
+            "flop-tables", "[flop-config] e5_b2_2_n28.json: inconsistent "
+            "vanishing conditions for 'E': curves ['M', 'M3']")}),
+    "underdetermined-verify": Mutant(
+        # L becomes M2 = 2M: the two pin D1 alone
+        E5_N28, lambda d: d["test_curves"][1].update(
+            label="M2", pullback_row=["6", "2"], exc_row=["-4", "0"]),
+        "verify {dir}", 1, {"flop-tables": _failed(
+            "flop-tables", "[flop-config] e5_b2_2_n28.json: underdetermined "
+            "correction for 'E': kernel dimension 1")}),
+    "config-for-another-record-flop": Mutant(
+        "flops/e5_b2_2_n28.json records/b2_2_n30.json", None,
+        "flop {file} --record {dir}/b2_2_n30.json", 2,
+        err="error: config is for B2=2/n28, record is B2=2/n30\n"),
+    "no-l2-flop-table-flop": Mutant(
+        N28_E5, lambda d: d.update(flop_tables={}),
+        "flop {dir}/e5_b2_2_n28.json --record {file}", 2,
+        err="error: B2=2/n28 has no flop table for ray 'l2'\n"),
     "no-result-curves-verify": Mutant(
         E5_N28, _no_result_curves, "verify {dir}", 2,
         err=f"error: {{file}}: {ONE_RESULT}\n"),
@@ -1055,8 +1155,8 @@ MUTANTS = {
         E5_N28, _no_result_curves, "flop {file} --record {dir}/b2_2_n28.json",
         2, err=f"error: {ONE_RESULT}\n"),
     "renamed-ray-verify": Mutant(
-        "mistakes/b2_2_n8_mistake.json records/b2_2_n8.json", _rename_l2_to_l9,
-        "verify {dir}", 1, {"corrections": _failed(
+        "mistakes/b2_2_n8_mistake.json records/b2_2_n8.json",
+        _renamed("l2", "l9"), "verify {dir}", 1, {"corrections": _failed(
             "corrections",
             "[correction] rays.l1: (-1, 1 | 1) should read (1, 1 | 1)",
             "[correction] rays.l9: ray absent from the reference record",
@@ -1075,6 +1175,80 @@ MUTANTS = {
             {"from": "T", "to": "T", "type": "Bogus"}), "verify {dir}", 2,
         err="error: {file}: record.chambers.edges[3]: illegal flop type "
             "'Bogus'\n"),
+    **{f"chamber-{name}-verify": Mutant(
+        "records/b2_3_n31.json", edit, "verify {dir}", 2,
+        err=f"error: {{file}}: record.chambers.{message}\n")
+       for name, edit, message in (
+           ("self-loop-of-type-F", _chamber_edge("T", "T", "F"),
+            "edges[3]: self-loop at 'T'"),
+           ("to-an-unknown-id", _chamber_edge("T", "C", "F"),
+            "edges[3]: unknown chamber 'C'"),
+           ("edge-repeated", _chamber_edge("T", "cont_l1(T)", "E1"),
+            "edges[3]: duplicate edge ('T', 'cont_l1(T)', 'E1')"),
+           ("edge-from-an-int",
+            lambda d: d["chambers"]["edges"][0].update({"from": 1}),
+            "edges[0]: from, to and type must be strings"),
+           ("id-repeated", lambda d: d["chambers"]["nodes"].append(
+               {"id": "T", "label": "T"}),
+            "nodes[3]: duplicate chamber id 'T'"))},
+    "no-chamber-data-nef": Mutant(
+        "records/b2_4_n3.json", None, "nef {file} --dot {dir}/g.dot", 2,
+        err="error: B2=4/n3 carries no chamber data\n"),
+    **{f"{name}-verify": Mutant(
+        file, edit, "verify {dir}", 2, err=f"error: {{file}}: {message}\n")
+       for name, file, edit, message in (
+           ("unknown-field", "records/b2_2_n1.json",
+            lambda d: d.update(surprise=1),
+            "record: unknown fields: ['surprise']"),
+           ("variant-not-a-string", "records/b2_2_n1.json",
+            lambda d: d["id"].update(variant=5),
+            "record.id.variant: expected string"),
+           ("a-float", "records/b2_2_n1.json",
+            lambda d: d.update(antiK_combo=[-1.0, 2]),
+            "record.antiK_combo[0]: float rejected: -1.0"),
+           ("a-letter", "records/b2_3_n31.json",
+            lambda d: d["rays"][1].update(vec=["-1", "0", "x"]),
+            "record.rays[1].vec[2]: bad rational literal 'x'"),
+           ("zero-denominator", "records/b2_3_n31.json",
+            lambda d: d["rays"][0]["contraction"].update(
+                pullback=[["1", "0"], ["1/0", "0"], ["0", "1"]]),
+            "record.rays[0].contraction.pullback[1][0]: bad rational "
+            "literal '1/0'"),
+           ("no-rays", "records/b2_2_n1.json", lambda d: d.update(rays=[]),
+            "record.rays: expected non-empty array"),
+           ("l4-target-edges-empty", B2_5_N1,
+            lambda d: d["rays"][3]["contraction"].update(target_edges=[]),
+            "record.rays[3].contraction.target_edges: expected non-empty "
+            "array"),
+           ("flop-table-of-no-ray", "records/b2_2_n1.json",
+            lambda d: d["flop_tables"].update(l9=d["flop_tables"].pop("l1")),
+            "record.flop_tables.l9: key 'l9' is not a ray label"),
+           ("basis-repeated", "records/b2_3_n31.json",
+            _repeat_first("basis"), "record.basis[2]: duplicate name 'E'"),
+           ("flop-type-outside-its-list", "records/b2_2_n28.json",
+            lambda d: d.update(flop_types=["E1", "E9"]),
+            "record.flop_types[1]: 'E9' is not one of E1, E2, E3, E4, E5, "
+            "E1_inv, E2_inv, E3_inv, E4_inv, E5_inv, F, G, Others"),
+           ("tracked-divisor-repeated", "flops/e5_b2_2_n28.json",
+            _repeat_first("tracked_divisors"),
+            "flop.tracked_divisors[1]: duplicate name 'E'"),
+           ("exceptional-divisor-repeated", "flops/e5_b2_2_n28.json",
+            _repeat_first("exceptional_divisors"),
+            "flop.exceptional_divisors[1]: duplicate name 'D1'"),
+           ("result-curve-repeated", "flops/e5_b2_2_n28.json",
+            _repeat_first("result_curves"),
+            "flop.result_curves[1]: duplicate name 'l12'"),
+           ("result-curve-outside-its-list", "flops/e5_b2_2_n28.json",
+            lambda d: d.update(result_curves=["l12", "l99"]),
+            "flop.result_curves[1]: 'l99' is not one of M, L, l12, l22"),
+           ("too-few-contracted-curves", "flops/e5_b2_2_n28.json",
+            lambda d: d["test_curves"][1].update(contracted_by_flop=False),
+            "flop.test_curves: 1 contracted curves cannot pin 2 "
+            "exceptional coefficients"))},
+    "flop-types-empty-verify": Mutant(
+        # an empty list loads
+        "records/b2_2_n28.json", lambda d: d.update(flop_types=[]),
+        "verify {dir}", 0, {"validate": _passed("validate")}),
     **{f"ray-type-{ray_type}-verify": Mutant(
         # a flopping curve is K-trivial and no fixture has a fiber-type ray
         "records/b2_3_n31.json",

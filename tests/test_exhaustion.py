@@ -256,29 +256,6 @@ def test_extension_useless_proposal_skipped(records):
     assert any("matches no missing edge" in e for e in result.events)
 
 
-def test_added_proposal_label_avoids_record_labels(records):
-    # a record whose own ray is labelled p1 must not be shadowed by the
-    # first added proposal
-    data = serialize_record(records["b2_5_n1"])
-    for ray in data["rays"]:
-        if ray["label"] == "l3":
-            ray["label"] = "p1"
-    data["flop_tables"]["p1"] = data["flop_tables"].pop("l3")
-    rec = record_from_json(data)
-    l8, l4 = rec.ray("l8").vec, rec.ray("l4").vec
-    candidates = [lab for lab in rec.ray_labels() if lab != "l8"]
-    result = extend_candidates(rec, candidates, build_targets(rec),
-                               [tuple(a + b for a, b in zip(l8, l4))])
-    assert result.final_candidates == tuple(candidates) + ("p2",)
-    assert any(e.startswith("added proposal p2 ") for e in result.events)
-    plain = records["b2_5_n1"]
-    expected = extend_candidates(
-        plain, [lab for lab in plain.ray_labels() if lab != "l8"],
-        build_targets(plain), [tuple(a + b for a, b in zip(l8, l4))])
-    assert ([len(r.misses) for r in result.reports]
-            == [len(r.misses) for r in expected.reports] == [4, 3])
-
-
 def _outcome(derive, *args):
     """The edges and provenance derived, or the class of the exception."""
     try:

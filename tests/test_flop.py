@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fanoray.flop import (FlopError, compute_flop, flop_config_from_json,
+from fanoray.flop import (compute_flop, flop_config_from_json,
                           parse_flop_config, solve_pullback_coeffs,
                           verify_against_table)
 from fanoray.model import RecordError
@@ -96,51 +96,6 @@ def _as_json(cfg):
     }
 
 
-def test_underdetermined_system_raises(flop_configs):
-    data = _as_json(flop_configs["e5_b2_2_n28"])
-    data["test_curves"] = [c for c in data["test_curves"]
-                           if c["label"] != "L"] + [
-        {"label": "M2", "pullback_row": ["6", "2"], "exc_row": ["-4", "0"],
-         "contracted_by_flop": True}]
-    cfg = flop_config_from_json(data)
-    with pytest.raises(FlopError) as err:
-        solve_pullback_coeffs(cfg)
-    assert "kernel dimension 1" in str(err.value)
-
-
-def test_inconsistent_system_names_witness_curves(flop_configs):
-    data = _as_json(flop_configs["e5_b2_2_n28"])
-    data["test_curves"].append(
-        {"label": "M3", "pullback_row": ["5", "1"], "exc_row": ["-2", "0"],
-         "contracted_by_flop": True})
-    cfg = flop_config_from_json(data)
-    with pytest.raises(FlopError) as err:
-        solve_pullback_coeffs(cfg)
-    assert "M3" in str(err.value)
-
-
-def test_zero_exc_row_curve_is_the_only_witness(flop_configs):
-    # a contracted curve with exc_row 0 and pullback_row[0] != 0 reads
-    # 0 = -1 on its own; the consistent curve M must not be named
-    data = _as_json(flop_configs["e1_b2_2_n1"])
-    data["test_curves"].insert(0, {
-        "label": "Z", "pullback_row": ["1", "0"], "exc_row": ["0"],
-        "contracted_by_flop": True})
-    with pytest.raises(FlopError) as err:
-        compute_flop(flop_config_from_json(data))
-    assert "curves ['Z']" in str(err.value)
-
-
-def test_too_few_contracted_curves_rejected(flop_configs):
-    data = _as_json(flop_configs["e5_b2_2_n28"])
-    for c in data["test_curves"]:
-        if c["label"] == "L":
-            c["contracted_by_flop"] = False
-    with pytest.raises(Exception) as err:
-        flop_config_from_json(data)
-    assert "contracted" in str(err.value)
-
-
 def test_verify_against_corrected_tables_is_clean(records, flop_configs):
     pairs = [("e1_b2_2_n1", "b2_2_n1"), ("e3_b2_2_n8", "b2_2_n8"),
              ("e5_b2_2_n28", "b2_2_n28"), ("e2_b2_2_n30", "b2_2_n30")]
@@ -161,23 +116,10 @@ def test_verify_against_mistake_table_flags_miskeyed_rows(mistakes,
     assert all("no row labeled" in f.message for f in findings)
 
 
-def test_verify_requires_matching_ray_table(records, flop_configs):
-    cfg = flop_configs["e5_b2_2_n28"]
-    with pytest.raises(FlopError):
-        verify_against_table(records["b2_2_n30"], cfg, compute_flop(cfg))
-
-
 def test_config_schema_round_trip(flop_configs):
     for cfg in flop_configs.values():
         again = parse_flop_config(json.dumps(_as_json(cfg)))
         assert again == cfg
-
-
-def test_config_rejects_unknown_result_curve(flop_configs):
-    data = _as_json(flop_configs["e1_b2_2_n1"])
-    data["result_curves"] = ["nope"]
-    with pytest.raises(Exception):
-        flop_config_from_json(data)
 
 
 def test_config_rejects_an_empty_result_curve_list(flop_configs):
