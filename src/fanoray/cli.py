@@ -38,12 +38,22 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _read_json(path: Path):
+def _load(path: Path, parse=record_from_json):
+    """``parse`` of the JSON file at ``path``; every error names the file."""
     try:
-        raw = path.read_bytes()
+        data = _json_at(path.read_bytes(), str(path))
     except OSError as exc:
         raise RecordError(str(path), f"unreadable: {exc}") from None
-    return _json_at(raw, str(path))
+    try:
+        return parse(data)
+    except RecordError as exc:
+        raise RecordError(str(path), str(exc)) from None
+
+
+def _record_or_config(data):
+    """A flop configuration if ``data`` has tracked divisors, else a record."""
+    is_config = isinstance(data, dict) and "tracked_divisors" in data
+    return (flop_config_from_json if is_config else record_from_json)(data)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +168,9 @@ def cmd_verify(args):
     records, configs = {}, {}
     for path in (sorted(data_dir.glob("*.json")) if args.data_dir
                  else datafiles.corpus()):
-        head = _read_json(path)
-        try:
-            if isinstance(head, dict) and "tracked_divisors" in head:
-                configs[path.name] = flop_config_from_json(head)
-            else:
-                records[path.name] = record_from_json(head)
-        except RecordError as exc:
-            raise RecordError(str(path), str(exc)) from None
+        loaded = _load(path, _record_or_config)
+        (configs if isinstance(loaded, FlopConfig)
+         else records)[path.name] = loaded
     if not records:  # nothing would be checked, so a pass would be vacuous
         raise RecordError(str(data_dir), "no record files")
 
@@ -213,7 +218,7 @@ def _render_table(reports: Sequence[RecordReport], summary) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_check_exhaustion(args):
-    record = record_from_json(_read_json(Path(args.record)))
+    record = _load(Path(args.record))
     labels = record.ray_labels()
     for drop in args.drop_ray:
         if drop not in labels:
@@ -224,8 +229,8 @@ def cmd_check_exhaustion(args):
                             prefer_record_tables=(args.targets == "auto"))
     if args.propose:
         # one vector per file, read as every vector in a record is
-        proposals = [require_direction(str(p), _vec_at(_read_json(p), str(p),
-                                                       record.rho))
+        proposals = [require_direction(str(p), _load(
+                         p, lambda v: _vec_at(v, "proposal", record.rho)))
                      for p in map(Path, args.propose)]
         result = extend_candidates(record, candidates, targets, proposals)
         return result.passed, {
@@ -241,7 +246,7 @@ def cmd_check_exhaustion(args):
 # ---------------------------------------------------------------------------
 
 def cmd_flop(args):
-    cfg = flop_config_from_json(_read_json(Path(args.config)))
+    cfg = _load(Path(args.config), flop_config_from_json)
     result = compute_flop(cfg)
     payload = {
         "record": cfg.record.render(),
@@ -255,14 +260,14 @@ def cmd_flop(args):
     }
     findings = []
     if args.record:
-        record = record_from_json(_read_json(Path(args.record)))
+        record = _load(Path(args.record))
         findings = verify_against_table(record, cfg, result)
         payload["table_findings"] = [f.render() for f in findings]
     return not findings, payload
 
 
 def cmd_nef(args):
-    record = record_from_json(_read_json(Path(args.record)))
+    record = _load(Path(args.record))
     # its dual, the nef cone, has its extreme rays for facet normals and its
     # facets for generators
     cone = checked_ray_cone(record)
@@ -281,7 +286,7 @@ def cmd_nef(args):
 
 
 def cmd_derive_antik(args):
-    record = record_from_json(_read_json(Path(args.record)))
+    record = _load(Path(args.record))
     derived = record.derived_antiK
     payload = {"record": record.record_id.render(), "status": derived.status}
     if derived.status == "ok":

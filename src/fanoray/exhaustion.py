@@ -128,7 +128,7 @@ def build_targets(record: FanoRecord,
 
     With ``prefer_record_tables`` (the CLI's ``--targets auto``) a
     transcribed edge set wins when present (record-table provenance): its
-    targets are the extreme rays of the record's memoised edge cone, which
+    targets are the extreme rays of the memoised cone of those edges, which
     must not hold a line, so a listed edge in the cone of the others is no
     target.  A contraction of a rho = 2 record without one gets the single
     edge (1,) (rank-one provenance): its target has Picard rank one, and

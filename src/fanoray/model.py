@@ -14,8 +14,8 @@ by default raises on the first finding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cone import Cone, ConeError, canonicalize_ray
@@ -76,10 +76,27 @@ class ContractionDescriptor(NamedTuple):
     target_edges: Optional[tuple[Vec, ...]] = None
 
 
-# RayRecord and FanoRecord stay frozen dataclasses because their
-# cached_property memos need an instance __dict__, which a NamedTuple
-# lacks.  Every other value record is a NamedTuple: its class is much
-# cheaper to build at import than a dataclass's generated methods.
+# One bounded memo per engine fact, keyed by its exact inputs, so records
+# with equal data (a mistake and its corrected sibling, a file read twice)
+# share it; as in ``rational._literal``, no exception is stored.
+@lru_cache(maxsize=1024)
+def _cone(dim: int, vectors: frozenset) -> Cone:
+    return Cone(dim, sorted(vectors))
+
+
+@lru_cache(maxsize=1024)
+def _chart(pullback: Mat, vec: Vec) -> tuple[Mat, Vec, int]:
+    phi = transpose(pullback)
+    return phi, apply(phi, vec), rank(phi)
+
+
+@lru_cache(maxsize=1024)
+def _derived_antiK(rows: tuple, rho: int) -> "AntiKDerivation":
+    return derive_antiK_combo(rows, rho)
+
+
+# RayRecord and FanoRecord stay frozen dataclasses (``dataclasses.replace``
+# copies them); every other value record is a NamedTuple, cheaper at import.
 @dataclass(frozen=True)
 class RayRecord:
     label: str
@@ -88,11 +105,10 @@ class RayRecord:
     ray_type: str
     contraction: Optional[ContractionDescriptor] = None
 
-    @cached_property
+    @property
     def chart(self) -> tuple[Mat, Vec, int]:
-        """(pushforward = pullback^T, its image of vec, its rank), once."""
-        phi = transpose(self.contraction.pullback)
-        return phi, apply(phi, self.vec), rank(phi)
+        """(pushforward = pullback^T, its image of vec, its rank)."""
+        return _chart(self.contraction.pullback, self.vec)
 
 
 class FlopRow(NamedTuple):
@@ -128,9 +144,6 @@ class FanoRecord:
     weyl_group: str
     flop_types: tuple[str, ...]
     chambers: Optional[ChamberGraph] = None
-    # one Cone per (dim, vector set), so its memoised facts are shared
-    _cones: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def ray_labels(self) -> list[str]:
         return [r.label for r in self.rays]
@@ -145,10 +158,7 @@ class FanoRecord:
         """The cone of ``vectors`` in R^dim, one per distinct vector set,
         built on the set sorted so that its memoised facts depend on the
         set alone and not on which caller asked first."""
-        key = dim, frozenset(vectors)
-        if key not in self._cones:
-            self._cones[key] = Cone(dim, sorted(key[1]))
-        return self._cones[key]
+        return _cone(dim, frozenset(vectors))
 
     def ray_cone(self, labels: Optional[Sequence[str]] = None) -> Cone:
         """The cone of the named rays (all by default), read from ``cone``."""
@@ -162,11 +172,11 @@ class FanoRecord:
             require_direction(f"{self.record_id.render()}.rays.{label}", vec)
         return vec
 
-    @cached_property
+    @property
     def derived_antiK(self) -> "AntiKDerivation":
-        """derive_antiK_combo on the ray rows, computed once."""
-        return derive_antiK_combo([(r.vec, r.antiK) for r in self.rays],
-                                  self.rho)
+        """derive_antiK_combo on the ray rows."""
+        return _derived_antiK(tuple((r.vec, r.antiK) for r in self.rays),
+                              self.rho)
 
 
 def require_direction(where: str, vec: Vec) -> Vec:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from fanoray import datafiles
+from fanoray import datafiles, model
 from fanoray.flop import parse_flop_config
 from fanoray.model import parse_record
 
@@ -16,6 +16,17 @@ def flat_fixtures(directory: Path, *subs: str) -> Path:
         for path in (datafiles.data_root() / sub).glob("*.json"):
             shutil.copy(path, directory / path.name)
     return directory
+
+
+MEMOS = (model._cone, model._chart, model._derived_antiK)
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Each test starts with the engine memos empty, so that what it
+    counts does not depend on which tests ran before it."""
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -92,9 +92,9 @@ def test_verify_empty_dir_exits_two(capsys, tmp_path):
 
 def test_verify_unreadable_json_exits_two(capsys, tmp_path):
     (tmp_path / "junk.json").write_text("{not json")
-    code, _, err = run_cli(capsys, "verify", str(tmp_path))
-    assert code == 2
-    assert "junk.json" in err
+    assert run_cli(capsys, "verify", str(tmp_path)) == (
+        2, "", f"error: {tmp_path}/junk.json: bad JSON: Expecting property "
+               f"name enclosed in double quotes: line 1 column 2 (char 1)\n")
 
 
 def test_verify_defaults_to_the_packaged_corpus(capsys, tmp_path,
@@ -255,11 +255,10 @@ def test_check_exhaustion_full_passes(capsys, record_paths):
 
 def test_check_exhaustion_with_no_descriptor_exits_two(capsys, record_paths):
     drops = [arg for k in range(1, 9) for arg in ("--drop-ray", f"l{k}")]
-    code, out, err = run_cli(capsys, "check-exhaustion",
-                             str(record_paths["b2_5_n1"]), *drops)
-    assert code == 2
-    assert out == ""
-    assert "B2=5/n1" in err and "contraction descriptor" in err
+    assert run_cli(capsys, "check-exhaustion", str(record_paths["b2_5_n1"]),
+                   *drops) == (
+        2, "", "error: B2=5/n1: no candidate carries a contraction "
+               "descriptor, so there is nothing to check\n")
 
 
 def test_check_exhaustion_unknown_label(capsys, record_paths):
@@ -380,11 +379,12 @@ def test_nef_dot_output(capsys, record_paths, tmp_path):
     assert 'label="F"' in text
 
 
-def test_nef_dot_without_chamber_data(capsys, record_paths):
-    code, _, err = run_cli(capsys, "nef", str(record_paths["b2_4_n3"]),
-                           "--dot", "/tmp/unused.dot")
-    assert code == 2
-    assert "chamber" in err
+def test_nef_dot_without_chamber_data(capsys, record_paths, tmp_path):
+    dot = tmp_path / "unused.dot"
+    assert run_cli(capsys, "nef", str(record_paths["b2_4_n3"]),
+                   "--dot", str(dot)) == (
+        2, "", "error: B2=4/n3 carries no chamber data\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_derive_antik_command(capsys, record_paths):
@@ -844,7 +844,8 @@ ONE_RESULT = "flop.result_curves: expected at least one result curve"
 RANK_3_OF_5 = ("[antiK-combo] rays: ray rows of rank 3 cannot determine a "
                "rank-5 anticanonical combination")
 L1_TO_L3 = {"record": "B2=5/n1", "status": "underdetermined", "kernel_dim": 2}
-NO_VECTOR = "error: {dir}/p.json: expected a non-empty array of rationals\n"
+NO_VECTOR = ("error: {dir}/p.json: proposal: expected a non-empty array of "
+             "rationals\n")
 # b2_5_n1 without l8: the misses of check-exhaustion's first report
 L8_MISSES = [{"ray_index": k, "ray": f"l{k}", "edge": edge,
               "note": "no candidate maps onto this edge"}
@@ -1153,7 +1154,7 @@ MUTANTS = {
         err=f"error: {{file}}: {ONE_RESULT}\n"),
     "no-result-curves-flop": Mutant(
         E5_N28, _no_result_curves, "flop {file} --record {dir}/b2_2_n28.json",
-        2, err=f"error: {ONE_RESULT}\n"),
+        2, err=f"error: {{file}}: {ONE_RESULT}\n"),
     "renamed-ray-verify": Mutant(
         "mistakes/b2_2_n8_mistake.json records/b2_2_n8.json",
         _renamed("l2", "l9"), "verify {dir}", 1, {"corrections": _failed(
@@ -1262,7 +1263,7 @@ MUTANTS = {
                                "ray type ['C']\n"),
     "flop-types-doubled-nef": Mutant(
         "records/b2_2_n28.json", _doubled_flop_types, "nef {file}", 2,
-        err=f"error: {DOUBLED_E1}\n"),
+        err=f"error: {{file}}: {DOUBLED_E1}\n"),
     "flop-types-doubled-verify": Mutant(
         "records/b2_2_n28.json", _doubled_flop_types, "verify {dir}", 2,
         err=f"error: {{file}}: {DOUBLED_E1}\n"),
@@ -1270,11 +1271,12 @@ MUTANTS = {
         # parsed, the two D1 columns would collapse into one key
         "flops/e5_b2_2_n28.json",
         lambda d: d.update(exceptional_divisors=["D1", "D1"]), "flop {file}",
-        2, err="error: flop.exceptional_divisors[1]: duplicate name 'D1'\n"),
+        2, err="error: {file}: flop.exceptional_divisors[1]: duplicate name "
+               "'D1'\n"),
     "result-curve-repeated-flop": Mutant(
         E5_N28, lambda d: d.update(result_curves=["l12", "l12", "l22"]),
         "flop {file} --record {dir}/b2_2_n28.json", 2,
-        err="error: flop.result_curves[1]: duplicate name 'l12'\n"),
+        err="error: {file}: flop.result_curves[1]: duplicate name 'l12'\n"),
     "overlong-literal-verify": Mutant(
         "records/b2_2_n1.json",
         lambda d: d["rays"][0].update(antiK="7" * 5000),
@@ -1286,33 +1288,46 @@ MUTANTS = {
         err=f"error: {{file}}: {NOT_AN_OBJECT}\n"),
     "record-text-in-a-json-string-nef": Mutant(
         "records/b2_2_n1.json", json.dumps, "nef {file}", 2,
-        err=f"error: {NOT_AN_OBJECT}\n"),
+        err=f"error: {{file}}: {NOT_AN_OBJECT}\n"),
     "flop-table-not-array-check-exhaustion": Mutant(
         B2_5_N1, lambda d: d["flop_tables"].update({"l5": 5}),
         "check-exhaustion {file}", 2,
-        err="error: record.flop_tables.l5: expected array, got int\n"),
+        err="error: {file}: record.flop_tables.l5: expected array, got "
+            "int\n"),
     "flop-row-label-list-check-exhaustion": Mutant(
         B2_5_N1, lambda d: d["flop_tables"]["l1"][0].update({"label": ["x"]}),
         "check-exhaustion {file}", 2,
-        err="error: record.flop_tables.l1[0].label: expected non-empty "
-            "string\n"),
+        err="error: {file}: record.flop_tables.l1[0].label: expected "
+            "non-empty string\n"),
     "chamber-nodes-int-check-exhaustion": Mutant(
         B2_5_N1, lambda d: d["chambers"].update({"nodes": 5}),
         "check-exhaustion {file}", 2,
-        err="error: record.chambers.nodes: expected array, got int\n"),
+        err="error: {file}: record.chambers.nodes: expected array, got "
+            "int\n"),
     "chamber-edges-int-check-exhaustion": Mutant(
         B2_5_N1, lambda d: d["chambers"].update({"edges": 5}),
         "check-exhaustion {file}", 2,
-        err="error: record.chambers.edges: expected array, got int\n"),
+        err="error: {file}: record.chambers.edges: expected array, got "
+            "int\n"),
     "test-curves-int-flop": Mutant(
         "flops/e1_b2_2_n1.json", lambda d: d.update({"test_curves": 3}),
         "flop {file}", 2,
-        err="error: flop.test_curves: expected array, got int\n"),
+        err="error: {file}: flop.test_curves: expected array, got int\n"),
     "test-curve-label-list-flop": Mutant(
         "flops/e1_b2_2_n1.json",
         lambda d: d["test_curves"][0].update({"label": ["x"]}), "flop {file}",
-        2, err="error: flop.test_curves[0].label: expected non-empty "
-               "string\n"),
+        2, err="error: {file}: flop.test_curves[0].label: expected "
+               "non-empty string\n"),
+    **{f"{name}-{command}": Mutant(
+        # every command's loader names the file, as verify's does
+        "records/b2_2_n1.json", edit, f"{command} {{file}}", 2,
+        err=f"error: {{file}}: {message}\n")
+       for name, edit, message in (
+           ("a-float-in-a-ray", lambda d: d["rays"][0].update(vec=[1.5, 0]),
+            "record.rays[0].vec[0]: float rejected: 1.5"),
+           ("weyl-group-not-a-string", lambda d: d.update(weyl_group=2),
+            "record.weyl_group: expected string"))
+       for command in ("nef", "derive-antik", "check-exhaustion")},
     "rays-not-an-array-verify": Mutant(
         "records/b2_2_n1.json", lambda d: d.update(rays=5), "verify {dir}", 2,
         err="error: {file}: record.rays: expected array, got int\n"),

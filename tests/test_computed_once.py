@@ -78,11 +78,13 @@ def test_single_record_commands_do_not_validate(monkeypatch, command):
 
 
 def test_verify_derives_each_antik_combination_once(monkeypatch, tmp_path):
+    # once per distinct (ray rows, rho): b2_5_n1 and its mistake variant
+    # share their ray rows
     flat_fixtures(tmp_path, "records", "mistakes", "extra")
     assert len(list(tmp_path.glob("*.json"))) == 13
     calls = count_calls(monkeypatch, "model", "derive_antiK_combo")
     assert _cli(["verify", str(tmp_path)]) == 1
-    assert len(calls) == 13
+    assert len(calls) == len(set(calls)) == 12
 
 
 def test_verify_computes_each_contractions_images_once(monkeypatch,
@@ -132,10 +134,12 @@ def test_verify_dualises_only_facet_patch_target_edges(monkeypatch,
 
 
 def test_verify_runs_one_pointedness_lp_per_cone(monkeypatch, tmp_path):
-    # one per record's ray cone (13) and one per record's distinct target
-    # edge set (b2_5_n1 and its mistake variant, whose l4, l5 and l6 share
-    # theirs); target edges are judged by their cone's extreme rays, not
-    # by one membership LP per edge
+    # one per distinct cone of the 13 records: their ray cones, of which
+    # b2_5_n1 and b2_4_n3 share theirs with their mistake variants and
+    # b2_2_n1 with b2_2_n8, while the target edge set that b2_5_n1's l4, l5
+    # and l6 share is the ray cone of their target, b2_4_n12; target edges
+    # are judged by their cone's extreme rays, not by one membership LP per
+    # edge
     flat_fixtures(tmp_path)
     phase1 = count_calls(monkeypatch, "cone", "_phase1")
     members = []
@@ -147,19 +151,19 @@ def test_verify_runs_one_pointedness_lp_per_cone(monkeypatch, tmp_path):
 
     monkeypatch.setattr(Cone, "membership", counted)
     assert _cli(["verify", str(tmp_path)]) == 1
-    assert len(phase1) == 15
+    assert len(phase1) == 10
     assert not any(validate_record.__code__ in stack for stack in members)
 
 
 def test_verify_runs_one_double_description_per_cone(monkeypatch,
                                                      tmp_path):
-    # facet-patch dualises the target edge cones that validate described
-    # (b2_5_n1 and its mistake variant, one shared by l4, l5 and l6 each):
-    # the record keeps one cone per vector set for every caller
+    # facet-patch dualises the target edge cones that validate described,
+    # and a mistake variant reads its corrected sibling's cones: the
+    # process keeps one cone per vector set for every caller and record
     flat_fixtures(tmp_path)
     dd_calls = count_calls(monkeypatch, "cone", "dual_description")
     assert _cli(["verify", str(tmp_path)]) == 1
-    assert len(dd_calls) == 41
+    assert len(dd_calls) == 27
 
 
 def test_one_cone_per_vector_set_serves_proposals_too(monkeypatch):
@@ -241,7 +245,7 @@ def test_facet_patch_runs_no_elimination(monkeypatch, records):
 def test_facet_patch_dualises_each_distinct_edge_set_once(monkeypatch):
     # derived targets repeat edge sets; the nef cone's own double
     # description is never asked for (there is no codimension-two audit);
-    # a fresh record, since the edge cones are memoised on the record
+    # the edge cones are memoised per process, and empty at each test's start
     path = datafiles.records_dir() / "b2_5_n1.json"
     record = record_from_json(json.loads(path.read_text(encoding="utf-8")))
     targets = build_targets(record, prefer_record_tables=False)

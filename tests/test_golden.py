@@ -20,7 +20,7 @@ import pytest
 from fanoray import datafiles
 from fanoray.cli import main
 
-from conftest import flat_fixtures
+from conftest import MEMOS, flat_fixtures
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORRECTED = ("b2_2_n1", "b2_2_n28", "b2_2_n30", "b2_2_n8", "b2_3_n31",
@@ -99,14 +99,30 @@ def _expected_codes() -> dict:
     return json.loads((GOLDEN / "exit_codes.json").read_text())
 
 
+def _golden(name: str):
+    """The (exit code, stdout, stderr) recorded for one case."""
+    err_file = GOLDEN / f"{name}.err"
+    return (_expected_codes()[name],
+            (GOLDEN / f"{name}.out").read_text(encoding="utf-8"),
+            err_file.read_text(encoding="utf-8") if err_file.exists() else "")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
-    code, out, err = _run(CASES[name], tmp_path)
-    assert code == _expected_codes()[name]
-    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
-    err_file = GOLDEN / f"{name}.err"
-    assert err == (err_file.read_text(encoding="utf-8")
-                   if err_file.exists() else "")
+    assert _run(CASES[name], tmp_path) == _golden(name)
+
+
+def test_the_memos_change_no_golden_byte(tmp_path):
+    # every case twice in one process, the second time with the memos warm
+    # from every case before it, then once more after emptying them
+    for sweep in range(3):
+        if sweep == 2:
+            for memo in MEMOS:
+                memo.cache_clear()
+        for name in sorted(CASES):
+            run_dir = tmp_path / f"{sweep}-{name}"
+            run_dir.mkdir()
+            assert _run(CASES[name], run_dir) == _golden(name), (sweep, name)
 
 
 def _recapture() -> None:

@@ -3,11 +3,15 @@ import json
 
 import pytest
 
+from fanoray import model
+from fanoray.cone import ConeError
 from fanoray.flop import flop_config_from_json
 from fanoray.model import (RAY_TYPES, RecordError, derive_antiK_combo,
                            diff_records, parse_record, record_from_json,
                            serialize_record, validate_record)
-from fanoray.rational import apply, dot, rat, transpose
+from fanoray.rational import _literal, apply, dot, rat, transpose
+
+from conftest import MEMOS
 
 
 def test_corrected_corpus_is_invariant_clean(records):
@@ -56,7 +60,7 @@ def test_ray_cone_is_shared_per_label_tuple(records):
     assert "_cones" not in repr(rec)
     copy = dataclasses.replace(rec)
     assert copy == rec
-    assert copy.ray_cone() is not rec.ray_cone()
+    assert copy.ray_cone() is rec.ray_cone()
 
 
 def test_ray_cone_is_shared_per_ray_set(records):
@@ -70,12 +74,41 @@ def test_ray_cone_is_shared_per_ray_set(records):
         rec.ray_cone(["l1", "l9"])
 
 
+def test_records_with_equal_data_share_their_engine_facts(record_paths):
+    # one file loaded twice, and a replaced copy, read one memo per fact
+    raw = record_paths["b2_5_n1"].read_text()
+    first, second = parse_record(raw), parse_record(raw)
+    assert first is not second
+    for rec in (second, dataclasses.replace(first)):
+        assert rec.ray_cone() is first.ray_cone()
+        assert rec.ray("l4").chart is first.ray("l4").chart
+        assert rec.derived_antiK is first.derived_antiK
+    edges = first.ray("l4").contraction.target_edges
+    assert second.cone(4, edges) is first.cone(4, reversed(edges))
+
+
+def test_a_zero_ray_raises_on_every_call(records):
+    # lru_cache stores no exception, so each call builds and fails anew
+    calls = []
+    for _ in range(2):
+        with pytest.raises(ConeError) as err:
+            records["b2_2_n1"].cone(2, [(0, 0), (1, 0)])
+        calls.append(str(err.value))
+    assert calls == ["zero vector has no ray direction"] * 2
+    assert model._cone.cache_info().currsize == 0
+
+
+def test_each_memo_is_bounded_as_the_literal_memo_is():
+    assert [memo.cache_info().maxsize for memo in MEMOS] == [1024] * 3
+    assert _literal.cache_info().maxsize == 1024
+
+
 def test_strict_parse_rejects_antiK_mistake(data_root):
     raw = (data_root / "mistakes" / "b2_5_n1_mistake.json").read_text()
     with pytest.raises(RecordError) as err:
         parse_record(raw)
-    assert "l25" in str(err.value)
-    assert "3" in str(err.value)
+    assert str(err.value) == ("B2=5/n1mistake.flop_tables.l5.l25: [antiK] "
+                              "-K mismatch: row says -3, combo gives 3")
 
 
 def test_collect_parse_reports_the_l25_row(mistakes):

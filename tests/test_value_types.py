@@ -1,6 +1,6 @@
 """The value records: immutable, compared and hashed by value, and printed
-as before.  Only the two records that hold ``cached_property`` memos are
-dataclasses; every other value record is a ``typing.NamedTuple``."""
+as before.  Only ``FanoRecord`` and ``RayRecord`` are dataclasses; every
+other value record is a ``typing.NamedTuple``."""
 
 import copy
 import dataclasses
@@ -118,7 +118,7 @@ def _classes():
                 yield cls
 
 
-def test_only_the_memo_holding_records_are_dataclasses():
+def test_only_the_fano_and_ray_records_are_dataclasses():
     found = {cls.__name__ for cls in _classes()
              if dataclasses.is_dataclass(cls)}
     assert found == {"FanoRecord", "RayRecord"}
